@@ -25,6 +25,21 @@ class MissingFixtureError(KeyError):
         return f"missing fixture fact: {self.key}"
 
 
+class MalformedFixtureError(MissingFixtureError, ValueError):
+    """A fact is on file but its data is not in the documented form.
+
+    It is a fixture error, so the run stops as for a missing fact; it is
+    also a ValueError, because the document carries a bad value.
+    """
+
+    def __init__(self, key: str, detail: str):
+        super().__init__(key)
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return f"malformed {self.key} data: {self.detail}"
+
+
 @dataclass(frozen=True)
 class Fixture:
     key: str
@@ -51,8 +66,13 @@ class Fixtures:
 
     @classmethod
     def from_document(cls, doc: Mapping, origin: str = "builtin") -> "Fixtures":
+        entries = doc.get("facts", {}) if isinstance(doc, Mapping) else None
+        if not isinstance(entries, Mapping) or not all(
+            isinstance(body, Mapping) for body in entries.values()
+        ):
+            raise ValueError("malformed fixtures document: facts must map keys to objects")
         facts = {}
-        for key, body in doc.get("facts", {}).items():
+        for key, body in entries.items():
             facts[key] = Fixture(
                 key=key,
                 statement=body.get("statement", ""),
@@ -91,25 +111,28 @@ class Fixtures:
 
 
 # typed accessors; each raises MissingFixtureError if the fact is absent
-# and ValueError if the document carries it in a mangled form
+# and MalformedFixtureError if the document carries it in a mangled form
+
+_DATA_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 def takeuchi_constants(fixtures: Fixtures) -> tuple[Fraction, Fraction]:
     data = fixtures.get("takeuchi_disc_bound").data
     try:
         return Fraction(data["a"]), Fraction(data["b"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed takeuchi_disc_bound data: {exc}") from None
+    except _DATA_ERRORS as exc:
+        raise MalformedFixtureError("takeuchi_disc_bound", str(exc)) from None
 
 
 def voight_min_disc(fixtures: Fixtures, degree: int) -> int:
     data = fixtures.get("voight_min_totally_real_disc").data
+    key = f"voight_min_totally_real_disc[{degree}]"
     try:
         return int(data[str(degree)])
     except KeyError:
-        raise MissingFixtureError(
-            f"voight_min_totally_real_disc[{degree}]"
-        ) from None
+        raise MissingFixtureError(key) from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedFixtureError(key, str(exc)) from None
 
 
 def magma_weight_range(fixtures: Fixtures) -> tuple[int, int, int]:
@@ -117,8 +140,8 @@ def magma_weight_range(fixtures: Fixtures) -> tuple[int, int, int]:
     data = fixtures.get("magma_dim_d8").data
     try:
         return int(data["discriminant"]), int(data["weight_min"]), int(data["weight_max"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed magma_dim_d8 data: {exc}") from None
+    except _DATA_ERRORS as exc:
+        raise MalformedFixtureError("magma_dim_d8", str(exc)) from None
 
 
 def ishikawa_zero_dim_fields(fixtures: Fixtures) -> frozenset[int]:
@@ -126,5 +149,5 @@ def ishikawa_zero_dim_fields(fixtures: Fixtures) -> frozenset[int]:
     try:
         dims = data["dim_s2"]
         return frozenset(int(d) for d, dim in dims.items() if int(dim) == 0)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed ishikawa_weight2_dim data: {exc}") from None
+    except _DATA_ERRORS as exc:
+        raise MalformedFixtureError("ishikawa_weight2_dim", str(exc)) from None

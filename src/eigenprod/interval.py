@@ -3,11 +3,14 @@
 The decision layer never trusts a floating-point value: every real
 quantity is represented by a ``CertifiedReal``, an interval with
 ``Fraction`` endpoints that provably contains the mathematical value.
-Rational operations (+, -, *, /, integer powers) are exact.  The
-transcendental constructors (pi, zeta(s), exp, log, sqrt) compute with
-integer fixed-point arithmetic, account for every truncation and
-division loss explicitly, and round outward, so the containment
-invariant
+Rational operations (+, -, *, /, integer powers) are exact while every
+endpoint numerator and denominator fits in ``precision + GUARD_BITS``
+bits; above that size cap each endpoint is rounded outward (``lo`` down,
+``hi`` up) to that many significant bits, so endpoints stay small at
+every precision.  The transcendental constructors (pi, zeta(s), exp,
+log, sqrt) compute with integer fixed-point arithmetic (even zeta values
+through Euler's closed form), account for every truncation and division
+loss explicitly, and round outward, so the containment invariant
 
     lo <= true value <= hi
 
@@ -17,9 +20,11 @@ and a comparison is only ever decided when the whole interval lies on
 one side of the threshold.
 
 ``evaluate_with_escalation`` retries an undecided comparison at doubled
-precision up to a ceiling.  Enclosure widths are nonincreasing in the
-precision parameter (summation lengths grow, tail bounds and rounding
-grids shrink), so escalation can only sharpen a decision, never flip it.
+precision up to a ceiling.  Doubling the precision shrinks enclosure
+widths (summation lengths grow; tail bounds, rounding grids and the size
+cap tighten), except for odd zeta values whose partial sum has reached
+``ZETA_TERM_CAP``, so escalation can sharpen a decision; since every
+enclosure contains the true value, it can never flip one.
 """
 
 from __future__ import annotations
@@ -31,14 +36,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
+from .exact import bernoulli
+
 RationalLike = Union[int, Fraction]
 
-# Partial-sum length cap for zeta enclosures.  At the cap the tail bound
-# N^(1-s)/(s-1) dominates the width: ~5e-7 for s = 2, ~4e-20 for s = 4,
-# ~6e-33 for s = 6, and for s >= 7 the cap is never reached at any
-# precision used here.  Every decision consumed downstream was checked to
-# have margin far above these widths.
+# Partial-sum length cap for zeta enclosures at odd s; even s goes through
+# Euler's closed form and never sums.  At the cap the tail bound
+# N^(1-s)/(s-1) dominates the width and escalation cannot shrink it:
+# ~1e-13 for s = 3, ~2e-26 for s = 5, ~3e-39 for s = 7.
 ZETA_TERM_CAP = 2_000_000
+
+# Extra significant bits kept above the working precision when interval
+# arithmetic rounds an oversized endpoint outward.
+GUARD_BITS = 32
 
 
 class Outcome(Enum):
@@ -78,33 +88,36 @@ class CertifiedReal:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CertifiedReal({float(self.lo):.12g}, {float(self.hi):.12g}, p={self.precision})"
 
-    # -- exact rational operations ---------------------------------------
+    # -- rational operations, rounded outward above the size cap ---------
 
     def _prec_with(self, other: "CertifiedReal") -> int:
         return min(self.precision, other.precision)
 
     def __add__(self, other: "CertifiedReal") -> "CertifiedReal":
-        return CertifiedReal(self.lo + other.lo, self.hi + other.hi, self._prec_with(other))
+        return _capped(self.lo + other.lo, self.hi + other.hi, self._prec_with(other))
 
     def __sub__(self, other: "CertifiedReal") -> "CertifiedReal":
-        return CertifiedReal(self.lo - other.hi, self.hi - other.lo, self._prec_with(other))
+        return _capped(self.lo - other.hi, self.hi - other.lo, self._prec_with(other))
 
     def __neg__(self) -> "CertifiedReal":
         return CertifiedReal(-self.hi, -self.lo, self.precision)
 
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
+        if self.lo >= 0 and other.lo >= 0:
+            # the common case: both factors nonnegative
+            return _capped(self.lo * other.lo, self.hi * other.hi, self._prec_with(other))
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return CertifiedReal(min(products), max(products), self._prec_with(other))
+        return _capped(min(products), max(products), self._prec_with(other))
 
     def reciprocal(self) -> "CertifiedReal":
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("interval straddles zero")
-        return CertifiedReal(1 / self.hi, 1 / self.lo, self.precision)
+        return _capped(1 / self.hi, 1 / self.lo, self.precision)
 
     def __truediv__(self, other: "CertifiedReal") -> "CertifiedReal":
         return self * other.reciprocal()
@@ -114,16 +127,13 @@ class CertifiedReal:
             return self.pow_int(-n).reciprocal()
         if n == 0:
             return CertifiedReal(Fraction(1), Fraction(1), self.precision)
-        if self.lo >= 0:
-            return CertifiedReal(self.lo**n, self.hi**n, self.precision)
+        if self.lo >= 0 or n % 2 == 1:
+            # x^n is nondecreasing on the interval
+            return _capped(self.lo**n, self.hi**n, self.precision)
         if self.hi <= 0:
-            if n % 2 == 0:
-                return CertifiedReal(self.hi**n, self.lo**n, self.precision)
-            return CertifiedReal(self.lo**n, self.hi**n, self.precision)
-        # straddles zero
-        if n % 2 == 0:
-            return CertifiedReal(Fraction(0), max(self.lo**n, self.hi**n), self.precision)
-        return CertifiedReal(self.lo**n, self.hi**n, self.precision)
+            return _capped(self.hi**n, self.lo**n, self.precision)
+        # even power of an interval straddling zero
+        return _capped(Fraction(0), max(self.lo**n, self.hi**n), self.precision)
 
     def abs(self) -> "CertifiedReal":
         if self.lo >= 0:
@@ -131,6 +141,31 @@ class CertifiedReal:
         if self.hi <= 0:
             return -self
         return CertifiedReal(Fraction(0), max(-self.lo, self.hi), self.precision)
+
+
+def _round_outward(x: Fraction, bits: int, up: bool) -> Fraction:
+    """x itself if its numerator and denominator fit in ``bits`` bits, else
+    x rounded down (or up) to a dyadic with at most ``bits + 1``
+    significant bits."""
+    num, den = x.numerator, x.denominator
+    if num.bit_length() <= bits and den.bit_length() <= bits:
+        return x
+    if up:
+        num = -num
+    # |x| lies in [2^(e-1), 2^(e+1)) for e = len(num) - len(den)
+    shift = bits - num.bit_length() + den.bit_length()
+    if shift >= 0:
+        rounded = Fraction((num << shift) // den, 1 << shift)
+    else:
+        rounded = Fraction((num // (den << -shift)) << -shift)
+    return -rounded if up else rounded
+
+
+def _capped(lo: Fraction, hi: Fraction, precision: int) -> CertifiedReal:
+    bits = precision + GUARD_BITS
+    return CertifiedReal(
+        _round_outward(lo, bits, up=False), _round_outward(hi, bits, up=True), precision
+    )
 
 
 def from_rational(x: RationalLike, precision: int) -> CertifiedReal:
@@ -179,12 +214,17 @@ def enclose_pi(precision: int) -> CertifiedReal:
 def enclose_zeta(s: int, precision: int) -> CertifiedReal:
     """zeta(s) for integer s >= 2.
 
-    Partial sum of N terms in fixed point plus the integral tail bound
-    sum_{n > N} n^(-s) <= N^(1-s)/(s-1).  N is chosen so the tail is
-    below 2^(-precision) when that takes at most ZETA_TERM_CAP terms.
+    Even s uses Euler's formula zeta(s) = |B_s| (2 pi)^s / (2 s!) and
+    rounds outward onto the grid 2^-(precision + 8), for a width below
+    2^-(precision + 6).  Odd s takes a partial sum of N terms in fixed
+    point plus the integral tail bound sum_{n > N} n^(-s) <= N^(1-s)/(s-1);
+    N is chosen so the tail is below 2^(-precision) when that takes at
+    most ZETA_TERM_CAP terms.
     """
     if s < 2:
         raise ValueError("s must be an integer >= 2")
+    if s % 2 == 0:
+        return _enclose_even_zeta(s, precision)
     if precision >= 21 * (s - 1):
         n_terms = ZETA_TERM_CAP
     else:
@@ -197,6 +237,19 @@ def enclose_zeta(s: int, precision: int) -> CertifiedReal:
     lo = Fraction(total, scale)
     tail = Fraction(1, (s - 1) * n_terms ** (s - 1))
     hi = Fraction(total + n_terms, scale) + tail
+    return CertifiedReal(lo, hi, precision)
+
+
+def _enclose_even_zeta(s: int, precision: int) -> CertifiedReal:
+    q = precision + 8
+    # raising pi to the s-th power multiplies its relative width by about s
+    pi_bits = q + s.bit_length() + 8
+    coeff = abs(bernoulli(s)) / (2 * math.factorial(s))
+    value = (from_rational(2, pi_bits) * enclose_pi(pi_bits)).pow_int(s)
+    value = value * from_rational(coeff, pi_bits)
+    scale = 1 << q
+    lo = Fraction((value.lo.numerator * scale) // value.lo.denominator, scale)
+    hi = Fraction(-((-value.hi.numerator * scale) // value.hi.denominator), scale)
     return CertifiedReal(lo, hi, precision)
 
 

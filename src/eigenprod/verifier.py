@@ -37,6 +37,7 @@ from .interval import (
     Rat,
     Sqrt,
     Zeta,
+    certified_compare,
     evaluate_with_escalation,
 )
 from .quadfield import Splitting, narrow_one_fields
@@ -159,13 +160,14 @@ class _Run:
         """Record the decided direction positively.
 
         A CertifiedFalse answer is re-recorded as the CertifiedTrue
-        certificate of the flipped relation under the fail name; the
-        returned decision always answers the original relation.
+        certificate of the flipped relation under the fail name, decided
+        by the same enclosure; the returned decision always answers the
+        original relation.
         """
         decision = self.probe(expr, threshold, relation)
         if decision.outcome is Outcome.CERTIFIED_FALSE:
             flipped_rel = _FLIP[relation]
-            flipped = self.probe(expr, threshold, flipped_rel)
+            flipped = certified_compare(decision.enclosure, threshold, flipped_rel)
             self.constants.append(
                 CheckRecord(
                     f"{name}_{fail_suffix}", flipped_rel, Fraction(threshold), flipped

@@ -7,6 +7,7 @@ end confirms the installed console script resolves.
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -184,6 +185,40 @@ def test_verify_missing_fixture_exit(tmp_path, capsys):
     code = main(["verify", "s4-noninert", "--fixtures", str(path)])
     assert code == EXIT_MISSING_FIXTURE
     assert "missing fixture fact:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, data",
+    [
+        ("s5", "takeuchi_disc_bound", {"a": "abc", "b": "83185/10000"}),
+        ("s4-noninert", "magma_dim_d8", {}),
+        ("s5", "voight_min_totally_real_disc", {"3": "abc", "4": "abc", "5": "abc"}),
+    ],
+)
+def test_verify_malformed_fixture_data_exit(tmp_path, capsys, section, key, data):
+    # a fact on file with mangled data is a fixture error, not a usage error
+    doc = json.loads(
+        resources.files("eigenprod.data").joinpath("fixtures.json").read_text(encoding="utf-8")
+    )
+    doc["facts"][key]["data"] = data
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["verify", section, "--fixtures", str(path)])
+    assert code == EXIT_MISSING_FIXTURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed {key}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc", [[1, 2], {"facts": []}, {"facts": {"takeuchi_disc_bound": 5}}]
+)
+def test_verify_malformed_fixtures_document_exit(tmp_path, capsys, doc):
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["verify", "s5", "--fixtures", str(path)])
+    assert code == EXIT_MISSING_FIXTURE
+    assert capsys.readouterr().err.startswith("fixtures error: malformed fixtures document")
 
 
 def test_verify_unreadable_fixtures_exit(tmp_path, capsys):

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from eigenprod import (
@@ -34,7 +36,7 @@ from eigenprod import (
     evaluate_with_escalation,
     gamma_integer,
 )
-from eigenprod.interval import from_rational, product
+from eigenprod.interval import GUARD_BITS, ZETA_TERM_CAP, from_rational, product
 
 mp.prec = 300
 GUARD = mp.mpf(2) ** -250
@@ -102,6 +104,82 @@ def test_arithmetic_preserves_containment():
             assert X.pow_int(m).contains(x**m)
 
 
+# Size-capped outward rounding: the oracle below is plain exact interval
+# arithmetic, written out here rather than taken from the package.
+
+_fractions = st.builds(
+    Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**90)
+)
+_intervals = st.lists(_fractions, min_size=2, max_size=2).map(sorted)
+
+
+def _exact_op(op, x, y, n):
+    if op == "add":
+        return x[0] + y[0], x[1] + y[1]
+    if op == "sub":
+        return x[0] - y[1], x[1] - y[0]
+    if op == "mul":
+        products = [a * b for a in x for b in y]
+        return min(products), max(products)
+    if op == "reciprocal":
+        return 1 / x[1], 1 / x[0]
+    if n == 0:
+        return Fraction(1), Fraction(1)
+    powers = [x[0] ** abs(n), x[1] ** abs(n)]
+    lo = 0 if n % 2 == 0 and x[0] < 0 < x[1] else min(powers)
+    if n < 0:
+        return 1 / max(powers), 1 / lo
+    return lo, max(powers)
+
+
+def _package_op(op, X, Y, n):
+    if op == "add":
+        return X + Y
+    if op == "sub":
+        return X - Y
+    if op == "mul":
+        return X * Y
+    if op == "reciprocal":
+        return X.reciprocal()
+    return X.pow_int(n)
+
+
+def _fits(v: Fraction, bits: int) -> bool:
+    return v.numerator.bit_length() <= bits and v.denominator.bit_length() <= bits
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "reciprocal", "pow_int"])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    x=_intervals,
+    y=_intervals,
+    n=st.integers(-4, 6),
+    precision=st.sampled_from([8, 24, 40]),
+)
+def test_rounded_operations(op, x, y, n, precision):
+    if op == "reciprocal" or (op == "pow_int" and n < 0):
+        assume(x[0] > 0 or x[1] < 0)
+    bits = precision + GUARD_BITS
+    X = CertifiedReal(x[0], x[1], precision)
+    Y = CertifiedReal(y[0], y[1], precision)
+    lo, hi = _exact_op(op, x, y, n)
+    out = _package_op(op, X, Y, n)
+    assert out.precision == precision
+    # containment of the exact result, and exactness below the size cap
+    assert out.lo <= lo and hi <= out.hi
+    if _fits(lo, bits) and _fits(hi, bits):
+        assert (out.lo, out.hi) == (lo, hi)
+    # an endpoint above the cap is a dyadic m / 2^k with at most bits + 1
+    # significant bits; only its binary exponent can make it longer
+    for end in (out.lo, out.hi):
+        if _fits(end, bits):
+            continue
+        num, den = abs(end.numerator), end.denominator
+        assert den & (den - 1) == 0
+        assert num.bit_length() - (num & -num).bit_length() + 1 <= bits + 1
+        assert min(num.bit_length(), den.bit_length()) <= bits + 2
+
+
 def test_reciprocal_through_zero_rejected():
     x = CertifiedReal(Fraction(-1), Fraction(1), 32)
     with pytest.raises(ZeroDivisionError):
@@ -143,6 +221,29 @@ def test_enclose_zeta_contains_zeta(s):
     enc = enclose_zeta(s, 128)
     assert _contains(enc, mp.zeta(s))
     assert enc.width() < Fraction(1, 10**5)
+
+
+@pytest.mark.parametrize("s", range(2, 41, 2))
+def test_enclose_even_zeta_closed_form(s):
+    widths = []
+    for precision in (8, 32, 128, 1024):
+        enc = enclose_zeta(s, precision)
+        assert _contains(enc, mp.zeta(s))
+        assert enc.width() > 0
+        widths.append(enc.width())
+    assert widths == sorted(widths, reverse=True)
+
+
+def test_zeta2_sharpens_with_precision():
+    assert enclose_zeta(2, 1024).width() < Fraction(1, 2**1000)
+
+
+def test_odd_zeta_keeps_partial_sum():
+    # at 128 bits the term cap is reached, so the integral tail bound of
+    # the partial sum sets the width
+    enc = enclose_zeta(3, 128)
+    assert enc.width() >= Fraction(1, 2 * ZETA_TERM_CAP**2)
+    assert _contains(enc, mp.zeta(3))
 
 
 def test_enclose_zeta_rejects_small_s():
