@@ -297,3 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -112,6 +112,26 @@ def is_fundamental_discriminant(delta: int) -> bool:
     return False
 
 
+def _require_real_fundamental(D: int) -> None:
+    if D <= 1 or not is_fundamental_discriminant(D):
+        raise ValueError(f"{D} is not a real quadratic fundamental discriminant")
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
 @dataclass(frozen=True)
 class KroneckerCharacter:
     """The quadratic character chi(n) = (discriminant / n).
@@ -205,8 +225,7 @@ def dedekind_zeta_neg(D: int, k: int) -> Fraction:
     k give 0 and are rejected as misuse), D must be a fundamental
     discriminant > 1.
     """
-    if D <= 1 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a real quadratic fundamental discriminant")
+    _require_real_fundamental(D)
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be even and >= 2")
     return riemann_zeta_neg(k) * dirichlet_l_neg(k, KroneckerCharacter(D))
@@ -234,8 +253,7 @@ def zagier_zeta_minus_one(D: int) -> Fraction:
     route to dedekind_zeta_neg(D, 2); the two are compared exactly in the
     verification layer.
     """
-    if D <= 1 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a real quadratic fundamental discriminant")
+    _require_real_fundamental(D)
     total = 0
     b = D % 2
     while b * b < D:

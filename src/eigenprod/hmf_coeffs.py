@@ -26,7 +26,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import dedekind_zeta_neg, is_fundamental_discriminant, kronecker
+from .exact import (
+    _is_prime,
+    _require_real_fundamental,
+    dedekind_zeta_neg,
+    is_fundamental_discriminant,
+    kronecker,
+)
 from .quadfield import class_number_imaginary, narrow_class_number
 
 
@@ -34,11 +40,6 @@ class PrimeClass(Enum):
     INERT = "Inert"
     SPLIT_FACTOR = "SplitFactor"
     RAMIFIED = "Ramified"
-
-
-def _require_real_fundamental(D: int) -> None:
-    if D <= 1 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a real quadratic fundamental discriminant")
 
 
 @lru_cache(maxsize=None)
@@ -155,21 +156,6 @@ def ideal_from_prime_powers(
         raise ValueError("repeated non-split prime entry")
     checked.sort(key=lambda t: (t[0], -t[2], t[1].value))
     return IdealFactorization(tuple(checked))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:

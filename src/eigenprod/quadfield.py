@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import is_fundamental_discriminant
+from .exact import _is_prime, _require_real_fundamental, is_fundamental_discriminant
 from .interval import (
     CertifiedReal,
     enclose_log,
@@ -33,11 +33,6 @@ class Splitting(Enum):
     INERT = "Inert"
     SPLIT = "Split"
     RAMIFIED = "Ramified"
-
-
-def _require_real_fundamental(D: int) -> None:
-    if D <= 1 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a real quadratic fundamental discriminant")
 
 
 def _to_discriminant(n: int) -> int:
@@ -215,21 +210,6 @@ class FieldDescriptor:
 def field_descriptor(D: int) -> FieldDescriptor:
     _require_real_fundamental(D)
     return FieldDescriptor(D, radicand(D), splitting_of_two(D), narrow_class_number(D))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,14 @@ fixture fact, and returns a deterministic report.  Certificates are
 recorded in the direction that was actually decided, so a report reads as
 a list of true statements; anything undecided or decided the wrong way
 flips the verdict, never the record.
+
+Proof shapes the paper runs twice are written once: both cusp-factor
+branches run ``_cusp_factor_sweep`` with their own bounds and hooks, and
+degrees 3 and 4 run ``_degree_grid`` with their own constants.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exact import dedekind_zeta_neg, is_fundamental_discriminant
 from .fixtures import (
@@ -619,7 +623,7 @@ def verify_section3_equal(
 
 
 # ---------------------------------------------------------------------------
-# products with a cusp factor, 2 inert
+# products with a cusp factor
 
 
 def _s_factor(k1: int) -> int:
@@ -651,8 +655,13 @@ def _pair_bound(k1: int, k2: int) -> Expr:
     )
 
 
-def _disc_bound(k1: int, k2: int, D: int) -> Expr:
-    return _pair_bound(k1, k2) / (Rat(D ** (k1 - 1)) * Sqrt(Rat(D)))
+def _pair_bound_split(k1: int) -> Expr:
+    return Pow(PI, 5) / 18 * Pow(Rat(2) * PI, 2 * k1 - 1) / Pow(GammaInt(k1), 2)
+
+
+def _disc_bound(pair: Expr, k1: int, D: int) -> Expr:
+    # a pair bound divided by its growth D^(k1 - 1/2) in the discriminant
+    return pair / (Rat(D ** (k1 - 1)) * Sqrt(Rat(D)))
 
 
 def _inert_middle(k1: int, k2: int, D: int) -> Expr:
@@ -671,6 +680,168 @@ def _inert_middle(k1: int, k2: int, D: int) -> Expr:
     return first + second
 
 
+def _cusp_factor_sweep(
+    run: _Run,
+    universe: Sequence[int],
+    k1_stop: int,
+    norm: int,
+    weight_gap: Callable[[int], Expr],
+    pair_bound: Callable[[int, int], Expr],
+    table: str,
+    ratio_certs: Sequence[Decision],
+    weight_note: str,
+    step_certs: Callable[[_Run, list[int]], list[Decision]],
+    row_cert: Optional[Callable[[_Run, int, int, int], None]] = None,
+) -> list[tuple[int, int, int]]:
+    """The three nested bound sweeps of both cusp-factor branches.
+
+    weight_gap(k1) is certified nonnegative for even k1 < k1_stop; each
+    surviving k1 gets the window of k2 where pair_bound(k1, k2) reaches
+    norm^(k2-1) (norm^k1 - 1), plus two look-ahead certificates; each pair
+    in a window gets the run of fields whose discriminant bound reaches
+    the same left side.  ratio_certs (recorded by the caller) and
+    step_certs(run, k1s) make the first failures final; row_cert(run, k1,
+    k2, max_d) adds a certificate at each pair's largest field.  Fills the
+    table and its interpretations twin; returns the sorted triples.
+    """
+    weight_decisions = []
+    surviving_k1 = []
+    for k1 in range(2, k1_stop, 2):
+        dec = run.check_signed(f"weight_bound_k1_{k1}", weight_gap(k1), 0, ">=")
+        weight_decisions.append(dec)
+        if dec.outcome is Outcome.CERTIFIED_TRUE:
+            surviving_k1.append(k1)
+    max_k1 = max(surviving_k1)
+    run.note(
+        f"the weight-only bound holds for even k1 up to {max_k1} and fails "
+        f"beyond; {weight_note}"
+    )
+    run.candidate(
+        ELIMINATED_BY_BOUND
+        if _all_certified(*ratio_certs) and _none_undecided(weight_decisions)
+        else SURVIVOR,
+        f"weight-only bound fails from k1 = {max_k1 + 2} on and keeps decreasing",
+        label=f"k1 > {max_k1}, every k2 and D",
+    )
+
+    def pair_check(k1: int, k2: int) -> Decision:
+        lhs = Rat(norm ** (k2 - 1) * (norm**k1 - 1))
+        return run.check_signed(
+            f"pair_bound_k1_{k1}_k2_{k2}", pair_bound(k1, k2) - lhs, 0, ">="
+        )
+
+    # per-k1 window of admissible k2
+    pair_decisions = []
+    windows: list[tuple[int, Optional[int]]] = []
+    for k1 in surviving_k1:
+        max_k2 = None
+        k2 = 2
+        while k2 <= 200:
+            dec = pair_check(k1, k2)
+            pair_decisions.append(dec)
+            if dec.outcome is not Outcome.CERTIFIED_TRUE:
+                break
+            max_k2 = k2
+            k2 += 2
+        pair_decisions += [pair_check(k1, k2 + 2), pair_check(k1, k2 + 4)]
+        windows.append((k1, max_k2))
+    steps = step_certs(run, surviving_k1)
+    run.candidate(
+        ELIMINATED_BY_BOUND
+        if _all_certified(*steps) and _none_undecided(pair_decisions)
+        else SURVIVOR,
+        "pair bound failures persist beyond each recorded window",
+        label="k2 beyond each per-k1 maximum",
+    )
+
+    # per-pair discriminant sweep; each table row reads the largest
+    # admitted field at k2 = 2 and over the whole window
+    disc_decisions = []
+    triples: list[tuple[int, int, int]] = []
+    rows = []
+    alt_rows = []
+    for k1, mk2 in windows:
+        row_max_d = []
+        for k2 in range(2, (mk2 or 0) + 2, 2):
+            pair = pair_bound(k1, k2)
+            lhs = Rat(norm ** (k2 - 1) * (norm**k1 - 1))
+            max_d = None
+            for D in universe:
+                dec = run.check_signed(
+                    f"disc_bound_k1_{k1}_k2_{k2}_d{D}",
+                    _disc_bound(pair, k1, D) - lhs,
+                    0,
+                    ">=",
+                )
+                disc_decisions.append(dec)
+                if dec.outcome is not Outcome.CERTIFIED_TRUE:
+                    break
+                max_d = D
+                triples.append((D, k1, k2))
+            row_max_d.append(max_d)
+            if max_d is not None and row_cert is not None:
+                row_cert(run, k1, k2, max_d)
+        over_all = max((d for d in row_max_d if d is not None), default=None)
+        rows.append([k1, mk2, over_all])
+        alt_rows.append([k1, row_max_d[0] if row_max_d else None, over_all])
+    run.note(
+        "the discriminant bound decreases strictly in D, so the first rejected "
+        "field closes each row"
+    )
+    run.candidate(
+        ELIMINATED_BY_BOUND if _none_undecided(disc_decisions) else SURVIVOR,
+        "discriminant bound fails at the first field past each maximum and "
+        "decreases beyond",
+        label="D beyond each per-pair maximum",
+    )
+    run.tables[table] = {"columns": ["k1", "max_k2", "max_d"], "rows": rows}
+    run.tables[f"{table}_interpretations"] = {
+        "columns": ["k1", "max_d_at_k2_2", "max_d_any_k2"],
+        "rows": alt_rows,
+    }
+    if all(r[1] == r[2] for r in alt_rows):
+        run.note(
+            "both readings of the maximal-D column agree; the maximum over k2 "
+            "is attained at k2 = 2 in every row"
+        )
+    else:
+        run.note(
+            "the maximal-D column is read as the maximum over every admissible "
+            "k2; taking it at k2 = 2 differs in some rows"
+        )
+    return sorted(triples)
+
+
+def _inert_step_certs(run: _Run, k1s: list[int]) -> list[Decision]:
+    step2_dev = max(
+        abs(
+            9 * _s2_factor(k1, k2)
+            - _s2_factor(k1, k2 + 2)
+            - (8 * 9 ** (k1 + 1) + 5 * 2**k2 * (1 + 4 ** (k1 - 1)))
+        )
+        for k1 in k1s
+        for k2 in range(2, 62, 2)
+    )
+    certs = [
+        run.exact("s2_step_identity_deviation", step2_dev, 0, "="),
+        run.exact("pair_lhs_step_exceeds_rhs_step", 16, 9, ">"),
+    ]
+    run.note(
+        "the pair bound left side multiplies by 16 per k2 step while the right "
+        "side multiplies by at most 9, so the first failure is final"
+    )
+    return certs
+
+
+def _inert_row_cert(run: _Run, k1: int, k2: int, max_d: int) -> None:
+    run.check(
+        f"chain_middle_consistent_k1_{k1}_k2_{k2}",
+        _disc_bound(_pair_bound(k1, k2), k1, max_d) - _inert_middle(k1, k2, max_d),
+        0,
+        ">=",
+    )
+
+
 def verify_section4_inert(
     d_limit: int = DEFAULT_D_LIMIT,
     base_precision: int = DEFAULT_BASE_PRECISION,
@@ -686,7 +857,6 @@ def verify_section4_inert(
     """
     fixtures = fixtures if fixtures is not None else Fixtures.load()
     run = _Run(SECTION_INERT, base_precision, precision_ceiling, fixtures)
-    universe = inert_one_fields(d_limit)
 
     # bound ratio per unit weight step: (2 pi)^2 S(k) / ((k-1)^2 S(k-1))
     # with S(k) <= 9 S(k-1) and (k-1)^2 >= 361 once k >= 20
@@ -704,152 +874,20 @@ def verify_section4_inert(
         "by 9 (2 pi)^2 / (k-1)^2 per step and decreases for every k >= 20"
     )
 
-    weight_decisions = []
-    surviving_k1 = []
-    for k1 in range(2, 42, 2):
-        dec = run.check_signed(
-            f"weight_bound_k1_{k1}",
-            _weight_only_bound(k1) - Rat(4**k1 - 1),
-            0,
-            ">=",
-        )
-        weight_decisions.append(dec)
-        if dec.outcome is Outcome.CERTIFIED_TRUE:
-            surviving_k1.append(k1)
-    max_k1 = max(surviving_k1)
-    run.note(
-        f"the weight-only bound holds for even k1 up to {max_k1} and fails "
-        "beyond; the decreasing-bound certificates extend the failure to all "
-        "larger k1"
+    triples = _cusp_factor_sweep(
+        run,
+        inert_one_fields(d_limit),
+        k1_stop=42,
+        norm=4,
+        weight_gap=lambda k1: _weight_only_bound(k1) - Rat(4**k1 - 1),
+        pair_bound=_pair_bound,
+        table="table2",
+        ratio_certs=(g_ratio, s_ident, s_floor),
+        weight_note="the decreasing-bound certificates extend the failure to "
+        "all larger k1",
+        step_certs=_inert_step_certs,
+        row_cert=_inert_row_cert,
     )
-    run.candidate(
-        ELIMINATED_BY_BOUND
-        if _all_certified(g_ratio, s_ident, s_floor) and _none_undecided(weight_decisions)
-        else SURVIVOR,
-        "weight-only bound fails from k1 = 30 on and keeps decreasing",
-        label=f"k1 > {max_k1}, every k2 and D",
-    )
-
-    # per-k1 window of admissible k2
-    pair_decisions = []
-    pair_max_k2: dict[int, Optional[int]] = {}
-    for k1 in surviving_k1:
-        max_k2 = None
-        k2 = 2
-        while k2 <= 200:
-            lhs = 4 ** (k2 - 1) * (4**k1 - 1)
-            dec = run.check_signed(
-                f"pair_bound_k1_{k1}_k2_{k2}",
-                _pair_bound(k1, k2) - Rat(lhs),
-                0,
-                ">=",
-            )
-            pair_decisions.append(dec)
-            if dec.outcome is not Outcome.CERTIFIED_TRUE:
-                break
-            max_k2 = k2
-            k2 += 2
-        for k2f in (k2 + 2, k2 + 4):
-            lhs = 4 ** (k2f - 1) * (4**k1 - 1)
-            pair_decisions.append(
-                run.check_signed(
-                    f"pair_bound_k1_{k1}_k2_{k2f}",
-                    _pair_bound(k1, k2f) - Rat(lhs),
-                    0,
-                    ">=",
-                )
-            )
-        pair_max_k2[k1] = max_k2
-
-    step2_dev = 0
-    for k1 in surviving_k1:
-        for k2 in range(2, 62, 2):
-            lhs = 9 * _s2_factor(k1, k2) - _s2_factor(k1, k2 + 2)
-            rhs = 8 * 9 ** (k1 + 1) + 5 * 2**k2 * (1 + 4 ** (k1 - 1))
-            step2_dev = max(step2_dev, abs(lhs - rhs))
-    s2_ident = run.exact("s2_step_identity_deviation", step2_dev, 0, "=")
-    s2_ratio = run.exact("pair_lhs_step_exceeds_rhs_step", 16, 9, ">")
-    run.note(
-        "the pair bound left side multiplies by 16 per k2 step while the right "
-        "side multiplies by at most 9, so the first failure is final"
-    )
-    run.candidate(
-        ELIMINATED_BY_BOUND
-        if _all_certified(s2_ident, s2_ratio) and _none_undecided(pair_decisions)
-        else SURVIVOR,
-        "pair bound failures persist beyond each recorded window",
-        label="k2 beyond each per-k1 maximum",
-    )
-
-    # per-pair discriminant sweep
-    disc_decisions = []
-    pair_max_d: dict[tuple[int, int], Optional[int]] = {}
-    triples: list[tuple[int, int, int]] = []
-    for k1 in surviving_k1:
-        mk2 = pair_max_k2[k1]
-        if mk2 is None:
-            continue
-        for k2 in range(2, mk2 + 2, 2):
-            lhs = Rat(4 ** (k2 - 1) * (4**k1 - 1))
-            max_d = None
-            for D in universe:
-                dec = run.check_signed(
-                    f"disc_bound_k1_{k1}_k2_{k2}_d{D}",
-                    _disc_bound(k1, k2, D) - lhs,
-                    0,
-                    ">=",
-                )
-                disc_decisions.append(dec)
-                if dec.outcome is not Outcome.CERTIFIED_TRUE:
-                    break
-                max_d = D
-                triples.append((D, k1, k2))
-            pair_max_d[(k1, k2)] = max_d
-            if max_d is not None:
-                run.check(
-                    f"chain_middle_consistent_k1_{k1}_k2_{k2}",
-                    _disc_bound(k1, k2, max_d) - _inert_middle(k1, k2, max_d),
-                    0,
-                    ">=",
-                )
-    run.note(
-        "the discriminant bound decreases strictly in D, so the first rejected "
-        "field closes each row"
-    )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _none_undecided(disc_decisions) else SURVIVOR,
-        "discriminant bound fails at the first field past each maximum and "
-        "decreases beyond",
-        label="D beyond each per-pair maximum",
-    )
-
-    rows = []
-    alt_rows = []
-    for k1 in surviving_k1:
-        mk2 = pair_max_k2[k1]
-        ds = [
-            pair_max_d.get((k1, k2))
-            for k2 in range(2, (mk2 or 0) + 2, 2)
-            if pair_max_d.get((k1, k2)) is not None
-        ]
-        over_all = max(ds) if ds else None
-        rows.append([k1, mk2, over_all])
-        alt_rows.append([k1, pair_max_d.get((k1, 2)), over_all])
-    run.tables["table2"] = {"columns": ["k1", "max_k2", "max_d"], "rows": rows}
-    run.tables["table2_interpretations"] = {
-        "columns": ["k1", "max_d_at_k2_2", "max_d_any_k2"],
-        "rows": alt_rows,
-    }
-    if all(r[1] == r[2] for r in alt_rows):
-        run.note(
-            "both readings of the maximal-D column agree; the maximum over k2 "
-            "is attained at k2 = 2 in every row"
-        )
-    else:
-        run.note(
-            "the maximal-D column is read as the maximum over every admissible "
-            "k2; taking it at k2 = 2 differs in some rows"
-        )
 
     # the printed class-number route at the boundary field, re-derived as a
     # single internal consistency certificate
@@ -864,7 +902,47 @@ def verify_section4_inert(
         ">",
     )
 
-    _eliminate_triples(run, sorted(triples))
+    _eliminate_triples(run, triples)
+    return run.report()
+
+
+def _split_step_certs(run: _Run, k1s: list[int]) -> list[Decision]:
+    cert = run.exact("pair_lhs_quadruples", 4, 1, ">")
+    run.note(
+        "the pair bound right side does not depend on k2 while the left side "
+        "quadruples per step, so the first failure is final"
+    )
+    return [cert]
+
+
+def verify_section4_noninert(
+    d_limit: int = DEFAULT_D_LIMIT,
+    base_precision: int = DEFAULT_BASE_PRECISION,
+    precision_ceiling: int = DEFAULT_PRECISION_CEILING,
+    fixtures: Optional[Fixtures] = None,
+) -> VerificationReport:
+    """Products with a cuspidal factor over fields where 2 splits or
+    ramifies.  Same shape as the inert branch with a bound independent of
+    k2 on the right, which makes the k2 windows immediate."""
+    fixtures = fixtures if fixtures is not None else Fixtures.load()
+    run = _Run(SECTION_NONINERT, base_precision, precision_ceiling, fixtures)
+
+    # ratio per unit step is (2 pi)^2 / (k-1)^2 < 1 once k >= 8
+    g_ratio = run.check("g_ratio_tail_below_one", Pow(Rat(2) * PI, 2), 49, "<")
+
+    triples = _cusp_factor_sweep(
+        run,
+        noninert_one_fields(d_limit),
+        k1_stop=22,
+        norm=2,
+        weight_gap=lambda k1: _pair_bound_split(k1) - Rat(2 * (2**k1 - 1)),
+        pair_bound=lambda k1, k2: _pair_bound_split(k1),
+        table="table3",
+        ratio_certs=(g_ratio,),
+        weight_note="the decreasing-bound certificate extends the failure upward",
+        step_certs=_split_step_certs,
+    )
+    _eliminate_triples(run, triples)
     return run.report()
 
 
@@ -933,174 +1011,89 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# products with a cusp factor, 2 split or ramified
-
-
-def _pair_bound_split(k1: int) -> Expr:
-    return Pow(PI, 5) / 18 * Pow(Rat(2) * PI, 2 * k1 - 1) / Pow(GammaInt(k1), 2)
-
-
-def _disc_bound_split(k1: int, D: int) -> Expr:
-    return _pair_bound_split(k1) / (Rat(D ** (k1 - 1)) * Sqrt(Rat(D)))
-
-
-def verify_section4_noninert(
-    d_limit: int = DEFAULT_D_LIMIT,
-    base_precision: int = DEFAULT_BASE_PRECISION,
-    precision_ceiling: int = DEFAULT_PRECISION_CEILING,
-    fixtures: Optional[Fixtures] = None,
-) -> VerificationReport:
-    """Products with a cuspidal factor over fields where 2 splits or
-    ramifies.  Same shape as the inert branch with a bound independent of
-    k2 on the right, which makes the k2 windows immediate."""
-    fixtures = fixtures if fixtures is not None else Fixtures.load()
-    run = _Run(SECTION_NONINERT, base_precision, precision_ceiling, fixtures)
-    universe = noninert_one_fields(d_limit)
-
-    # ratio per unit step is (2 pi)^2 / (k-1)^2 < 1 once k >= 8
-    g_ratio = run.check("g_ratio_tail_below_one", Pow(Rat(2) * PI, 2), 49, "<")
-
-    weight_decisions = []
-    surviving_k1 = []
-    for k1 in range(2, 22, 2):
-        dec = run.check_signed(
-            f"weight_bound_k1_{k1}",
-            _pair_bound_split(k1) - Rat(2 * (2**k1 - 1)),
-            0,
-            ">=",
-        )
-        weight_decisions.append(dec)
-        if dec.outcome is Outcome.CERTIFIED_TRUE:
-            surviving_k1.append(k1)
-    max_k1 = max(surviving_k1)
-    run.note(
-        f"the weight-only bound holds for even k1 up to {max_k1} and fails "
-        "beyond; the decreasing-bound certificate extends the failure upward"
-    )
-    run.candidate(
-        ELIMINATED_BY_BOUND
-        if _all_certified(g_ratio) and _none_undecided(weight_decisions)
-        else SURVIVOR,
-        "weight-only bound fails from k1 = 14 on and keeps decreasing",
-        label=f"k1 > {max_k1}, every k2 and D",
-    )
-
-    pair_decisions = []
-    pair_max_k2: dict[int, Optional[int]] = {}
-    for k1 in surviving_k1:
-        max_k2 = None
-        k2 = 2
-        while k2 <= 200:
-            lhs = 2 ** (k2 - 1) * (2**k1 - 1)
-            dec = run.check_signed(
-                f"pair_bound_k1_{k1}_k2_{k2}",
-                _pair_bound_split(k1) - Rat(lhs),
-                0,
-                ">=",
-            )
-            pair_decisions.append(dec)
-            if dec.outcome is not Outcome.CERTIFIED_TRUE:
-                break
-            max_k2 = k2
-            k2 += 2
-        for k2f in (k2 + 2, k2 + 4):
-            lhs = 2 ** (k2f - 1) * (2**k1 - 1)
-            pair_decisions.append(
-                run.check_signed(
-                    f"pair_bound_k1_{k1}_k2_{k2f}",
-                    _pair_bound_split(k1) - Rat(lhs),
-                    0,
-                    ">=",
-                )
-            )
-        pair_max_k2[k1] = max_k2
-    run.exact("pair_lhs_quadruples", 4, 1, ">")
-    run.note(
-        "the pair bound right side does not depend on k2 while the left side "
-        "quadruples per step, so the first failure is final"
-    )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _none_undecided(pair_decisions) else SURVIVOR,
-        "pair bound failures persist beyond each recorded window",
-        label="k2 beyond each per-k1 maximum",
-    )
-
-    disc_decisions = []
-    pair_max_d: dict[tuple[int, int], Optional[int]] = {}
-    triples: list[tuple[int, int, int]] = []
-    for k1 in surviving_k1:
-        mk2 = pair_max_k2[k1]
-        if mk2 is None:
-            continue
-        for k2 in range(2, mk2 + 2, 2):
-            lhs = Rat(2 ** (k2 - 1) * (2**k1 - 1))
-            max_d = None
-            for D in universe:
-                dec = run.check_signed(
-                    f"disc_bound_k1_{k1}_k2_{k2}_d{D}",
-                    _disc_bound_split(k1, D) - lhs,
-                    0,
-                    ">=",
-                )
-                disc_decisions.append(dec)
-                if dec.outcome is not Outcome.CERTIFIED_TRUE:
-                    break
-                max_d = D
-                triples.append((D, k1, k2))
-            pair_max_d[(k1, k2)] = max_d
-    run.note(
-        "the discriminant bound decreases strictly in D, so the first rejected "
-        "field closes each row"
-    )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _none_undecided(disc_decisions) else SURVIVOR,
-        "discriminant bound fails at the first field past each maximum and "
-        "decreases beyond",
-        label="D beyond each per-pair maximum",
-    )
-
-    rows = []
-    alt_rows = []
-    for k1 in surviving_k1:
-        mk2 = pair_max_k2[k1]
-        ds = [
-            pair_max_d.get((k1, k2))
-            for k2 in range(2, (mk2 or 0) + 2, 2)
-            if pair_max_d.get((k1, k2)) is not None
-        ]
-        over_all = max(ds) if ds else None
-        rows.append([k1, mk2, over_all])
-        alt_rows.append([k1, pair_max_d.get((k1, 2)), over_all])
-    run.tables["table3"] = {"columns": ["k1", "max_k2", "max_d"], "rows": rows}
-    run.tables["table3_interpretations"] = {
-        "columns": ["k1", "max_d_at_k2_2", "max_d_any_k2"],
-        "rows": alt_rows,
-    }
-    if all(r[1] == r[2] for r in alt_rows):
-        run.note(
-            "both readings of the maximal-D column agree; the maximum over k2 "
-            "is attained at k2 = 2 in every row"
-        )
-    else:
-        run.note(
-            "the maximal-D column is read as the maximum over every admissible "
-            "k2; taking it at k2 = 2 differs in some rows"
-        )
-
-    _eliminate_triples(run, sorted(triples))
-    return run.report()
-
-
-# ---------------------------------------------------------------------------
 # higher-degree base fields
 
 
-def _degree3_point(d3: int, k2: int, k1: int) -> Expr:
-    return Pow(Rat(d3 * k2**3) / Pow(Rat(2) * PI, 3), k1 - k2) / Pow(Zeta(2), 6)
+def _degree_point(n: int, d: int, k2: int, k1: int) -> Expr:
+    return Pow(Rat(d * k2**n) / Pow(Rat(2) * PI, n), k1 - k2) / Pow(Zeta(2), 2 * n)
 
 
-def _degree4_point(d4: int, k2: int, k1: int) -> Expr:
-    return Pow(Rat(d4 * k2**4) / Pow(Rat(2) * PI, 4), k1 - k2) / Pow(Zeta(2), 8)
+def _degree_grid(
+    run: _Run,
+    n: int,
+    d: int,
+    k1_stop: int,
+    gap: Fraction,
+    center: Fraction,
+    tail: Fraction,
+) -> list[Decision]:
+    """The weight grid of degree n over the minimal discriminant d.
+
+    Certifies a distance of at least gap from 1 at every grid point
+    2 <= k2 < 14, k2 < k1 < k1_stop, separates the closest point from the
+    runner-up and pins it within 10^-5 of center, and certifies the base
+    ratios and row tails (at least tail) that keep every off-grid point
+    away from 1.  Returns the decisions for the degree's candidate.
+    """
+    decisions = []
+    dist: dict[tuple[int, int], CertifiedReal] = {}
+    rows = []
+    for k2 in range(2, 14, 2):
+        for k1 in range(k2 + 2, k1_stop, 2):
+            dec = run.check(
+                f"degree{n}_gap_k2_{k2}_k1_{k1}",
+                Abs(_degree_point(n, d, k2, k1) - 1),
+                gap,
+                ">=",
+            )
+            decisions.append(dec)
+            dist[(k2, k1)] = dec.enclosure
+            rows.append(
+                [
+                    k2,
+                    k1,
+                    format_decimal(dec.enclosure.lo, 12, "floor"),
+                    format_decimal(dec.enclosure.hi, 12, "ceil"),
+                ]
+            )
+    run.tables[f"degree{n}_grid"] = {
+        "columns": ["k2", "k1", "gap_lo", "gap_hi"],
+        "rows": rows,
+    }
+    m = min(dist, key=lambda p: dist[p].hi)
+    runner = min((p for p in dist if p != m), key=lambda p: dist[p].lo)
+    sep = dist[runner].lo - dist[m].hi
+    decisions.append(run.exact(f"degree{n}_argmin_separation", sep, 0, ">"))
+    run.note(
+        f"the degree-{n} grid point closest to 1 is (k2, k1) = {m}; the "
+        f"runner-up gap is {float(dist[runner].lo):.3f} at {runner}"
+    )
+    closest = _degree_point(n, d, m[0], m[1])
+    window = Fraction(1, 10**5)
+    decisions.append(
+        run.check(f"degree{n}_min_window_low", closest, center - window, ">=")
+    )
+    decisions.append(
+        run.check(f"degree{n}_min_window_high", closest, center + window, "<=")
+    )
+    for k2 in range(2, 16, 2):
+        decisions.append(
+            run.check(
+                f"degree{n}_base_k2_{k2}",
+                Rat(d * k2**n) / Pow(Rat(2) * PI, n),
+                1,
+                ">",
+            )
+        )
+        # row 2 is bounded at its last grid entry, every later row at its
+        # first entry k1 = k2 + 2
+        k1 = k1_stop - 2 if k2 == 2 else k2 + 2
+        decisions.append(
+            run.check(
+                f"degree{n}_tail_k2_{k2}", _degree_point(n, d, k2, k1), tail, ">="
+            )
+        )
+    return decisions
 
 
 def verify_section5(
@@ -1205,79 +1198,9 @@ def verify_section5(
         label="degree n = 5, all weights",
     )
 
-    # degree 3 grid
-    deg3 = []
-    dist3: dict[tuple[int, int], CertifiedReal] = {}
-    rows3 = []
-    for k2 in range(2, 14, 2):
-        for k1 in range(k2 + 2, 22, 2):
-            dec = run.check(
-                f"degree3_gap_k2_{k2}_k1_{k1}",
-                Abs(_degree3_point(d3, k2, k1) - 1),
-                Fraction(1, 5),
-                ">=",
-            )
-            deg3.append(dec)
-            dist3[(k2, k1)] = dec.enclosure
-            rows3.append(
-                [
-                    k2,
-                    k1,
-                    format_decimal(dec.enclosure.lo, 12, "floor"),
-                    format_decimal(dec.enclosure.hi, 12, "ceil"),
-                ]
-            )
-    run.tables["degree3_grid"] = {
-        "columns": ["k2", "k1", "gap_lo", "gap_hi"],
-        "rows": rows3,
-    }
-    m3 = min(dist3, key=lambda p: dist3[p].hi)
-    runner3 = min((p for p in dist3 if p != m3), key=lambda p: dist3[p].lo)
-    sep3 = dist3[runner3].lo - dist3[m3].hi
-    deg3.append(run.exact("degree3_argmin_separation", sep3, 0, ">"))
-    run.note(
-        f"the degree-3 grid point closest to 1 is (k2, k1) = {m3}; the "
-        f"runner-up gap is {float(dist3[runner3].lo):.3f} at {runner3}"
+    deg3 = _degree_grid(
+        run, 3, d3, 22, Fraction(1, 5), Fraction(786299, 10**6), Fraction(6, 5)
     )
-    deg3.append(
-        run.check(
-            "degree3_min_window_low",
-            _degree3_point(d3, m3[0], m3[1]),
-            Fraction(786299, 10**6) - Fraction(1, 10**5),
-            ">=",
-        )
-    )
-    deg3.append(
-        run.check(
-            "degree3_min_window_high",
-            _degree3_point(d3, m3[0], m3[1]),
-            Fraction(786299, 10**6) + Fraction(1, 10**5),
-            "<=",
-        )
-    )
-    deg3.append(
-        run.check("degree3_base_k2_2", Rat(d3 * 8) / Pow(Rat(2) * PI, 3), 1, ">")
-    )
-    deg3.append(
-        run.check("degree3_tail_k2_2", _degree3_point(d3, 2, 20), Fraction(6, 5), ">=")
-    )
-    for k2 in range(4, 16, 2):
-        deg3.append(
-            run.check(
-                f"degree3_base_k2_{k2}",
-                Rat(d3 * k2**3) / Pow(Rat(2) * PI, 3),
-                1,
-                ">",
-            )
-        )
-        deg3.append(
-            run.check(
-                f"degree3_tail_k2_{k2}",
-                _degree3_point(d3, k2, k2 + 2),
-                Fraction(6, 5),
-                ">=",
-            )
-        )
     run.note(
         "every degree-3 base ratio exceeds 1 and grows with k2, so off-grid "
         "points sit above their row's first entry, which clears 6/5 from "
@@ -1313,81 +1236,9 @@ def verify_section5(
         label="degree n = 3, all weights",
     )
 
-    # degree 4 grid
-    deg4 = []
-    dist4: dict[tuple[int, int], CertifiedReal] = {}
-    rows4 = []
-    for k2 in range(2, 14, 2):
-        for k1 in range(k2 + 2, 42, 2):
-            dec = run.check(
-                f"degree4_gap_k2_{k2}_k1_{k1}",
-                Abs(_degree4_point(d4, k2, k1) - 1),
-                Fraction(3, 100),
-                ">=",
-            )
-            deg4.append(dec)
-            dist4[(k2, k1)] = dec.enclosure
-            rows4.append(
-                [
-                    k2,
-                    k1,
-                    format_decimal(dec.enclosure.lo, 12, "floor"),
-                    format_decimal(dec.enclosure.hi, 12, "ceil"),
-                ]
-            )
-    run.tables["degree4_grid"] = {
-        "columns": ["k2", "k1", "gap_lo", "gap_hi"],
-        "rows": rows4,
-    }
-    m4 = min(dist4, key=lambda p: dist4[p].hi)
-    runner4 = min((p for p in dist4 if p != m4), key=lambda p: dist4[p].lo)
-    sep4 = dist4[runner4].lo - dist4[m4].hi
-    deg4.append(run.exact("degree4_argmin_separation", sep4, 0, ">"))
-    run.note(
-        f"the degree-4 grid point closest to 1 is (k2, k1) = {m4}; the "
-        f"runner-up gap is {float(dist4[runner4].lo):.3f} at {runner4}"
+    deg4 = _degree_grid(
+        run, 4, d4, 42, Fraction(3, 100), Fraction(1033449, 10**6), Fraction(103, 100)
     )
-    deg4.append(
-        run.check(
-            "degree4_min_window_low",
-            _degree4_point(d4, m4[0], m4[1]),
-            Fraction(1033449, 10**6) - Fraction(1, 10**5),
-            ">=",
-        )
-    )
-    deg4.append(
-        run.check(
-            "degree4_min_window_high",
-            _degree4_point(d4, m4[0], m4[1]),
-            Fraction(1033449, 10**6) + Fraction(1, 10**5),
-            "<=",
-        )
-    )
-    deg4.append(
-        run.check("degree4_base_k2_2", Rat(d4 * 16) / Pow(Rat(2) * PI, 4), 1, ">")
-    )
-    deg4.append(
-        run.check(
-            "degree4_tail_k2_2", _degree4_point(d4, 2, 40), Fraction(103, 100), ">="
-        )
-    )
-    for k2 in range(4, 16, 2):
-        deg4.append(
-            run.check(
-                f"degree4_base_k2_{k2}",
-                Rat(d4 * k2**4) / Pow(Rat(2) * PI, 4),
-                1,
-                ">",
-            )
-        )
-        deg4.append(
-            run.check(
-                f"degree4_tail_k2_{k2}",
-                _degree4_point(d4, k2, k2 + 2),
-                Fraction(103, 100),
-                ">=",
-            )
-        )
     deg4.append(
         run.check(
             "degree4_zeta_floor",

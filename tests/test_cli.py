@@ -1,7 +1,8 @@
 """Command line surface: output formats, exit codes, determinism.
 
-Everything runs in process through main(argv); one subprocess test at the
-end confirms the installed console script resolves.
+Everything runs in process through main(argv); subprocess tests at the
+end confirm the installed console script and `python -m eigenprod.cli`
+reach it.
 """
 
 import json
@@ -244,3 +245,22 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/60\n"
+
+
+def test_module_invocation_runs_main():
+    # without a __main__ guard, `python -m eigenprod.cli` ran nothing and
+    # exited 0 whatever its arguments
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "eigenprod.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+
+    ok = run("zeta", "5", "2")
+    assert ok.returncode == EXIT_OK
+    assert ok.stdout == "1/30\n"
+    bad = run("zeta", "9", "2")
+    assert bad.returncode == EXIT_USAGE
+    assert bad.stdout == ""
+    assert "eigenprod: error:" in bad.stderr

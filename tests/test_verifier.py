@@ -5,6 +5,7 @@ themselves and cross-checked against the golden tables; every default run
 must reproduce them bit for bit.
 """
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -43,6 +44,7 @@ from eigenprod.report import (
     SURVIVOR,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_IDENTITY,
+    fraction_str,
 )
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
@@ -191,6 +193,30 @@ def test_reports_serialize_canonically(default_reports, section):
     text = report.to_json()
     assert json.loads(text)["verdict"] == VERDICT_NO_IDENTITY
     assert text == report.to_json()
+
+
+# sha256 of the proof skeleton: the ordered (name, relation, threshold,
+# outcome) of every recorded constant, one line each.  Enclosure digits are
+# left out, so a deliberate change to the interval kernel does not move
+# these; a reordered, renamed, added or dropped certificate does.
+SKELETON_DIGESTS = {
+    "s3-unequal": (42, "5991c0d202ed8e1b30b888ed9bbf5b37b9f91c81a03065531b6724c5c476a944"),
+    "s3-equal": (143, "60e65a84cd09466eca8854089481a8f4585ccb3dbae0783b51400fc6cdb52891"),
+    "s4-inert": (869, "947caa0e41105e2ef096bde1f6a9d7abd362ac29a3ab738d141a4c54bf83b3a1"),
+    "s4-noninert": (103, "cfccb6c4653a53190bc785aaaeee9ef7ccb6dbd704e1866dffec45728ab25579"),
+    "s5": (306, "6fc694a7e00c00624b6acbd0658f1ee7645606a49af970dfd1b7ab6ee127a35a"),
+}
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_proof_skeleton_order_is_pinned(default_reports, section):
+    constants = default_reports[section].constants
+    text = "\n".join(
+        f"{c.name} {c.relation} {fraction_str(c.threshold)} {c.decision.outcome.value}"
+        for c in constants
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(constants), digest) == SKELETON_DIGESTS[section]
 
 
 def test_reproduced_tables_match_golden(default_reports):
