@@ -20,25 +20,35 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
 
 
-@lru_cache(maxsize=None)
+# B_0..B_N for the largest N asked for so far; shorter rows are prefixes.
+# Rebound, never mutated, so a concurrent caller always reads a whole row.
+_bernoulli_numbers: tuple[Fraction, ...] = (Fraction(1),)
+
+
 def _bernoulli_row(n: int) -> tuple[Fraction, ...]:
     # B_0..B_n via the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0.
-    row: list[Fraction] = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * row[j]
-        row.append(-acc / (m + 1))
-    return tuple(row)
+    global _bernoulli_numbers
+    row = _bernoulli_numbers
+    if len(row) <= n:
+        grown = list(row)
+        for m in range(len(row), n + 1):
+            acc = Fraction(0)
+            for j in range(m):
+                acc += math.comb(m + 1, j) * grown[j]
+            grown.append(-acc / (m + 1))
+        row = _bernoulli_numbers = tuple(grown)
+    return row[: n + 1]
 
 
 def bernoulli(k: int) -> Fraction:
@@ -160,8 +170,52 @@ class KroneckerCharacter:
 
     @lru_cache(maxsize=None)
     def value_table(self) -> tuple[int, ...]:
-        """chi(0), ..., chi(period - 1), computed once."""
-        return tuple(self(a) for a in range(self.period))
+        """chi(0), ..., chi(period - 1), computed once.
+
+        chi_D is the product of the characters of the prime discriminants
+        dividing D: the Legendre symbol mod p at odd p (through the set of
+        squares mod p) and a fixed table for the 2-part -4, 8 or -8.
+        """
+        f = self.period
+        factors = []  # one period of each prime-discriminant character
+        two_part, odd, p = self.discriminant, f, 3
+        while odd % 2 == 0:
+            odd //= 2
+        while odd > 1:
+            if p * p > odd:
+                p = odd  # what is left is prime
+            if odd % p == 0:
+                odd //= p
+                two_part //= p if p % 4 == 1 else -p
+                legendre = [-1] * p
+                legendre[0] = 0
+                for square in {a * a % p for a in range(1, p // 2 + 1)}:
+                    legendre[square] = 1
+                factors.append(legendre)
+            p += 2
+        if two_part != 1:
+            factors.append(_TWO_PART_TABLES[two_part])
+        table = [1] * f
+        for factor in factors:
+            table = list(map(operator.mul, table, factor * (f // len(factor))))
+        return tuple(table)
+
+    @lru_cache(maxsize=None)
+    def power_sum(self, i: int) -> int:
+        """S_i = sum_{a=1}^{period} chi(a) a^i, computed once per i."""
+        f = self.period
+        table = self.value_table()
+        plus = sum(map(pow, compress(range(f), map((1).__eq__, table)), repeat(i)))
+        minus = sum(map(pow, compress(range(f), map((-1).__eq__, table)), repeat(i)))
+        return plus - minus
+
+
+# chi_{-4}, chi_8 and chi_{-8} on one period
+_TWO_PART_TABLES = {
+    -4: [0, 1, 0, -1],
+    8: [0, 1, 0, -1, 0, -1, 0, 1],
+    -8: [0, 1, 0, 1, 0, -1, 0, -1],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -176,31 +230,23 @@ def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
 
         B_{k, chi} = sum_{j=0}^{k} C(k, j) * B_j * f^(j-1) * S_{k-j},
 
-    with integer power sums S_i = sum_{a=1}^{f} chi(a) a^i.  Only the
-    power-sum loop touches the modulus, so the cost is O(f * k) integer
-    operations.
+    with integer power sums S_i = sum_{a=1}^{f} chi(a) a^i.  The character
+    caches each S_i (``KroneckerCharacter.power_sum``), so the modulus is
+    walked once per (character, i) however many weights ask for it, and
+    only the S_{k-j} with B_j != 0 are read.  The terms are summed as
+    integers over the common denominator of B_0..B_k times f.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
     f = chi.period
-    table = chi.value_table()
-    power_sums = [0] * (k + 1)
-    for a in range(1, f + 1):
-        c = table[a % f]
-        if c == 0:
-            continue
-        p = 1
-        power_sums[0] += c
-        for i in range(1, k + 1):
-            p *= a
-            power_sums[i] += c * p
     bern = _bernoulli_row(k)
-    total = Fraction(0)
-    for j in range(k + 1):
-        if bern[j] == 0:
-            continue
-        total += math.comb(k, j) * bern[j] * Fraction(f) ** (j - 1) * power_sums[k - j]
-    return total
+    den = math.lcm(*(b.denominator for b in bern))
+    numerator = sum(
+        math.comb(k, j) * b.numerator * (den // b.denominator) * f**j * chi.power_sum(k - j)
+        for j, b in enumerate(bern)
+        if b
+    )
+    return Fraction(numerator, den * f)
 
 
 def dirichlet_l_neg(k: int, chi: KroneckerCharacter) -> Fraction:

@@ -15,7 +15,10 @@ Product coefficients are lattice convolutions over totally nonnegative
 decompositions; every comparison (total positivity, valuations) is an
 exact integer test.  A nonzero totally nonnegative integer is
 automatically totally positive (sqrt(D) is irrational), so the boundary
-terms of a convolution are exactly mu = 0 and mu = nu.
+terms of a convolution are exactly mu = 0 and mu = nu.  They carry the
+rational constant terms; every interior term is a product of two integer
+divisor sums, so the interior is summed in integers, with each element's
+ideal factorization computed once (``factor_ideal`` is memoised).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .exact import (
     _is_prime,
@@ -199,8 +203,10 @@ def _split_root(D: int, p: int, k: int) -> int:
     return r
 
 
+@lru_cache(maxsize=None)
 def factor_ideal(D: int, x: int, y: int = 0) -> IdealFactorization:
-    """Factorization of the principal ideal (x + y*omega).
+    """Factorization of the principal ideal (x + y*omega), computed once
+    per element.
 
     Split valuations: with r a root of the minimal polynomial mod
     p^(e+1), the valuation at the factor (p, omega - r) is
@@ -363,29 +369,32 @@ def coeff_bound_check(form: EisensteinDescriptor, max_norm: int) -> bool:
 # Products
 
 
+def _nonneg_points(
+    D: int, trace_bound: int, cap: tuple[int, int] | None = None
+) -> Iterator[tuple[int, int]]:
+    # (x, y) of trace 1..trace_bound, by trace, that are totally
+    # nonnegative: the embeddings (s +- y sqrt(D)) / 2 of an element of
+    # trace s are >= 0 exactly when y^2 D <= s^2.  With cap = (trace, y)
+    # of some nu, only the points with nu - (x, y) totally nonnegative.
+    t, _ = _omega_params(D)
+    for s in range(1, trace_bound + 1):
+        y_max = math.isqrt(s * s // D)
+        lo, hi = -y_max, y_max
+        if cap is not None:
+            gap = math.isqrt((cap[0] - s) ** 2 // D)
+            lo, hi = max(lo, cap[1] - gap), min(hi, cap[1] + gap)
+        for y in range(lo, hi + 1):
+            if (s - t * y) % 2 == 0:  # x = (s - t y) / 2 must be an integer
+                yield (s - t * y) // 2, y
+
+
 def enumerate_totally_nonneg(
     D: int, trace_bound: int, include_zero: bool = False
 ) -> list[TotallyPositiveElement]:
     """Totally nonnegative integers of trace <= trace_bound, by trace."""
     _require_real_fundamental(D)
-    t, _ = _omega_params(D)
-    out = []
-    if include_zero:
-        out.append(TotallyPositiveElement(D, 0, 0))
-    for s in range(1, trace_bound + 1):
-        if t == 0 and s % 2 != 0:
-            continue  # trace = 2x is even when omega = sqrt(d)
-        # embeddings (s +- y sqrt(D)) / 2 >= 0 force y^2 D <= s^2
-        y_max = math.isqrt(s * s // D)
-        for y in range(-y_max, y_max + 1):
-            if t == 1:
-                if (s - y) % 2 != 0:
-                    continue
-                x = (s - y) // 2
-            else:
-                x = s // 2
-            if element_norm(D, x, y) >= 0:
-                out.append(TotallyPositiveElement(D, x, y))
+    out = [TotallyPositiveElement(D, 0, 0)] if include_zero else []
+    out.extend(TotallyPositiveElement(D, x, y) for x, y in _nonneg_points(D, trace_bound))
     return out
 
 
@@ -396,9 +405,9 @@ def product_coefficient(
 
         sum_{mu + mu' = nu, both totally nonnegative} c_f(mu) c_h(mu').
 
-    The decomposition mu = nu (mu' = 0) and mu = 0 contribute the
-    constant-term cross terms; everything else is an exact integer
-    product of divisor sums.
+    The decompositions mu = 0 and mu = nu contribute the constant-term
+    cross terms; every other term is an integer product of two divisor
+    sums, so the interior is summed in integers.
     """
     if f.discriminant != h.discriminant:
         raise ValueError("forms live over different fields")
@@ -407,14 +416,18 @@ def product_coefficient(
         raise ValueError("element and forms live over different fields")
     if nu.is_zero():
         return f.constant_term * h.constant_term
-    total = Fraction(0)
-    for mu in enumerate_totally_nonneg(D, nu.trace(), include_zero=True):
-        rx, ry = nu.minus(mu)
-        if not is_totally_nonnegative(D, rx, ry):
-            continue
-        rest = TotallyPositiveElement(D, rx, ry)
-        total += coefficient(f, mu) * coefficient(h, rest)
-    return total
+    ideal = factor_ideal(D, nu.x, nu.y)
+    boundary = (
+        f.constant_term * eisenstein_coeff(h, ideal)
+        + h.constant_term * eisenstein_coeff(f, ideal)
+    )
+    trace = nu.trace()
+    interior = sum(
+        eisenstein_coeff(f, factor_ideal(D, x, y))
+        * eisenstein_coeff(h, factor_ideal(D, nu.x - x, nu.y - y))
+        for x, y in _nonneg_points(D, trace - 1, (trace, nu.y))
+    )
+    return boundary + interior
 
 
 @dataclass(frozen=True)

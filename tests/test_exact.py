@@ -7,7 +7,9 @@ reciprocity, generalized Bernoulli numbers via Bernoulli polynomials
 evaluated at rationals instead of integer power sums.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -28,6 +30,7 @@ from eigenprod import (
 # Oracles
 
 
+@lru_cache(maxsize=None)
 def _oracle_bernoulli(n: int) -> Fraction:
     # Akiyama-Tanigawa transform; produces the B_1 = +1/2 convention,
     # flipped below to match the package's B_1 = -1/2.
@@ -207,6 +210,22 @@ def test_character_requires_fundamental(delta):
         KroneckerCharacter(delta)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_character_table_matches_kronecker(sign):
+    # built fresh from the prime-discriminant factors, not read from a
+    # table another test left in the cache
+    KroneckerCharacter.value_table.cache_clear()
+    checked = 0
+    for f in range(3, 2001):
+        delta = sign * f
+        if not is_fundamental_discriminant(delta):
+            continue
+        expected = tuple(kronecker(delta, a) for a in range(f))
+        assert KroneckerCharacter(delta).value_table() == expected, delta
+        checked += 1
+    assert checked == (607 if sign == 1 else 611)
+
+
 def test_character_vanishes_exactly_on_common_factors():
     import math
 
@@ -231,6 +250,20 @@ def test_generalized_bernoulli_known_values():
 def test_generalized_bernoulli_matches_polynomial_route(delta):
     chi = KroneckerCharacter(delta)
     for k in range(9):
+        assert generalized_bernoulli(k, chi) == _oracle_generalized_bernoulli(
+            k, delta
+        ), (delta, k)
+
+
+@pytest.mark.parametrize("delta", [5, 8, 12, 21, 40, -3, -4, -15, -24])
+def test_generalized_bernoulli_high_weights_any_order(delta):
+    # weights up to 40 asked for in a scrambled order on one character
+    # object, from an empty power-sum cache, so no fill order is favoured
+    KroneckerCharacter.power_sum.cache_clear()
+    chi = KroneckerCharacter(delta)
+    weights = list(range(41))
+    random.Random(delta).shuffle(weights)
+    for k in weights:
         assert generalized_bernoulli(k, chi) == _oracle_generalized_bernoulli(
             k, delta
         ), (delta, k)

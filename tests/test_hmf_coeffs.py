@@ -270,6 +270,40 @@ def test_product_coefficient_symmetric_and_constant():
         assert product_coefficient(e2, e4, nu) == product_coefficient(e4, e2, nu)
 
 
+def _reference_product_coefficient(f, h, nu):
+    # plain convolution over a box that holds every totally nonnegative mu
+    # below nu: both embeddings of mu lie in [0, those of nu]
+    D, T = nu.discriminant, nu.trace()
+    total = Fraction(0)
+    for x in range(-T, T + 1):
+        for y in range(-T, T + 1):
+            rx, ry = nu.x - x, nu.y - y
+            if is_totally_nonnegative(D, x, y) and is_totally_nonnegative(D, rx, ry):
+                mu = TotallyPositiveElement(D, x, y)
+                rest = TotallyPositiveElement(D, rx, ry)
+                total += coefficient(f, mu) * coefficient(h, rest)
+    return total
+
+
+@pytest.mark.parametrize("D", [5, 8, 13, 17])
+def test_product_coefficient_matches_reference_convolution(D):
+    for k1, k2 in ((2, 2), (2, 4), (4, 6)):
+        f = EisensteinDescriptor(D, k1)
+        h = EisensteinDescriptor(D, k2)
+        for nu in enumerate_totally_nonneg(D, 10, include_zero=True):
+            expected = _reference_product_coefficient(f, h, nu)
+            assert product_coefficient(f, h, nu) == expected, (D, k1, k2, nu)
+
+
+def test_factor_ideal_still_rejects_after_cached_calls():
+    assert factor_ideal(5, 2, 1) == factor_ideal(5, 2, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero element"):
+            factor_ideal(5, 0, 0)
+        with pytest.raises(ValueError, match="not a real quadratic fundamental"):
+            factor_ideal(45, 2, 1)
+
+
 def test_product_coefficient_rejects_mixed_fields():
     e2 = EisensteinDescriptor(5, 2)
     f2 = EisensteinDescriptor(8, 2)

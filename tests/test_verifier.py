@@ -6,7 +6,9 @@ must reproduce them bit for bit.
 """
 
 import hashlib
+import inspect
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from eigenprod import (
     verify_section4_inert,
     verify_section4_noninert,
     verify_section5,
+    verify_sqrt5_identity,
 )
 from eigenprod.quadfield import Splitting
 from eigenprod.report import (
@@ -422,3 +425,35 @@ def test_degree_families_degrade_to_survivors_at_low_ceiling():
 def test_degree_rejects_small_n_max():
     with pytest.raises(ValueError):
         verify_section5(n_max=5)
+
+
+def _eigenprod_caches():
+    caches = []
+    for name, module in sorted(sys.modules.items()):
+        if name != "eigenprod" and not name.startswith("eigenprod."):
+            continue
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == name:
+                caches.extend(v for v in vars(obj).values() if hasattr(v, "cache_clear"))
+            elif hasattr(obj, "cache_clear"):
+                caches.append(obj)
+    return list({id(c): c for c in caches}.values())
+
+
+def test_results_equal_from_cold_and_warm_caches():
+    # a cache key that dropped an argument would show here as a warm
+    # result that differs from the cold one
+    def run():
+        return exact_identity_scan(200, 16), verify_sqrt5_identity(12)
+
+    caches = _eigenprod_caches()
+    names = {c.__qualname__ for c in caches}
+    assert {"factor_ideal", "KroneckerCharacter.power_sum", "dedekind_zeta_neg"} <= names
+    for cache in caches:
+        cache.cache_clear()
+    cold = run()
+    warm = run()
+    for cache in caches:
+        cache.cache_clear()
+    assert cold == warm == run()
+    assert cold[0] == [(5, 2, 2)] and cold[1].passed
