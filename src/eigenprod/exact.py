@@ -168,9 +168,8 @@ class KroneckerCharacter:
         # chi(-1) = -1 exactly for imaginary discriminants
         return self.discriminant < 0
 
-    @lru_cache(maxsize=None)
     def value_table(self) -> tuple[int, ...]:
-        """chi(0), ..., chi(period - 1), computed once.
+        """chi(0), ..., chi(period - 1).
 
         chi_D is the product of the characters of the prime discriminants
         dividing D: the Legendre symbol mod p at odd p (through the set of
@@ -201,13 +200,31 @@ class KroneckerCharacter:
         return tuple(table)
 
     @lru_cache(maxsize=None)
+    def _half_period_masks(self) -> tuple[bytes, bytes]:
+        # where chi(a) = +1 and where chi(a) = -1, for 0 <= a < period / 2
+        half = self.value_table()[: (self.period + 1) // 2]
+        return bytes(map((1).__eq__, half)), bytes(map((-1).__eq__, half))
+
+    @lru_cache(maxsize=None)
     def power_sum(self, i: int) -> int:
-        """S_i = sum_{a=1}^{period} chi(a) a^i, computed once per i."""
+        """T_i = sum_{a=1}^{period} chi(a) (2a - period)^i, computed once per i.
+
+        The reflection a -> period - a fixes the sum up to the sign
+        chi(-1) (-1)^i, so T_i = 0, with no walk, unless (-1)^i = chi(-1).
+        Otherwise the two halves agree and T_i is twice the sum over
+        a < period / 2, where (2a - period)^i = chi(-1) (period - 2a)^i:
+        one C-level pass over each sign's half-period mask.
+        """
         f = self.period
-        table = self.value_table()
-        plus = sum(map(pow, compress(range(f), map((1).__eq__, table)), repeat(i)))
-        minus = sum(map(pow, compress(range(f), map((-1).__eq__, table)), repeat(i)))
-        return plus - minus
+        sign = -1 if self.is_odd() else 1
+        if (-1) ** i != sign:
+            return 0
+        plus, minus = self._half_period_masks()
+        offsets = range(f, 0, -2)  # period - 2a for a = 0, 1, ...
+        s = sum(map(pow, compress(offsets, plus), repeat(i))) - sum(
+            map(pow, compress(offsets, minus), repeat(i))
+        )
+        return 2 * sign * s
 
 
 # chi_{-4}, chi_8 and chi_{-8} on one period
@@ -223,30 +240,32 @@ _TWO_PART_TABLES = {
 
 
 def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
-    """B_{k, chi} for the quadratic character chi.
+    """B_{k, chi} for the quadratic character chi of period f.
 
-    Expanding the Bernoulli polynomial in f^(k-1) * sum_a chi(a) B_k(a/f)
-    and swapping sums gives
+    B_{k, chi} = f^(k-1) * sum_{a=1}^{f} chi(a) B_k(a/f).  Expanding the
+    Bernoulli polynomial at x = 1/2, with B_j(1/2) = (2^(1-j) - 1) B_j
+    (zero for odd j) and a/f - 1/2 = (2a - f) / (2f), gives
 
-        B_{k, chi} = sum_{j=0}^{k} C(k, j) * B_j * f^(j-1) * S_{k-j},
+        B_{k, chi} = sum_{j even} C(k, j) B_j (2 - 2^j) f^j T_{k-j} / (f 2^k)
 
-    with integer power sums S_i = sum_{a=1}^{f} chi(a) a^i.  The character
-    caches each S_i (``KroneckerCharacter.power_sum``), so the modulus is
-    walked once per (character, i) however many weights ask for it, and
-    only the S_{k-j} with B_j != 0 are read.  The terms are summed as
-    integers over the common denominator of B_0..B_k times f.
+    with the centered integer power sums T_i = sum_{a=1}^{f} chi(a) (2a - f)^i
+    (``KroneckerCharacter.power_sum``).  T_i vanishes unless
+    (-1)^i = chi(-1), and otherwise walks half the period once per
+    (character, i), however many weights ask for it; so B_{k, chi} = 0
+    without a walk when chi(-1) != (-1)^k.  The terms are summed as
+    integers over the common denominator of the B_j times f 2^k.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
     f = chi.period
-    bern = _bernoulli_row(k)
+    bern = _bernoulli_row(k)[::2]  # B_0, B_2, B_4, ...
     den = math.lcm(*(b.denominator for b in bern))
     numerator = sum(
-        math.comb(k, j) * b.numerator * (den // b.denominator) * f**j * chi.power_sum(k - j)
-        for j, b in enumerate(bern)
-        if b
+        math.comb(k, j) * b.numerator * (den // b.denominator) * (2 - 2**j) * f**j
+        * chi.power_sum(k - j)
+        for j, b in zip(range(0, k + 1, 2), bern)
     )
-    return Fraction(numerator, den * f)
+    return Fraction(numerator, den * f * 2**k)
 
 
 def dirichlet_l_neg(k: int, chi: KroneckerCharacter) -> Fraction:

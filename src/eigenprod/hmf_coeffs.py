@@ -17,8 +17,9 @@ exact integer test.  A nonzero totally nonnegative integer is
 automatically totally positive (sqrt(D) is irrational), so the boundary
 terms of a convolution are exactly mu = 0 and mu = nu.  They carry the
 rational constant terms; every interior term is a product of two integer
-divisor sums, so the interior is summed in integers, with each element's
-ideal factorization computed once (``factor_ideal`` is memoised).
+divisor sums, so the interior is summed in integers.  Each element's
+ideal factorization (``factor_ideal``) and its divisor sum at each weight
+are memoised, so overlapping convolution windows compute them once.
 """
 
 from __future__ import annotations
@@ -303,14 +304,24 @@ class EisensteinDescriptor:
         )
 
 
-def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> int:
-    """sigma_{k-1}(ideal) = prod over prime powers of sum_i N^(i (k-1))."""
-    k = form.weight
+def _divisor_sum(k: int, ideal: IdealFactorization) -> int:
     total = 1
     for prime_norm, _, e in ideal.entries:
         q = prime_norm ** (k - 1)
         total *= sum(q**i for i in range(e + 1))
     return total
+
+
+def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> int:
+    """sigma_{k-1}(ideal) = prod over prime powers of sum_i N^(i (k-1))."""
+    return _divisor_sum(form.weight, ideal)
+
+
+@lru_cache(maxsize=None)
+def _element_divisor_sum(D: int, k: int, x: int, y: int) -> int:
+    # sigma_{k-1}((x + y omega)), once per element and weight: the
+    # convolution windows of neighbouring nu overlap almost entirely
+    return _divisor_sum(k, factor_ideal(D, x, y))
 
 
 def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fraction:
@@ -416,15 +427,15 @@ def product_coefficient(
         raise ValueError("element and forms live over different fields")
     if nu.is_zero():
         return f.constant_term * h.constant_term
-    ideal = factor_ideal(D, nu.x, nu.y)
+    kf, kh = f.weight, h.weight
     boundary = (
-        f.constant_term * eisenstein_coeff(h, ideal)
-        + h.constant_term * eisenstein_coeff(f, ideal)
+        f.constant_term * _element_divisor_sum(D, kh, nu.x, nu.y)
+        + h.constant_term * _element_divisor_sum(D, kf, nu.x, nu.y)
     )
     trace = nu.trace()
     interior = sum(
-        eisenstein_coeff(f, factor_ideal(D, x, y))
-        * eisenstein_coeff(h, factor_ideal(D, nu.x - x, nu.y - y))
+        _element_divisor_sum(D, kf, x, y)
+        * _element_divisor_sum(D, kh, nu.x - x, nu.y - y)
         for x, y in _nonneg_points(D, trace - 1, (trace, nu.y))
     )
     return boundary + interior

@@ -6,12 +6,15 @@ reach it.
 """
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import eigenprod
 from eigenprod.cli import (
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
@@ -236,12 +239,21 @@ def test_fixture_free_sections_ignore_fixture_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _child_env():
+    # the child imports the eigenprod this process imported, also when it
+    # came from pytest's pythonpath setting rather than PYTHONPATH
+    src = str(Path(eigenprod.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, inherited)))}
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-c", "from eigenprod.cli import main_entry; main_entry()",
          "zeta", "5", "4"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/60\n"
@@ -255,6 +267,7 @@ def test_module_invocation_runs_main():
             [sys.executable, "-m", "eigenprod.cli", *argv],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
 
     ok = run("zeta", "5", "2")

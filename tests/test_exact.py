@@ -214,7 +214,6 @@ def test_character_requires_fundamental(delta):
 def test_character_table_matches_kronecker(sign):
     # built fresh from the prime-discriminant factors, not read from a
     # table another test left in the cache
-    KroneckerCharacter.value_table.cache_clear()
     checked = 0
     for f in range(3, 2001):
         delta = sign * f
@@ -224,6 +223,24 @@ def test_character_table_matches_kronecker(sign):
         assert KroneckerCharacter(delta).value_table() == expected, delta
         checked += 1
     assert checked == (607 if sign == 1 else 611)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_power_sum_matches_full_period_definition(sign):
+    # T_i = sum_{a=1}^{f} chi(a) (2a - f)^i over the whole period, through
+    # kronecker, against the half-period sum with its parity zeros
+    KroneckerCharacter.power_sum.cache_clear()
+    checked = 0
+    for f in range(3, 601):
+        delta = sign * f
+        if not is_fundamental_discriminant(delta):
+            continue
+        chi = KroneckerCharacter(delta)
+        terms = [(c, 2 * a - f) for a in range(1, f + 1) if (c := kronecker(delta, a))]
+        for i in range(13):
+            assert chi.power_sum(i) == sum(c * t**i for c, t in terms), (delta, i)
+        checked += 1
+    assert checked == (182 if sign == 1 else 184)
 
 
 def test_character_vanishes_exactly_on_common_factors():
@@ -342,6 +359,17 @@ def test_zagier_route_agrees_with_l_function_route():
     for D in range(2, 301):
         if is_fundamental_discriminant(D):
             assert zagier_zeta_minus_one(D) == dedekind_zeta_neg(D, 2), D
+
+
+def test_zagier_route_agrees_over_verify_default_range():
+    # every real fundamental D <= 4000, the default --d-limit; the divisor
+    # sums share no code with the character power sums
+    checked = 0
+    for D in range(2, 4001):
+        if is_fundamental_discriminant(D):
+            assert zagier_zeta_minus_one(D) == dedekind_zeta_neg(D, 2), D
+            checked += 1
+    assert checked == 1216
 
 
 def test_zagier_rejects_non_fundamental():

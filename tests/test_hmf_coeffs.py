@@ -30,7 +30,12 @@ from eigenprod import (
     product_coefficient,
     verify_sqrt5_identity,
 )
-from eigenprod.hmf_coeffs import element_norm, element_trace, is_totally_nonnegative
+from eigenprod.hmf_coeffs import (
+    _element_divisor_sum,
+    element_norm,
+    element_trace,
+    is_totally_nonnegative,
+)
 
 
 def _divisor_character_sum(D: int, n: int) -> int:
@@ -293,6 +298,18 @@ def test_product_coefficient_matches_reference_convolution(D):
         for nu in enumerate_totally_nonneg(D, 10, include_zero=True):
             expected = _reference_product_coefficient(f, h, nu)
             assert product_coefficient(f, h, nu) == expected, (D, k1, k2, nu)
+
+
+@pytest.mark.parametrize("D", [5, 8, 13])
+def test_memoised_divisor_sum_matches_eisenstein_coeff(D):
+    _element_divisor_sum.cache_clear()
+    points = enumerate_totally_nonneg(D, 30)
+    for k in (2, 4, 6):
+        form = EisensteinDescriptor(D, k)
+        for _ in range(2):  # cold, then from the cache
+            for nu in points:
+                expected = eisenstein_coeff(form, factor_ideal(D, nu.x, nu.y))
+                assert _element_divisor_sum(D, k, nu.x, nu.y) == expected, (k, nu)
 
 
 def test_factor_ideal_still_rejects_after_cached_calls():
