@@ -37,7 +37,8 @@ _bernoulli_numbers: tuple[Fraction, ...] = (Fraction(1),)
 
 
 def _bernoulli_row(n: int) -> tuple[Fraction, ...]:
-    # B_0..B_n via the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0.
+    # The whole row B_0..B_N with N >= n, not a copy; it grows through the
+    # defining recurrence sum_{j<=m} C(m+1, j) B_j = 0.
     global _bernoulli_numbers
     row = _bernoulli_numbers
     if len(row) <= n:
@@ -48,7 +49,7 @@ def _bernoulli_row(n: int) -> tuple[Fraction, ...]:
                 acc += math.comb(m + 1, j) * grown[j]
             grown.append(-acc / (m + 1))
         row = _bernoulli_numbers = tuple(grown)
-    return row[: n + 1]
+    return row
 
 
 def bernoulli(k: int) -> Fraction:
@@ -258,7 +259,7 @@ def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
     if k < 0:
         raise ValueError("index must be nonnegative")
     f = chi.period
-    bern = _bernoulli_row(k)[::2]  # B_0, B_2, B_4, ...
+    bern = _bernoulli_row(k)[: k + 1 : 2]  # B_0, B_2, ... up to index k
     den = math.lcm(*(b.denominator for b in bern))
     numerator = sum(
         math.comb(k, j) * b.numerator * (den // b.denominator) * (2 - 2**j) * f**j
@@ -315,8 +316,8 @@ def zagier_zeta_minus_one(D: int) -> Fraction:
         (1/60) * sum_{b^2 < D, b^2 == D mod 4} sigma_1((D - b^2) / 4),
 
     b running over all integers (negative b included).  An independent
-    route to dedekind_zeta_neg(D, 2); the two are compared exactly in the
-    verification layer.
+    route to dedekind_zeta_neg(D, 2); the test suite compares the two
+    exactly.
     """
     _require_real_fundamental(D)
     total = 0

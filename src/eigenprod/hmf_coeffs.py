@@ -332,50 +332,6 @@ def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fract
     return Fraction(eisenstein_coeff(form, factor_ideal(form.discriminant, nu.x, nu.y)))
 
 
-def hecke_recurrence_check(
-    form: EisensteinDescriptor, prime_norm: int, j_max: int
-) -> bool:
-    """Verify c(p^(j+1)) = c(p) c(p^j) - N^(k-1) c(p^(j-1)) for j < j_max,
-    where c(p^j) is the prime-power divisor sum at a prime of norm
-    prime_norm."""
-    k = form.weight
-    q = prime_norm ** (k - 1)
-    def c(j: int) -> int:
-        return sum(q**i for i in range(j + 1))
-    return all(c(j + 1) == c(1) * c(j) - q * c(j - 1) for j in range(1, j_max))
-
-
-def _combination_bound(m: int) -> int:
-    # a_0 = 1, a_1 = 2, a_{m+2} = 2 a_{m+1} + a_m; dominates m + 1 and is
-    # itself dominated by 3^m, which is the bound used downstream
-    a, b = 1, 2
-    if m == 0:
-        return 1
-    for _ in range(m - 1):
-        a, b = b, 2 * b + a
-    return b
-
-
-def coeff_bound_check(form: EisensteinDescriptor, max_norm: int) -> bool:
-    """Check |c(a)| <= N(a)^(k+1) for every ideal a of norm <= max_norm,
-    along with the prime-power intermediate bound
-    c(p^m) <= a_m N(p)^(m (k-1)) <= 3^m N(p)^(m (k-1))."""
-    k = form.weight
-    D = form.discriminant
-    for n in range(2, max_norm + 1):
-        for ideal in ideals_of_norm(D, n):
-            c = eisenstein_coeff(form, ideal)
-            if c > n ** (k + 1):
-                return False
-            for prime_norm, _, e in ideal.entries:
-                q = prime_norm ** (k - 1)
-                cp = sum(q**i for i in range(e + 1))
-                a_e = _combination_bound(e)
-                if not (cp <= a_e * q**e <= 3**e * q**e):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Products
 

@@ -30,7 +30,7 @@ enclosure contains the true value, it can never flip one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -529,16 +529,6 @@ class Abs(Expr):
 
     def enclose(self, precision: int) -> CertifiedReal:
         return self.x.enclose(precision).abs()
-
-
-def product(factors) -> Expr:
-    factors = list(factors)
-    if not factors:
-        return Rat(1)
-    out = _coerce(factors[0])
-    for f in factors[1:]:
-        out = Mul(out, _coerce(f))
-    return out
 
 
 # ---------------------------------------------------------------------------

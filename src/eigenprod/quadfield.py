@@ -20,13 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import _is_prime, _require_real_fundamental, is_fundamental_discriminant
-from .interval import (
-    CertifiedReal,
-    enclose_log,
-    enclose_pi,
-    enclose_sqrt,
-    from_rational,
-)
+from .interval import PI, Expr, Log, Rat, Sqrt
 
 
 class Splitting(Enum):
@@ -87,23 +81,18 @@ def class_number_imaginary(delta: int) -> int:
     return count
 
 
-def ramare_bound(delta: int, precision: int = 128) -> CertifiedReal:
-    """Certified upper bound for h(delta), delta < -4 fundamental:
+def ramare_bound(delta: int) -> Expr:
+    """Upper bound for h(delta), delta < -4 fundamental, as an expression:
 
         h(delta) <= (|delta|^(1/2) / pi) * (log|delta| / 2 + 5/2 - log 6),
 
-    from the optima of L(1, chi) upper bounds.  Used as an analytic
-    cross-check on the form-counting routine.
+    from the optima of L(1, chi) upper bounds.  The s4-inert certificate
+    ``class_number_route_d13`` subtracts ramare_bound(-39) / 6.
     """
     if delta >= -4 or not is_fundamental_discriminant(delta):
         raise ValueError("requires a fundamental discriminant below -4")
-    n = from_rational(-delta, precision)
-    log_n = enclose_log(n, precision)
-    log6 = enclose_log(from_rational(6, precision), precision)
-    half = from_rational(Fraction(1, 2), precision)
-    five_half = from_rational(Fraction(5, 2), precision)
-    factor = log_n * half + five_half - log6
-    return enclose_sqrt(n, precision) / enclose_pi(precision) * factor
+    n = -delta
+    return Sqrt(Rat(n)) / PI * (Log(Rat(n)) / 2 + Rat(Fraction(5, 2)) - Log(Rat(6)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .interval import (
     Exp,
     Expr,
     GammaInt,
-    Log,
     Outcome,
     Pow,
     Rat,
@@ -44,7 +43,7 @@ from .interval import (
     certified_compare,
     evaluate_with_escalation,
 )
-from .quadfield import Splitting, narrow_one_fields
+from .quadfield import Splitting, narrow_one_fields, ramare_bound
 from .report import (
     ELIMINATED_BY_BOUND,
     ELIMINATED_BY_DIMENSION,
@@ -294,12 +293,6 @@ def c_unequal_expr(D: int, k1: int, k2: int) -> Expr:
     )
 
 
-def c_unequal(
-    D: int, k1: int, k2: int, precision: int = DEFAULT_BASE_PRECISION
-) -> CertifiedReal:
-    return c_unequal_expr(D, k1, k2).enclose(precision)
-
-
 def c_equal_expr(D: int, k: int) -> Expr:
     """The single-weight comparison constant (108/pi^6)^2 sqrt(D) k."""
     if k < 2 or k % 2:
@@ -307,10 +300,6 @@ def c_equal_expr(D: int, k: int) -> Expr:
     if D % 8 != 5:
         raise ValueError("the single-weight constant applies to inert fields")
     return Pow(Rat(108) / Pow(PI, 6), 2) * Sqrt(Rat(D)) * Rat(k)
-
-
-def c_equal(D: int, k: int, precision: int = DEFAULT_BASE_PRECISION) -> CertifiedReal:
-    return c_equal_expr(D, k).enclose(precision)
 
 
 def residual_inert(D: int, k: int) -> Fraction:
@@ -634,29 +623,22 @@ def _s2_factor(k1: int, k2: int) -> int:
     return 3 ** (k2 + 3) + 9 ** (k1 + 1) + (1 + 4 ** (k1 - 1)) * 2**k2
 
 
+def _gamma_growth(head: Expr, k1: int) -> Expr:
+    # head * (2 pi)^(2 k1 - 1) / Gamma(k1)^2, the weight growth every
+    # cusp-factor bound shares
+    return head * Pow(Rat(2) * PI, 2 * k1 - 1) / Pow(GammaInt(k1), 2)
+
+
 def _weight_only_bound(k1: int) -> Expr:
-    return (
-        Rat(2)
-        * Pow(PI, 5)
-        / 3
-        * Pow(Rat(2) * PI, 2 * k1 - 1)
-        / Pow(GammaInt(k1), 2)
-        * Rat(_s_factor(k1))
-    )
+    return _gamma_growth(Rat(2) * Pow(PI, 5) / 3, k1) * Rat(_s_factor(k1))
 
 
 def _pair_bound(k1: int, k2: int) -> Expr:
-    return (
-        Pow(PI, 5)
-        / 6
-        * Pow(Rat(2) * PI, 2 * k1 - 1)
-        / Pow(GammaInt(k1), 2)
-        * Rat(_s2_factor(k1, k2))
-    )
+    return _gamma_growth(Pow(PI, 5) / 6, k1) * Rat(_s2_factor(k1, k2))
 
 
 def _pair_bound_split(k1: int) -> Expr:
-    return Pow(PI, 5) / 18 * Pow(Rat(2) * PI, 2 * k1 - 1) / Pow(GammaInt(k1), 2)
+    return _gamma_growth(Pow(PI, 5) / 18, k1)
 
 
 def _disc_bound(pair: Expr, k1: int, D: int) -> Expr:
@@ -893,11 +875,7 @@ def verify_section4_inert(
     # single internal consistency certificate
     run.check(
         "class_number_route_d13",
-        Rat(3 * 13) * Sqrt(Rat(13)) / Pow(PI, 4)
-        + 1
-        - Sqrt(Rat(39))
-        / (Rat(6) * PI)
-        * (Log(Rat(39)) / 2 + Rat(Fraction(5, 2)) - Log(Rat(6))),
+        Rat(3 * 13) * Sqrt(Rat(13)) / Pow(PI, 4) + 1 - ramare_bound(-39) / 6,
         1,
         ">",
     )
@@ -1096,6 +1074,12 @@ def _degree_grid(
     return decisions
 
 
+def _takeuchi_pairing(a: Fraction, b: Fraction, c: int, j: int, m: int) -> Expr:
+    # (c a / pi^j)^m e^(-2 b) with m = 2n: the square of Takeuchi's floor
+    # a^n e^(-b) on a degree-n discriminant, times (c / pi^j)^(2n)
+    return Pow(Rat(c * a) / Pow(PI, j), m) * Exp(Rat(-2 * b))
+
+
 def verify_section5(
     n_max: int = DEFAULT_N_MAX,
     base_precision: int = DEFAULT_BASE_PRECISION,
@@ -1126,22 +1110,12 @@ def verify_section5(
     high = [
         run.check("disc_ratio_floor", Rat(a) / PI, 1, ">"),
         run.check("degree6_single", Pow(Rat(a) / PI, 6) * Exp(Rat(-b)), 1, ">"),
-        run.check(
-            "degree6_paired",
-            Pow(Rat(6 * a) / Pow(PI, 3), 12) * Exp(Rat(-2 * b)),
-            2,
-            ">=",
-        ),
+        run.check("degree6_paired", _takeuchi_pairing(a, b, 6, 3, 12), 2, ">="),
         run.check("degree_pair_ratio", Pow(Rat(6 * a) / Pow(PI, 3), 2), 1, ">"),
     ]
     for n in range(6, n_max + 1):
         high.append(
-            run.check(
-                f"delta_pair_n{n}",
-                Pow(Rat(6 * a) / Pow(PI, 3), 2 * n) * Exp(Rat(-2 * b)),
-                2,
-                ">=",
-            )
+            run.check(f"delta_pair_n{n}", _takeuchi_pairing(a, b, 6, 3, 2 * n), 2, ">=")
         )
     run.note(
         "the paired bound clears 2 at degree 6 and its ratio exceeds 1, so it "
@@ -1155,12 +1129,7 @@ def verify_section5(
 
     # degree 5: the Takeuchi pairing alone stays below 2 there, the
     # minimal-discriminant route is the one that certifies
-    run.check(
-        "degree5_pairing_gap",
-        Pow(Rat(6 * a) / Pow(PI, 3), 10) * Exp(Rat(-2 * b)),
-        2,
-        "<",
-    )
+    run.check("degree5_pairing_gap", _takeuchi_pairing(a, b, 6, 3, 10), 2, "<")
     deg5 = [
         run.check(
             "degree5_disc_floor", Rat(d5 * 32) / Pow(Rat(2) * PI, 5), 1, ">"
@@ -1176,19 +1145,13 @@ def verify_section5(
             "degree5_ratio", Pow(Rat(180 * a) / Pow(PI, 5), 2), 1, ">"
         ),
         run.check(
-            "degree5_contradiction",
-            Pow(Rat(180 * a) / Pow(PI, 5), 10) * Exp(Rat(-2 * b)),
-            128426,
-            ">",
+            "degree5_contradiction", _takeuchi_pairing(a, b, 180, 5, 10), 128426, ">"
         ),
     ]
     for n in range(6, n_max + 1):
         deg5.append(
             run.check(
-                f"degree{n}_bound",
-                Pow(Rat(180 * a) / Pow(PI, 5), 2 * n) * Exp(Rat(-2 * b)),
-                128426,
-                ">",
+                f"degree{n}_bound", _takeuchi_pairing(a, b, 180, 5, 2 * n), 128426, ">"
             )
         )
     run.candidate(
@@ -1277,8 +1240,14 @@ def exact_identity_scan(
     d_limit, including 5, and every even pair 2 <= k2 <= k1 <= k_limit.
     Equal weights use the splitting-specific residual, unequal weights the
     three-value residual; both are exact rationals, so membership in the
-    result is a theorem, not an approximation.
+    result is a theorem, not an approximation.  A limit below the
+    smallest field (D = 5) or weight (k = 2) is rejected, not scanned as
+    an empty range.
     """
+    if d_limit < 5:
+        raise ValueError("the discriminant limit must be at least 5")
+    if k_limit < 2:
+        raise ValueError("the weight limit must be at least 2")
     excluded = set(excluded_discriminants)
     survivors = []
     for f in narrow_one_fields(d_limit):

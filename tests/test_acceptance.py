@@ -13,13 +13,12 @@ from fractions import Fraction
 from eigenprod import (
     EisensteinDescriptor,
     Outcome,
-    c_unequal,
+    c_unequal_expr,
     class_number_imaginary,
     cusp_dim_lower_bound,
     dedekind_zeta_neg,
     eisenstein_coeff,
     exact_identity_scan,
-    hecke_recurrence_check,
     ideal_from_prime_powers,
     ideals_of_norm,
     is_fundamental_discriminant,
@@ -89,7 +88,7 @@ def test_criterion_04_unequal_weight_constant_enclosed():
     # the printed value 7.2291 is a 4-digit truncation; the certificate
     # asserts the enclosure sits inside the printed value +- 1e-4, has
     # width below 1e-4, and stays above 1
-    enc = c_unequal(8, 4, 2)
+    enc = c_unequal_expr(8, 4, 2).enclose(128)
     center = Fraction(72291, 10**4)
     window = Fraction(1, 10**4)
     assert enc.subset_of(center - window, center + window)
@@ -168,7 +167,7 @@ def _brute_force_form_count(delta: int) -> int:
     return count
 
 
-def test_criterion_09_property_suites():
+def test_criterion_09_property_suites(hecke_relations):
     rng = random.Random(20260817)
     fields = (5, 8, 13, 17, 29, 37)
 
@@ -201,14 +200,14 @@ def test_criterion_09_property_suites():
             ) * eisenstein_coeff(form, b)
             hits += 1
 
-    # Hecke recurrence at every residue class of primes
+    # Hecke recurrence at every residue class of primes, on package
+    # coefficients at the powers of a totally positive prime generator
     for D in fields:
         for k in (2, 4, 6, 8, 10, 12):
-            form = EisensteinDescriptor(D, k)
             for p in (2, 3, 5, 7, 11, 13):
                 chi = kronecker(D, p)
                 prime_norm = p * p if chi == -1 else p
-                assert hecke_recurrence_check(form, prime_norm, 10)
+                hecke_relations(D, prime_norm, k, 10)
 
     # imaginary class numbers against the brute forced form count
     for delta, expected in ((-3, 1), (-24, 2), (-39, 4)):

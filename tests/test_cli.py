@@ -66,6 +66,22 @@ def test_scan_command(capsys):
     assert capsys.readouterr().out == "(5, 2, 2)\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scan", "-5", "20"], "the discriminant limit must be at least 5"),
+        (["scan", "4", "20"], "the discriminant limit must be at least 5"),
+        (["scan", "1000", "1"], "the weight limit must be at least 2"),
+    ],
+)
+def test_scan_rejects_empty_range(argv, message, capsys):
+    # an empty field or weight range is a usage error, not a silent pass
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eigenprod: error: {message}\n"
+
+
 def test_demo_sqrt5_command(capsys):
     assert main(["demo-sqrt5", "10"]) == 0
     out = capsys.readouterr().out

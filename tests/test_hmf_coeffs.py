@@ -1,8 +1,9 @@
 """Eisenstein coefficient combinatorics.
 
 Ideal counts are checked against the divisor-character sum, element
-enumeration against a plain box scan, and product coefficients against a
-hand-expanded convolution.
+enumeration against a plain box scan, product coefficients against a
+hand-expanded convolution, and the Hecke relations at one prime of each
+class on the package coefficients at powers of a prime generator.
 """
 
 import random
@@ -17,13 +18,11 @@ from eigenprod import (
     IdealFactorization,
     PrimeClass,
     TotallyPositiveElement,
-    coeff_bound_check,
     coefficient,
     cusp_dim_lower_bound,
     eisenstein_coeff,
     enumerate_totally_nonneg,
     factor_ideal,
-    hecke_recurrence_check,
     ideal_from_prime_powers,
     ideals_of_norm,
     kronecker,
@@ -228,18 +227,27 @@ def test_coefficient_at_elements():
         coefficient(e2, TotallyPositiveElement(8, 1, 0))
 
 
-@pytest.mark.parametrize("D,prime_norms", [(5, (4, 5, 11)), (8, (8, 9, 7)), (13, (4, 13, 3))])
-def test_hecke_recurrence(D, prime_norms):
+@pytest.mark.parametrize("D,prime_norms", [(5, (4, 5, 11)), (8, (2, 9, 7)), (13, (4, 13, 3))])
+def test_hecke_recurrence(D, prime_norms, hecke_relations):
+    # one prime of each class, read through coefficient at generator powers
     for k in (2, 4, 6, 8):
-        form = EisensteinDescriptor(D, k)
-        for q in prime_norms:
-            assert hecke_recurrence_check(form, q, 8)
+        classes = {hecke_relations(D, q, k, 8) for q in prime_norms}
+        assert classes == set(PrimeClass)
 
 
 @pytest.mark.parametrize("D", [5, 8, 13])
 def test_coefficient_bound_small_sweep(D):
+    # every ideal of norm n <= 300: c(a) <= n^(k+1), and each prime power
+    # p^e in its factorization has c(p^e) <= 3^e N(p)^(e (k-1))
     for k in (2, 4, 6):
-        assert coeff_bound_check(EisensteinDescriptor(D, k), 300)
+        form = EisensteinDescriptor(D, k)
+        for n in range(2, 301):
+            for ideal in ideals_of_norm(D, n):
+                assert eisenstein_coeff(form, ideal) <= n ** (k + 1), (n, k)
+                for prime_norm, cls, e in ideal.entries:
+                    part = IdealFactorization(((prime_norm, cls, e),))
+                    bound = 3**e * prime_norm ** (e * (k - 1))
+                    assert eisenstein_coeff(form, part) <= bound, (n, k)
 
 
 @settings(max_examples=200, derandomize=True)

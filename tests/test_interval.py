@@ -36,7 +36,7 @@ from eigenprod import (
     evaluate_with_escalation,
     gamma_integer,
 )
-from eigenprod.interval import GUARD_BITS, ZETA_TERM_CAP, from_rational, product
+from eigenprod.interval import GUARD_BITS, ZETA_TERM_CAP, from_rational
 
 mp.prec = 300
 GUARD = mp.mpf(2) ** -250
@@ -308,12 +308,6 @@ def test_expression_leaves():
     assert _contains(Sqrt(Rat(2)).enclose(128), mp.sqrt(2))
     assert _contains(Exp(Rat(1)).enclose(128), mp.e)
     assert _contains(Log(Rat(2)).enclose(128), mp.log(2))
-
-
-def test_product_helper():
-    assert product([]).enclose(32).contains(1)
-    enc = product([2, Fraction(1, 3), PI]).enclose(128)
-    assert _contains(enc, 2 * mp.pi / 3)
 
 
 # ---------------------------------------------------------------------------

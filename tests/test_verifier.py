@@ -18,9 +18,7 @@ from eigenprod import (
     Fixtures,
     MissingFixtureError,
     Outcome,
-    c_equal,
     c_equal_expr,
-    c_unequal,
     c_unequal_expr,
     compare_to_golden,
     exact_identity_scan,
@@ -79,7 +77,7 @@ def test_field_universes_partition_narrow_one():
 
 
 def test_unequal_constant_window_d8():
-    enc = c_unequal(8, 4, 2)
+    enc = c_unequal_expr(8, 4, 2).enclose(128)
     center = Fraction(72291, 10**4)
     assert enc.subset_of(center - Fraction(1, 10**4), center + Fraction(1, 10**4))
     assert enc.width() < Fraction(1, 10**4)
@@ -93,9 +91,9 @@ def test_unequal_constants_along_chain():
         29: (913, 914),
         37: (2601, 2602),
     }
-    previous = c_unequal(8, 4, 2)
+    previous = c_unequal_expr(8, 4, 2).enclose(128)
     for D, (lo, hi) in windows.items():
-        enc = c_unequal(D, 4, 2)
+        enc = c_unequal_expr(D, 4, 2).enclose(128)
         assert enc.subset_of(lo, hi), D
         assert enc.lo > previous.hi  # strictly increasing in D
         previous = enc
@@ -111,18 +109,20 @@ def test_unequal_expr_validation():
 
 
 def test_equal_constant_weight_boundary():
-    assert c_equal(13, 20).hi < 1
-    assert c_equal(13, 22).lo > 1
-    assert c_equal(13, 2).hi < c_equal(13, 4).lo
+    assert c_equal_expr(13, 20).enclose(128).hi < 1
+    assert c_equal_expr(13, 22).enclose(128).lo > 1
+    assert c_equal_expr(13, 2).enclose(128).hi < c_equal_expr(13, 4).enclose(128).lo
 
 
 def test_equal_constant_discriminant_boundary():
     # both straddle points sit below 1; the primary table stops at 1549
     # because 1565 = 5 * 313 has narrow class number two, not because the
     # inequality turns
-    assert c_equal(1549, 2).hi < 1
-    assert c_equal(1565, 2).hi < 1
-    assert c_equal(1549, 2).hi < c_equal(1565, 2).lo
+    assert c_equal_expr(1549, 2).enclose(128).hi < 1
+    assert c_equal_expr(1565, 2).enclose(128).hi < 1
+    assert (
+        c_equal_expr(1549, 2).enclose(128).hi < c_equal_expr(1565, 2).enclose(128).lo
+    )
 
 
 def test_equal_expr_validation():
