@@ -212,7 +212,11 @@ def cmd_verify(section: str, cfg: RunConfig) -> int:
         return EXIT_MISSING_FIXTURE
     mismatches = []
     for rep in reports:
-        _emit(rep, cfg)
+        try:
+            _emit(rep, cfg)
+        except OSError as exc:
+            print(f"eigenprod: error: cannot write reports: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         mismatches.extend(compare_to_golden(rep))
     if cfg.out_dir is not None:
         for rep in reports:

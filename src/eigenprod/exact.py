@@ -8,6 +8,11 @@ functions built from them.  No floating point enters at any stage, so
 equalities between these values are decidable and are used as such by the
 verification layer.
 
+One trial division, ``_factorize``, serves every integer factorization
+in the package: primality, squarefreeness, the prime-discriminant
+factors of a character table, divisor sums, and the rational primes
+below an ideal (``hmf_coeffs.factor_ideal``, ``hmf_coeffs.ideals_of_norm``).
+
 Conventions:
 
 * ``bernoulli(1) == -1/2`` (the "first" convention), so that
@@ -99,16 +104,25 @@ def kronecker(delta: int, n: int) -> int:
     return result if b == 1 else 0
 
 
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    if n % 4 == 0:
-        return False
-    d = 3
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1, primes ascending, by trial division."""
+    out = []
+    d = 2
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 2
-    return True
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _squarefree(n: int) -> bool:
+    return all(e == 1 for _, e in _factorize(abs(n)))
 
 
 def is_fundamental_discriminant(delta: int) -> bool:
@@ -129,18 +143,7 @@ def _require_real_fundamental(D: int) -> None:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _factorize(n) == [(n, 1)]
 
 
 @dataclass(frozen=True)
@@ -178,21 +181,15 @@ class KroneckerCharacter:
         """
         f = self.period
         factors = []  # one period of each prime-discriminant character
-        two_part, odd, p = self.discriminant, f, 3
-        while odd % 2 == 0:
-            odd //= 2
-        while odd > 1:
-            if p * p > odd:
-                p = odd  # what is left is prime
-            if odd % p == 0:
-                odd //= p
+        two_part = self.discriminant
+        for p, _ in _factorize(f):
+            if p > 2:
                 two_part //= p if p % 4 == 1 else -p
                 legendre = [-1] * p
                 legendre[0] = 0
                 for square in {a * a % p for a in range(1, p // 2 + 1)}:
                     legendre[square] = 1
                 factors.append(legendre)
-            p += 2
         if two_part != 1:
             factors.append(_TWO_PART_TABLES[two_part])
         table = [1] * f
@@ -298,16 +295,7 @@ def dedekind_zeta_neg(D: int, k: int) -> Fraction:
 
 
 def _sigma1(n: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d
-            q = n // d
-            if q != d:
-                total += q
-        d += 1
-    return total
+    return math.prod(sum(p**i for i in range(e + 1)) for p, e in _factorize(n))
 
 
 def zagier_zeta_minus_one(D: int) -> Fraction:

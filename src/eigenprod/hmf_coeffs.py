@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .exact import (
+    _factorize,
     _is_prime,
     _require_real_fundamental,
     dedekind_zeta_neg,
@@ -93,9 +94,6 @@ class TotallyPositiveElement:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def minus(self, other: "TotallyPositiveElement") -> tuple[int, int]:
-        return self.x - other.x, self.y - other.y
 
 
 @dataclass(frozen=True)
@@ -161,30 +159,6 @@ def ideal_from_prime_powers(
         raise ValueError("repeated non-split prime entry")
     checked.sort(key=lambda t: (t[0], -t[2], t[1].value))
     return IdealFactorization(tuple(checked))
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        d += 6
-    if n > 1:
-        out.append((n, 1))
-    return sorted(out)
 
 
 @lru_cache(maxsize=None)

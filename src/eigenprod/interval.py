@@ -30,11 +30,12 @@ enclosure contains the true value, it can never flip one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .exact import bernoulli
 
@@ -260,6 +261,19 @@ def gamma_integer(k: int) -> Fraction:
     return Fraction(math.factorial(k - 1))
 
 
+def _enclose_increasing(
+    bounds: Callable[[Fraction, int], tuple[Fraction, Fraction]],
+    x: CertifiedReal,
+    precision: Optional[int],
+) -> CertifiedReal:
+    # f increasing: f(x) lies between the lower bound of f(lo) and the
+    # upper bound of f(hi)
+    p = precision if precision is not None else x.precision
+    lo, _ = bounds(x.lo, p)
+    _, hi = bounds(x.hi, p)
+    return CertifiedReal(lo, hi, min(p, x.precision))
+
+
 def _sqrt_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     if x < 0:
         raise ValueError("square root of a negative value")
@@ -274,10 +288,7 @@ def _sqrt_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
 
 
 def enclose_sqrt(x: CertifiedReal, precision: Optional[int] = None) -> CertifiedReal:
-    p = precision if precision is not None else x.precision
-    lo, _ = _sqrt_fraction(x.lo, p)
-    _, hi = _sqrt_fraction(x.hi, p)
-    return CertifiedReal(lo, hi, min(p, x.precision))
+    return _enclose_increasing(_sqrt_fraction, x, precision)
 
 
 def _exp_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
@@ -309,10 +320,7 @@ def _exp_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
 
 
 def enclose_exp(x: CertifiedReal, precision: Optional[int] = None) -> CertifiedReal:
-    p = precision if precision is not None else x.precision
-    lo, _ = _exp_fraction(x.lo, p)
-    _, hi = _exp_fraction(x.hi, p)
-    return CertifiedReal(lo, hi, min(p, x.precision))
+    return _enclose_increasing(_exp_fraction, x, precision)
 
 
 @lru_cache(maxsize=None)
@@ -362,10 +370,7 @@ def _log_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
 
 
 def enclose_log(x: CertifiedReal, precision: Optional[int] = None) -> CertifiedReal:
-    p = precision if precision is not None else x.precision
-    lo, _ = _log_fraction(x.lo, p)
-    _, hi = _log_fraction(x.hi, p)
-    return CertifiedReal(lo, hi, min(p, x.precision))
+    return _enclose_increasing(_log_fraction, x, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +540,13 @@ class Abs(Expr):
 # Decisions
 
 
-RELATIONS = (">", ">=", "<", "<=", "=")
+RELATIONS = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+}
 
 
 @dataclass(frozen=True)
@@ -555,47 +566,29 @@ def certified_compare(
 ) -> Decision:
     """Three-valued comparison of an enclosure against an exact threshold.
 
-    Decided only by set containment: '>' is CertifiedTrue iff the whole
-    interval exceeds the threshold and CertifiedFalse iff none of it does.
-    '=' can never be certified true from an interval of positive width and
-    is answered through the two strict one-sided checks.
+    Decided only by set containment, through two endpoints.  The worst
+    endpoint for the relation (``lo`` for '>' and '>=', ``hi`` for '<'
+    and '<=') gives CertifiedTrue when the relation holds there, so it
+    holds on the whole interval; the best endpoint (the other one) gives
+    CertifiedFalse when the relation fails there, so it fails everywhere.
+    '=' is never certified true, not even from a zero-width interval: it
+    is CertifiedFalse exactly when the threshold lies outside the interval.
     """
     t = Fraction(threshold)
-    if relation == ">":
-        if x.lo > t:
-            out = Outcome.CERTIFIED_TRUE
-        elif x.hi <= t:
-            out = Outcome.CERTIFIED_FALSE
-        else:
-            out = Outcome.INCONCLUSIVE
-    elif relation == ">=":
-        if x.lo >= t:
-            out = Outcome.CERTIFIED_TRUE
-        elif x.hi < t:
-            out = Outcome.CERTIFIED_FALSE
-        else:
-            out = Outcome.INCONCLUSIVE
-    elif relation == "<":
-        if x.hi < t:
-            out = Outcome.CERTIFIED_TRUE
-        elif x.lo >= t:
-            out = Outcome.CERTIFIED_FALSE
-        else:
-            out = Outcome.INCONCLUSIVE
-    elif relation == "<=":
-        if x.hi <= t:
-            out = Outcome.CERTIFIED_TRUE
-        elif x.lo > t:
-            out = Outcome.CERTIFIED_FALSE
-        else:
-            out = Outcome.INCONCLUSIVE
-    elif relation == "=":
-        if x.lo > t or x.hi < t:
-            out = Outcome.CERTIFIED_FALSE
-        else:
-            out = Outcome.INCONCLUSIVE
-    else:
+    if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
+    if relation == "=":
+        inside = x.lo <= t <= x.hi
+        out = Outcome.INCONCLUSIVE if inside else Outcome.CERTIFIED_FALSE
+    else:
+        holds = RELATIONS[relation]
+        worst, best = (x.lo, x.hi) if relation in (">", ">=") else (x.hi, x.lo)
+        if holds(worst, t):
+            out = Outcome.CERTIFIED_TRUE
+        elif not holds(best, t):
+            out = Outcome.CERTIFIED_FALSE
+        else:
+            out = Outcome.INCONCLUSIVE
     return Decision(out, x.precision, x)
 
 

@@ -29,6 +29,7 @@ from .fixtures import (
 from .hmf_coeffs import cusp_dim_lower_bound
 from .interval import (
     PI,
+    RELATIONS,
     Abs,
     CertifiedReal,
     Decision,
@@ -191,13 +192,7 @@ class _Run:
         """
         v = Fraction(value)
         t = Fraction(threshold)
-        holds = {
-            ">": v > t,
-            ">=": v >= t,
-            "<": v < t,
-            "<=": v <= t,
-            "=": v == t,
-        }[relation]
+        holds = RELATIONS[relation](v, t)
         outcome = Outcome.CERTIFIED_TRUE if holds else Outcome.CERTIFIED_FALSE
         decision = Decision(
             outcome, 0, CertifiedReal(v, v, 0), "exact rational arithmetic"

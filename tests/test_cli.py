@@ -183,6 +183,19 @@ def test_verify_out_dir_writes_tables(tmp_path):
     assert "## table1" in table_text
 
 
+@pytest.mark.parametrize("below", ["", "reports"], ids=["file", "under-file"])
+def test_verify_unwritable_out_dir_is_usage_error(tmp_path, capsys, below):
+    # an existing file, or a path under one, cannot hold the reports
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["verify", "s3-unequal", "--out-dir", str(blocker / below)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("eigenprod: error: cannot write reports:")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_inconclusive_exit(capsys):
     code = main(["verify", "s5", "--precision", "8", "--precision-ceiling", "8"])
     assert code == EXIT_INCONCLUSIVE

@@ -7,6 +7,7 @@ reciprocity, generalized Bernoulli numbers via Bernoulli polynomials
 evaluated at rationals instead of integer power sums.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -182,6 +183,25 @@ def test_fundamental_discriminant_unit():
 @pytest.mark.parametrize("delta", [2, 3, 9, 16, 25, 45, -5, -9, -12, -16, -27])
 def test_non_fundamental_rejected(delta):
     assert not is_fundamental_discriminant(delta)
+
+
+def _is_discriminant(d: int) -> bool:
+    return d % 4 in (0, 1)
+
+
+def _oracle_fundamental(delta: int) -> bool:
+    # a nonzero discriminant that is no square f^2 > 1 times another one
+    if delta == 0 or not _is_discriminant(delta):
+        return False
+    return not any(
+        delta % (f * f) == 0 and _is_discriminant(delta // (f * f))
+        for f in range(2, math.isqrt(abs(delta)) + 1)
+    )
+
+
+def test_fundamental_discriminant_matches_definition():
+    for delta in range(-5000, 5001):
+        assert is_fundamental_discriminant(delta) == _oracle_fundamental(delta), delta
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ def test_element_invariants_sqrt5():
     assert nu.norm() == 1
     assert not nu.is_zero()
     assert TotallyPositiveElement(5, 0, 0).is_zero()
-    assert nu.minus(TotallyPositiveElement(5, 1, 0)) == (0, 1)
 
 
 def test_element_invariants_sqrt2():

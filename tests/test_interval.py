@@ -6,6 +6,7 @@ containment is asserted with a guard band of 2^-250, many orders below
 any enclosure width produced here.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from eigenprod import (
     evaluate_with_escalation,
     gamma_integer,
 )
-from eigenprod.interval import GUARD_BITS, ZETA_TERM_CAP, from_rational
+from eigenprod.interval import GUARD_BITS, RELATIONS, ZETA_TERM_CAP, from_rational
 
 mp.prec = 300
 GUARD = mp.mpf(2) ** -250
@@ -336,6 +337,38 @@ def test_certified_compare_equality_never_certified():
     point = CertifiedReal(Fraction(1), Fraction(1), 64)
     assert certified_compare(point, 1, "=").outcome is Outcome.INCONCLUSIVE
     assert certified_compare(point, 2, "=").outcome is Outcome.CERTIFIED_FALSE
+
+
+_RELATION_DEFINITIONS = {
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    "=": lambda a, b: a == b,
+}
+
+
+@pytest.mark.parametrize("relation", sorted(_RELATION_DEFINITIONS))
+def test_certified_compare_matches_the_definition(relation):
+    # every ordering of (lo, hi, t), ties and zero-width intervals included:
+    # certified iff the relation holds at lo, hi and t (when t lies
+    # inside), refuted iff it holds at none of them; '=' is never certified
+    assert relation in RELATIONS
+    holds = _RELATION_DEFINITIONS[relation]
+    grid = [Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1)]
+    for lo, hi, t in itertools.product(grid, repeat=3):
+        if lo > hi:
+            continue
+        points = [lo, hi] + ([t] if lo <= t <= hi else [])
+        hits = [holds(v, t) for v in points]
+        if all(hits) and relation != "=":
+            expected = Outcome.CERTIFIED_TRUE
+        elif not any(hits):
+            expected = Outcome.CERTIFIED_FALSE
+        else:
+            expected = Outcome.INCONCLUSIVE
+        x = CertifiedReal(lo, hi, 64)
+        assert certified_compare(x, t, relation).outcome is expected, (lo, hi, t)
 
 
 def test_certified_compare_rejects_unknown_relation():

@@ -1,8 +1,10 @@
-"""Package hygiene: the public export list and the module imports.
+"""Package hygiene: the public export list, the module imports and the
+private helpers.
 
 Every name in ``eigenprod.__all__`` must resolve under a star import and
 appear once; every module-level import in a package module must be read
-somewhere in that module.
+somewhere in that module; every module-level private function or class
+must be read somewhere in the package outside its own definition.
 """
 
 import ast
@@ -13,9 +15,8 @@ import pytest
 
 import eigenprod
 
-MODULES = sorted(
-    p for p in Path(eigenprod.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(eigenprod.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def test_star_import_resolves_every_exported_name_once():
@@ -42,3 +43,57 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unread_private_helpers(sources: dict[str, str]) -> list[str]:
+    # a helper counts as read when another statement of its module reads
+    # its name, or another module imports it from its module
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    imported = {
+        (f"{node.module}.py", alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unread = []
+    for module, tree in trees.items():
+        reads = [
+            {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            for stmt in tree.body
+        ]
+        for i, stmt in enumerate(tree.body):
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+                and (module, stmt.name) not in imported
+                and not any(stmt.name in r for j, r in enumerate(reads) if j != i)
+            ):
+                unread.append(f"{module}:{stmt.name}")
+    return unread
+
+
+def test_every_private_helper_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert _unread_private_helpers(sources) == []
+
+
+def test_unread_private_helper_is_caught():
+    # a helper that only reads itself is unread, and so is one whose name
+    # another module reads from its own copy
+    exact = (
+        "def _squarefree(n):\n    return n < 2 or _squarefree(n - 1)\n\n\n"
+        "def _factorize(n):\n    return [(n, 1)]\n\n\n"
+        "def _is_prime(n):\n    return n\n"
+    )
+    hmf = (
+        "from .exact import _is_prime\n\n\n"
+        "def _factorize(n):\n    return [(n, 1)]\n\n\n"
+        "VALUE = _factorize(_is_prime(6))\n"
+    )
+    sources = {"exact.py": exact, "hmf_coeffs.py": hmf}
+    assert _unread_private_helpers(sources) == [
+        "exact.py:_squarefree",
+        "exact.py:_factorize",
+    ]

@@ -24,6 +24,7 @@ from eigenprod import (
     ramare_bound,
     splitting_of_two,
 )
+from eigenprod.exact import _factorize
 from eigenprod.quadfield import radicand
 
 
@@ -180,6 +181,16 @@ def test_narrow_one_forces_prime_or_eight():
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_factorize_multiplies_back_with_ascending_primes():
+    # the package's one trial division, checked by this file's own primality
+    for n in range(1, 20001):
+        pairs = _factorize(n)
+        assert math.prod(p**e for p, e in pairs) == n, n
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes)), n
+        assert all(_is_prime(p) and e >= 1 for p, e in pairs), n
 
 
 def test_narrow_one_needs_negative_unit_norm():
