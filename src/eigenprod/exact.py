@@ -125,6 +125,7 @@ def _squarefree(n: int) -> bool:
     return all(e == 1 for _, e in _factorize(abs(n)))
 
 
+@lru_cache(maxsize=None)
 def is_fundamental_discriminant(delta: int) -> bool:
     """True iff delta is the discriminant of a quadratic field (or 1)."""
     if delta == 1:

@@ -1069,10 +1069,17 @@ def _degree_grid(
     return decisions
 
 
-def _takeuchi_pairing(a: Fraction, b: Fraction, c: int, j: int, m: int) -> Expr:
-    # (c a / pi^j)^m e^(-2 b) with m = 2n: the square of Takeuchi's floor
-    # a^n e^(-b) on a degree-n discriminant, times (c / pi^j)^(2n)
-    return Pow(Rat(c * a) / Pow(PI, j), m) * Exp(Rat(-2 * b))
+def _takeuchi(
+    a: Fraction, c: int, j: int, m: int, decay: Optional[Fraction] = None
+) -> Expr:
+    # (c a / pi^j)^m, times e^(-decay) when a decay is given.  Takeuchi's
+    # floor a^n e^(-b) on a degree-n discriminant gives the single bound
+    # (m = n, decay b), the pairing (m = 2n, decay 2b: the floor squared
+    # times (c / pi^j)^(2n)) and the pairing's ratio per degree (m = 2, no
+    # decay).  For j = 1 the base is c a / pi itself, so equal trees share
+    # one enclosure memo entry.
+    power = Pow(Rat(c * a) / (PI if j == 1 else Pow(PI, j)), m)
+    return power if decay is None else power * Exp(Rat(-decay))
 
 
 def verify_section5(
@@ -1104,13 +1111,13 @@ def verify_section5(
     # numeric sweep as a safety net
     high = [
         run.check("disc_ratio_floor", Rat(a) / PI, 1, ">"),
-        run.check("degree6_single", Pow(Rat(a) / PI, 6) * Exp(Rat(-b)), 1, ">"),
-        run.check("degree6_paired", _takeuchi_pairing(a, b, 6, 3, 12), 2, ">="),
-        run.check("degree_pair_ratio", Pow(Rat(6 * a) / Pow(PI, 3), 2), 1, ">"),
+        run.check("degree6_single", _takeuchi(a, 1, 1, 6, b), 1, ">"),
+        run.check("degree6_paired", _takeuchi(a, 6, 3, 12, 2 * b), 2, ">="),
+        run.check("degree_pair_ratio", _takeuchi(a, 6, 3, 2), 1, ">"),
     ]
     for n in range(6, n_max + 1):
         high.append(
-            run.check(f"delta_pair_n{n}", _takeuchi_pairing(a, b, 6, 3, 2 * n), 2, ">=")
+            run.check(f"delta_pair_n{n}", _takeuchi(a, 6, 3, 2 * n, 2 * b), 2, ">=")
         )
     run.note(
         "the paired bound clears 2 at degree 6 and its ratio exceeds 1, so it "
@@ -1124,7 +1131,7 @@ def verify_section5(
 
     # degree 5: the Takeuchi pairing alone stays below 2 there, the
     # minimal-discriminant route is the one that certifies
-    run.check("degree5_pairing_gap", _takeuchi_pairing(a, b, 6, 3, 10), 2, "<")
+    run.check("degree5_pairing_gap", _takeuchi(a, 6, 3, 10, 2 * b), 2, "<")
     deg5 = [
         run.check(
             "degree5_disc_floor", Rat(d5 * 32) / Pow(Rat(2) * PI, 5), 1, ">"
@@ -1135,18 +1142,16 @@ def verify_section5(
             2,
             ">=",
         ),
-        run.check("degree5_base", Pow(Rat(2 * a) / PI, 5) * Exp(Rat(-b)), 1, ">"),
+        run.check("degree5_base", _takeuchi(a, 2, 1, 5, b), 1, ">"),
+        run.check("degree5_ratio", _takeuchi(a, 180, 5, 2), 1, ">"),
         run.check(
-            "degree5_ratio", Pow(Rat(180 * a) / Pow(PI, 5), 2), 1, ">"
-        ),
-        run.check(
-            "degree5_contradiction", _takeuchi_pairing(a, b, 180, 5, 10), 128426, ">"
+            "degree5_contradiction", _takeuchi(a, 180, 5, 10, 2 * b), 128426, ">"
         ),
     ]
     for n in range(6, n_max + 1):
         deg5.append(
             run.check(
-                f"degree{n}_bound", _takeuchi_pairing(a, b, 180, 5, 2 * n), 128426, ">"
+                f"degree{n}_bound", _takeuchi(a, 180, 5, 2 * n, 2 * b), 128426, ">"
             )
         )
     run.candidate(

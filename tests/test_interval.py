@@ -37,7 +37,13 @@ from eigenprod import (
     evaluate_with_escalation,
     gamma_integer,
 )
-from eigenprod.interval import GUARD_BITS, RELATIONS, ZETA_TERM_CAP, from_rational
+from eigenprod.interval import (
+    GUARD_BITS,
+    RELATIONS,
+    ZETA_TERM_CAP,
+    _enclose_memo,
+    from_rational,
+)
 
 mp.prec = 300
 GUARD = mp.mpf(2) ** -250
@@ -309,6 +315,25 @@ def test_expression_leaves():
     assert _contains(Sqrt(Rat(2)).enclose(128), mp.sqrt(2))
     assert _contains(Exp(Rat(1)).enclose(128), mp.e)
     assert _contains(Log(Rat(2)).enclose(128), mp.log(2))
+
+
+def test_enclosure_memo_keys_on_structure_and_precision():
+    trees = {
+        Rat(2) - PI: 2 - mp.pi,
+        Rat(2) + PI: 2 + mp.pi,
+        PI - Rat(2): mp.pi - 2,
+        Pow(PI, 2): mp.pi**2,
+        Pow(PI, 3): mp.pi**3,
+    }
+    enclosures = [tree.enclose(128) for tree in trees]
+    assert len(set(enclosures)) == len(trees)
+    for enc, value in zip(enclosures, trees.values()):
+        assert _contains(enc, value)
+    low, high = Pow(PI, 3).enclose(128), Pow(PI, 3).enclose(256)
+    assert (low.precision, high.precision) == (128, 256)
+    assert high.width() <= low.width()
+    # an unbounded memo keeps every node of a run alive
+    assert _enclose_memo.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,13 @@ from fractions import Fraction
 import pytest
 
 from eigenprod import (
+    PI,
+    Exp,
     Fixtures,
     MissingFixtureError,
     Outcome,
+    Pow,
+    Rat,
     c_equal_expr,
     c_unequal_expr,
     compare_to_golden,
@@ -29,6 +33,7 @@ from eigenprod import (
     residual_noninert,
     residual_unequal,
     splitting_of_two,
+    takeuchi_constants,
     verify_section3_equal,
     verify_section3_unequal,
     verify_section4_inert,
@@ -47,6 +52,7 @@ from eigenprod.report import (
     VERDICT_NO_IDENTITY,
     fraction_str,
 )
+from eigenprod.verifier import _takeuchi
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
 
@@ -422,6 +428,19 @@ def test_degree_families_degrade_to_survivors_at_low_ceiling():
     )
 
 
+def test_takeuchi_trees_equal_their_inline_spellings():
+    # equal trees share enclosure memo entries, so the helper must build
+    # exactly the trees section 5 once spelled out by hand
+    a, b = takeuchi_constants(Fixtures.load())
+    assert _takeuchi(a, 1, 1, 6, b) == Pow(Rat(a) / PI, 6) * Exp(Rat(-b))
+    assert _takeuchi(a, 2, 1, 5, b) == Pow(Rat(2 * a) / PI, 5) * Exp(Rat(-b))
+    assert _takeuchi(a, 6, 3, 2) == Pow(Rat(6 * a) / Pow(PI, 3), 2)
+    assert _takeuchi(a, 180, 5, 2) == Pow(Rat(180 * a) / Pow(PI, 5), 2)
+    for c, j, m in ((6, 3, 12), (180, 5, 10)):
+        pairing = Pow(Rat(c * a) / Pow(PI, j), m) * Exp(Rat(-2 * b))
+        assert _takeuchi(a, c, j, m, 2 * b) == pairing
+
+
 def test_degree_rejects_small_n_max():
     with pytest.raises(ValueError):
         verify_section5(n_max=5)
@@ -442,13 +461,27 @@ def _eigenprod_caches():
 
 def test_results_equal_from_cold_and_warm_caches():
     # a cache key that dropped an argument would show here as a warm
-    # result that differs from the cold one
+    # result that differs from the cold one.  From an 8-bit base section 3
+    # decides at 8 bits and section 5 escalates ten certificates to 16, so
+    # one run mixes precisions in the enclosure memo
     def run():
-        return exact_identity_scan(200, 16), verify_sqrt5_identity(12)
+        low = {"base_precision": 8, "precision_ceiling": 1024}
+        return (
+            exact_identity_scan(200, 16),
+            verify_sqrt5_identity(12),
+            verify_section3_unequal(**low).to_json(),
+            verify_section5(**low).to_json(),
+        )
 
     caches = _eigenprod_caches()
     names = {c.__qualname__ for c in caches}
-    assert {"factor_ideal", "KroneckerCharacter.power_sum", "dedekind_zeta_neg"} <= names
+    assert {
+        "factor_ideal",
+        "KroneckerCharacter.power_sum",
+        "dedekind_zeta_neg",
+        "is_fundamental_discriminant",
+        "_enclose_memo",
+    } <= names
     for cache in caches:
         cache.cache_clear()
     cold = run()
