@@ -329,14 +329,10 @@ def _nonneg_points(
                 yield (s - t * y) // 2, y
 
 
-def enumerate_totally_nonneg(
-    D: int, trace_bound: int, include_zero: bool = False
-) -> list[TotallyPositiveElement]:
-    """Totally nonnegative integers of trace <= trace_bound, by trace."""
+def enumerate_totally_nonneg(D: int, trace_bound: int) -> list[TotallyPositiveElement]:
+    """Nonzero totally nonnegative integers of trace <= trace_bound, by trace."""
     _require_real_fundamental(D)
-    out = [TotallyPositiveElement(D, 0, 0)] if include_zero else []
-    out.extend(TotallyPositiveElement(D, x, y) for x, y in _nonneg_points(D, trace_bound))
-    return out
+    return [TotallyPositiveElement(D, x, y) for x, y in _nonneg_points(D, trace_bound)]
 
 
 def product_coefficient(

@@ -7,8 +7,8 @@ Rational operations (+, -, *, /, integer powers) are exact while every
 endpoint numerator and denominator fits in ``precision + GUARD_BITS``
 bits; above that size cap each endpoint is rounded outward (``lo`` down,
 ``hi`` up) to that many significant bits, so endpoints stay small at
-every precision.  The transcendental constructors (pi, zeta(s), exp,
-log, sqrt) compute with integer fixed-point arithmetic (even zeta values
+every precision.  The transcendental constructors (pi, zeta(s) at even
+s, exp, log, sqrt) compute with integer fixed-point arithmetic (zeta
 through Euler's closed form), account for every truncation and division
 loss explicitly, and round outward, so the containment invariant
 
@@ -30,8 +30,7 @@ of distinct nodes and an unbounded memo would keep every one alive.
 ``evaluate_with_escalation`` retries an undecided comparison at doubled
 precision up to a ceiling.  Doubling the precision shrinks enclosure
 widths (summation lengths grow; tail bounds, rounding grids and the size
-cap tighten), except for odd zeta values whose partial sum has reached
-``ZETA_TERM_CAP``, so escalation can sharpen a decision; since every
+cap tighten), so escalation can sharpen every decision; since every
 enclosure contains the true value, it can never flip one.
 """
 
@@ -43,17 +42,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .exact import bernoulli
 
 RationalLike = Union[int, Fraction]
-
-# Partial-sum length cap for zeta enclosures at odd s; even s goes through
-# Euler's closed form and never sums.  At the cap the tail bound
-# N^(1-s)/(s-1) dominates the width and escalation cannot shrink it:
-# ~1e-13 for s = 3, ~2e-26 for s = 5, ~3e-39 for s = 7.
-ZETA_TERM_CAP = 2_000_000
 
 # Extra significant bits kept above the working precision when interval
 # arithmetic rounds an oversized endpoint outward.
@@ -221,35 +214,14 @@ def enclose_pi(precision: int) -> CertifiedReal:
 
 @lru_cache(maxsize=None)
 def enclose_zeta(s: int, precision: int) -> CertifiedReal:
-    """zeta(s) for integer s >= 2.
+    """zeta(s) for even s >= 2, the only values the verifier needs.
 
-    Even s uses Euler's formula zeta(s) = |B_s| (2 pi)^s / (2 s!) and
-    rounds outward onto the grid 2^-(precision + 8), for a width below
-    2^-(precision + 6).  Odd s takes a partial sum of N terms in fixed
-    point plus the integral tail bound sum_{n > N} n^(-s) <= N^(1-s)/(s-1);
-    N is chosen so the tail is below 2^(-precision) when that takes at
-    most ZETA_TERM_CAP terms.
+    Euler's formula zeta(s) = |B_s| (2 pi)^s / (2 s!), rounded outward
+    onto the grid 2^-(precision + 8), for a width below
+    2^-(precision + 6).
     """
-    if s < 2:
-        raise ValueError("s must be an integer >= 2")
-    if s % 2 == 0:
-        return _enclose_even_zeta(s, precision)
-    if precision >= 21 * (s - 1):
-        n_terms = ZETA_TERM_CAP
-    else:
-        n_terms = min(ZETA_TERM_CAP, max(2, math.ceil(2 ** (precision / (s - 1)))))
-    q = precision + n_terms.bit_length() + 8
-    scale = 1 << q
-    total = 0
-    for n in range(1, n_terms + 1):
-        total += scale // n**s
-    lo = Fraction(total, scale)
-    tail = Fraction(1, (s - 1) * n_terms ** (s - 1))
-    hi = Fraction(total + n_terms, scale) + tail
-    return CertifiedReal(lo, hi, precision)
-
-
-def _enclose_even_zeta(s: int, precision: int) -> CertifiedReal:
+    if s < 2 or s % 2:
+        raise ValueError("s must be an integer >= 2 and even")
     q = precision + 8
     # raising pi to the s-th power multiplies its relative width by about s
     pi_bits = q + s.bit_length() + 8
@@ -270,16 +242,13 @@ def gamma_integer(k: int) -> Fraction:
 
 
 def _enclose_increasing(
-    bounds: Callable[[Fraction, int], tuple[Fraction, Fraction]],
-    x: CertifiedReal,
-    precision: Optional[int],
+    bounds: Callable[[Fraction, int], tuple[Fraction, Fraction]], x: CertifiedReal
 ) -> CertifiedReal:
     # f increasing: f(x) lies between the lower bound of f(lo) and the
     # upper bound of f(hi)
-    p = precision if precision is not None else x.precision
-    lo, _ = bounds(x.lo, p)
-    _, hi = bounds(x.hi, p)
-    return CertifiedReal(lo, hi, min(p, x.precision))
+    lo, _ = bounds(x.lo, x.precision)
+    _, hi = bounds(x.hi, x.precision)
+    return CertifiedReal(lo, hi, x.precision)
 
 
 def _sqrt_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
@@ -295,8 +264,8 @@ def _sqrt_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     return Fraction(r, scale), Fraction(r + 1, scale)
 
 
-def enclose_sqrt(x: CertifiedReal, precision: Optional[int] = None) -> CertifiedReal:
-    return _enclose_increasing(_sqrt_fraction, x, precision)
+def enclose_sqrt(x: CertifiedReal) -> CertifiedReal:
+    return _enclose_increasing(_sqrt_fraction, x)
 
 
 def _exp_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
@@ -327,8 +296,8 @@ def _exp_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo_i, scale), Fraction(hi_i + 1, scale)
 
 
-def enclose_exp(x: CertifiedReal, precision: Optional[int] = None) -> CertifiedReal:
-    return _enclose_increasing(_exp_fraction, x, precision)
+def enclose_exp(x: CertifiedReal) -> CertifiedReal:
+    return _enclose_increasing(_exp_fraction, x)
 
 
 @lru_cache(maxsize=None)
@@ -377,8 +346,8 @@ def _log_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     return ylo + m * l2hi, yhi + m * l2lo
 
 
-def enclose_log(x: CertifiedReal, precision: Optional[int] = None) -> CertifiedReal:
-    return _enclose_increasing(_log_fraction, x, precision)
+def enclose_log(x: CertifiedReal) -> CertifiedReal:
+    return _enclose_increasing(_log_fraction, x)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +437,9 @@ class GammaInt(Expr):
 
 
 # Bound on the structural memo below.  In a cold `verify all` at the
-# defaults, 2324 of the 5773 interior-node enclosures repeat an earlier
-# (node, precision) pair.  Kept unbounded, the memo holds 3449 entries and
-# raises peak RSS from 22.6 to 24.9 MB; 256 entries keep 2205 of the 2324
+# defaults, 2342 of the 5815 interior-node enclosures repeat an earlier
+# (node, precision) pair.  Kept unbounded, the memo holds 3473 entries and
+# raises peak RSS from 22.6 to 24.9 MB; 256 entries keep 2223 of the 2342
 # hits for +0.2 MB, while 512 add 57 hits for +0.35 MB and 64 lose 113.
 _ENCLOSE_MEMO_SIZE = 256
 
@@ -537,7 +506,7 @@ class Sqrt(_Node):
     x: Expr
 
     def _enclose(self, precision: int) -> CertifiedReal:
-        return enclose_sqrt(self.x.enclose(precision), precision)
+        return enclose_sqrt(self.x.enclose(precision))
 
 
 @dataclass(frozen=True)
@@ -545,7 +514,7 @@ class Exp(_Node):
     x: Expr
 
     def _enclose(self, precision: int) -> CertifiedReal:
-        return enclose_exp(self.x.enclose(precision), precision)
+        return enclose_exp(self.x.enclose(precision))
 
 
 @dataclass(frozen=True)
@@ -553,7 +522,7 @@ class Log(_Node):
     x: Expr
 
     def _enclose(self, precision: int) -> CertifiedReal:
-        return enclose_log(self.x.enclose(precision), precision)
+        return enclose_log(self.x.enclose(precision))
 
 
 @dataclass(frozen=True)
@@ -580,9 +549,12 @@ RELATIONS = {
 @dataclass(frozen=True)
 class Decision:
     outcome: Outcome
-    precision_used: int
-    enclosure: Optional[CertifiedReal] = None
+    enclosure: CertifiedReal
     note: str = ""
+
+    @property
+    def precision_used(self) -> int:
+        return self.enclosure.precision
 
     @property
     def decided(self) -> bool:
@@ -617,7 +589,7 @@ def certified_compare(
             out = Outcome.CERTIFIED_FALSE
         else:
             out = Outcome.INCONCLUSIVE
-    return Decision(out, x.precision, x)
+    return Decision(out, x)
 
 
 def evaluate_with_escalation(
@@ -639,18 +611,16 @@ def evaluate_with_escalation(
     if base_precision < 8:
         raise ValueError("base precision unreasonably small")
     p = base_precision
-    last: Optional[Decision] = None
     while True:
         enc = expr.enclose(p)
         decision = certified_compare(enc, threshold, relation)
         if decision.decided:
             return decision
-        last = decision
         if p >= precision_ceiling:
             w = enc.width()
             note = (
                 f"undecided at ceiling {precision_ceiling}: enclosure width "
                 f"{float(w):.3e} still brackets the threshold"
             )
-            return Decision(Outcome.INCONCLUSIVE, p, enc, note)
+            return Decision(Outcome.INCONCLUSIVE, enc, note)
         p = min(2 * p, precision_ceiling)

@@ -76,14 +76,13 @@ class CheckRecord:
     decision: Decision
 
     def to_json(self) -> dict:
-        enc = self.decision.enclosure
         return {
             "name": self.name,
             "relation": self.relation,
             "threshold": fraction_str(self.threshold),
             "outcome": self.decision.outcome.value,
             "precision": self.decision.precision_used,
-            "enclosure": None if enc is None else certified_real_json(enc),
+            "enclosure": certified_real_json(self.decision.enclosure),
             "note": self.decision.note,
         }
 
@@ -231,14 +230,16 @@ def compare_to_golden(report: VerificationReport) -> list[str]:
         computed = [list(row) for row in table["rows"]]
         expected = [list(row) for row in baseline["rows"]]
         if computed != expected:
-            for row in computed:
-                if row not in expected:
-                    mismatches.append(f"{name}: computed row {row} not in golden table")
-            for row in expected:
-                if row not in computed:
-                    mismatches.append(f"{name}: golden row {row} not reproduced")
-            if not mismatches:
-                mismatches.append(f"{name}: row order differs from golden table")
+            rows = [
+                f"{name}: computed row {row} not in golden table"
+                for row in computed
+                if row not in expected
+            ] + [
+                f"{name}: golden row {row} not reproduced"
+                for row in expected
+                if row not in computed
+            ]
+            mismatches.extend(rows or [f"{name}: row order differs from golden table"])
     return mismatches
 
 

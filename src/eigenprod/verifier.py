@@ -78,9 +78,6 @@ SECTION_ORDER = (
     SECTION_DEGREE,
 )
 
-# the small fields that get individual chains in the unequal-weight branch
-CHAIN_DISCRIMINANTS = (8, 13, 17, 29, 37)
-
 _FLIP = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
 
 
@@ -195,7 +192,7 @@ class _Run:
         holds = RELATIONS[relation](v, t)
         outcome = Outcome.CERTIFIED_TRUE if holds else Outcome.CERTIFIED_FALSE
         decision = Decision(
-            outcome, 0, CertifiedReal(v, v, 0), "exact rational arithmetic"
+            outcome, CertifiedReal(v, v, 0), "exact rational arithmetic"
         )
         self.constants.append(CheckRecord(name, relation, t, decision))
         return decision
@@ -325,19 +322,17 @@ def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
 
 
 def verify_section3_unequal(
-    discriminants: Optional[Sequence[int]] = None,
     base_precision: int = DEFAULT_BASE_PRECISION,
     precision_ceiling: int = DEFAULT_PRECISION_CEILING,
 ) -> VerificationReport:
     """Products E_k1 E_k2 with k1 > k2.
 
     One chain disposes of every field with D >= 41 at once; each smaller
-    field gets its own chain terminating in the directly evaluated
-    constant C(D, 4, 2).  An exact residual sweep re-checks every pair up
-    to weight 20 independently of the enclosures.
+    narrow class number one field gets its own chain terminating in the
+    directly evaluated constant C(D, 4, 2).  An exact residual sweep
+    re-checks every pair up to weight 20 independently of the enclosures.
     """
-    if discriminants is None:
-        discriminants = CHAIN_DISCRIMINANTS
+    discriminants = [f.discriminant for f in narrow_one_fields(40)]
     run = _Run(SECTION_UNEQUAL, base_precision, precision_ceiling)
     K = _front_constant()
 
@@ -1231,9 +1226,7 @@ def verify_section5(
 # exhaustive exact scan
 
 
-def exact_identity_scan(
-    d_limit: int, k_limit: int, excluded_discriminants: Sequence[int] = ()
-) -> list[tuple[int, int, int]]:
+def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]]:
     """All (D, k1, k2) with a vanishing exact constant-term residual.
 
     Scans every narrow class number one field with discriminant at most
@@ -1248,12 +1241,9 @@ def exact_identity_scan(
         raise ValueError("the discriminant limit must be at least 5")
     if k_limit < 2:
         raise ValueError("the weight limit must be at least 2")
-    excluded = set(excluded_discriminants)
     survivors = []
     for f in narrow_one_fields(d_limit):
         D = f.discriminant
-        if D in excluded:
-            continue
         inert = f.two_splitting is Splitting.INERT
         for k1 in range(2, k_limit + 1, 2):
             for k2 in range(2, k1 + 1, 2):

@@ -40,7 +40,6 @@ from eigenprod import (
 from eigenprod.interval import (
     GUARD_BITS,
     RELATIONS,
-    ZETA_TERM_CAP,
     _enclose_memo,
     from_rational,
 )
@@ -223,7 +222,7 @@ def test_enclose_pi_contains_pi(precision):
     assert enc.width() < Fraction(1, 2 ** (precision - 8))
 
 
-@pytest.mark.parametrize("s", [2, 3, 4, 6, 8, 12, 16])
+@pytest.mark.parametrize("s", [2, 4, 6, 8, 12, 16])
 def test_enclose_zeta_contains_zeta(s):
     enc = enclose_zeta(s, 128)
     assert _contains(enc, mp.zeta(s))
@@ -245,17 +244,15 @@ def test_zeta2_sharpens_with_precision():
     assert enclose_zeta(2, 1024).width() < Fraction(1, 2**1000)
 
 
-def test_odd_zeta_keeps_partial_sum():
-    # at 128 bits the term cap is reached, so the integral tail bound of
-    # the partial sum sets the width
-    enc = enclose_zeta(3, 128)
-    assert enc.width() >= Fraction(1, 2 * ZETA_TERM_CAP**2)
-    assert _contains(enc, mp.zeta(3))
-
-
 def test_enclose_zeta_rejects_small_s():
     with pytest.raises(ValueError, match="s must be an integer >= 2"):
         enclose_zeta(1, 64)
+
+
+@pytest.mark.parametrize("s", [3, 5])
+def test_enclose_zeta_rejects_odd_s(s):
+    with pytest.raises(ValueError, match="even"):
+        enclose_zeta(s, 128)
 
 
 def test_enclosures_are_cached():
@@ -404,9 +401,9 @@ def test_certified_compare_rejects_unknown_relation():
 
 def test_decision_decided_property():
     x = CertifiedReal(Fraction(1), Fraction(2), 64)
-    assert Decision(Outcome.CERTIFIED_TRUE, 64, x).decided
-    assert Decision(Outcome.CERTIFIED_FALSE, 64, x).decided
-    assert not Decision(Outcome.INCONCLUSIVE, 64, x).decided
+    assert Decision(Outcome.CERTIFIED_TRUE, x).decided
+    assert Decision(Outcome.CERTIFIED_FALSE, x).decided
+    assert not Decision(Outcome.INCONCLUSIVE, x).decided
 
 
 # ---------------------------------------------------------------------------

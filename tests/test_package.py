@@ -1,10 +1,11 @@
-"""Package hygiene: the public export list, the module imports and the
-private helpers.
+"""Package hygiene: the public export list, the module imports, the
+function locals and the private helpers.
 
 Every name in ``eigenprod.__all__`` must resolve under a star import and
 appear once; every module-level import in a package module must be read
-somewhere in that module; every module-level private function or class
-must be read somewhere in the package outside its own definition.
+somewhere in that module; every name a function stores must be loaded in
+that function; every module-level private function or class must be read
+somewhere in the package outside its own definition.
 """
 
 import ast
@@ -43,6 +44,51 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unused_locals(source: str) -> list[str]:
+    # a name a function stores but never loads; `_` and names the
+    # function declares global or nonlocal are stored for their effect
+    unused = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        loaded = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+        declared = {
+            name
+            for n in ast.walk(func)
+            if isinstance(n, (ast.Global, ast.Nonlocal))
+            for name in n.names
+        }
+        unused += sorted(
+            {
+                f"{func.name}:{n.id}"
+                for n in names
+                if isinstance(n.ctx, ast.Store)
+                and n.id != "_"
+                and n.id not in loaded | declared
+            }
+        )
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_locals(path):
+    assert _unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_local_is_caught():
+    source = (
+        "def f(xs):\n"
+        "    global seen\n"
+        "    seen = xs\n"
+        "    last = None\n"
+        "    for x in xs:\n"
+        "        last, _ = x, 0\n"
+        "    return xs\n"
+    )
+    assert _unused_locals(source) == ["f:last"]
 
 
 def _unread_private_helpers(sources: dict[str, str]) -> list[str]:

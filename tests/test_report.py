@@ -33,7 +33,7 @@ from eigenprod.report import (
 
 
 def _decision(outcome: Outcome) -> Decision:
-    return Decision(outcome, 64, CertifiedReal(Fraction(1), Fraction(2), 64))
+    return Decision(outcome, CertifiedReal(Fraction(1), Fraction(2), 64))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,24 @@ def test_compare_to_golden_detects_mismatch():
 
     report.tables["table1"] = {"columns": ["wrong"], "rows": [[1]]}
     assert any("columns" in m for m in compare_to_golden(report))
+
+
+def test_compare_to_golden_reports_each_table():
+    # a mismatch in one table must not hide a row-order diff in the next
+    golden = golden_tables()
+    report = VerificationReport("s")
+    for name in ("table1", "table2"):
+        report.tables[name] = {
+            "columns": golden[name]["columns"],
+            "rows": [list(r) for r in golden[name]["rows"]],
+        }
+    report.tables["table1"]["rows"][0] = [2, 999]
+    report.tables["table2"]["rows"].reverse()
+    messages = compare_to_golden(report)
+    assert [m for m in messages if m.startswith("table2")] == [
+        "table2: row order differs from golden table"
+    ]
+    assert len([m for m in messages if m.startswith("table1")]) == 2
 
 
 def test_compare_to_golden_ignores_unbaselined_tables():

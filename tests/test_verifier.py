@@ -52,6 +52,7 @@ from eigenprod.report import (
     VERDICT_NO_IDENTITY,
     fraction_str,
 )
+from eigenprod import verifier
 from eigenprod.verifier import _takeuchi
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
@@ -167,7 +168,6 @@ def test_unequal_residual_never_vanishes():
 def test_exact_identity_scan_finds_the_unique_identity():
     assert exact_identity_scan(100, 12) == [(5, 2, 2)]
     assert exact_identity_scan(41, 8) == [(5, 2, 2)]
-    assert exact_identity_scan(100, 12, excluded_discriminants=(5,)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_reports_serialize_canonically(default_reports, section):
 # left out, so a deliberate change to the interval kernel does not move
 # these; a reordered, renamed, added or dropped certificate does.
 SKELETON_DIGESTS = {
-    "s3-unequal": (42, "5991c0d202ed8e1b30b888ed9bbf5b37b9f91c81a03065531b6724c5c476a944"),
+    "s3-unequal": (49, "4b3386a356cf6be480794dde78569e60e927419dc678fd31dce53f7acf06334e"),
     "s3-equal": (143, "60e65a84cd09466eca8854089481a8f4585ccb3dbae0783b51400fc6cdb52891"),
     "s4-inert": (869, "947caa0e41105e2ef096bde1f6a9d7abd362ac29a3ab738d141a4c54bf83b3a1"),
     "s4-noninert": (103, "cfccb6c4653a53190bc785aaaeee9ef7ccb6dbd704e1866dffec45728ab25579"),
@@ -233,35 +233,55 @@ def test_reproduced_tables_match_golden(default_reports):
         assert compare_to_golden(default_reports[section]) == [], section
 
 
+def test_doubling_precision_never_widens_an_enclosure(monkeypatch):
+    # every tree two sections probe, re-enclosed on a doubling ladder: the
+    # width must not grow, or escalation could fail to sharpen a decision
+    probe = verifier.evaluate_with_escalation
+    trees = set()
+
+    def capture(expr, *args):
+        trees.add(expr)
+        return probe(expr, *args)
+
+    monkeypatch.setattr(verifier, "evaluate_with_escalation", capture)
+    verify_section3_unequal()
+    verify_section5()
+    assert len(trees) > 300
+    for expr in trees:
+        widths = [expr.enclose(p).width() for p in (8, 16, 32, 64, 128)]
+        assert widths == sorted(widths, reverse=True), expr
+
+
 # ---------------------------------------------------------------------------
 # Unequal weights
 
 
 def test_unequal_report_structure(report_s3u):
-    assert len(report_s3u.constants) == 42
-    assert len(report_s3u.candidates) == 11
+    assert report_s3u.verdict == VERDICT_NO_IDENTITY
+    assert len(report_s3u.constants) == 49
+    assert all(
+        rec.decision.outcome is Outcome.CERTIFIED_TRUE for rec in report_s3u.constants
+    )
+    assert len(report_s3u.candidates) == 13
     assert report_s3u.tables == {}
     assert report_s3u.fixtures_used == []
     statuses = {c.status for c in report_s3u.candidates}
     assert statuses == {ELIMINATED_BY_BOUND}
     families = [c for c in report_s3u.candidates if c.k1 is None]
     concrete = [c for c in report_s3u.candidates if c.k1 is not None]
-    assert len(families) == 6 and len(concrete) == 5
+    assert len(families) == 7 and len(concrete) == 6
     assert {(c.d, c.k1, c.k2) for c in concrete} == {
-        (D, 4, 2) for D in (8, 13, 17, 29, 37)
+        (D, 4, 2) for D in (5, 8, 13, 17, 29, 37)
     }
-    assert any("225 pairs" in note for note in report_s3u.interpretations)
+    assert len([c for c in report_s3u.candidates if c.d == 5]) == 2
+    assert any("270 pairs" in note for note in report_s3u.interpretations)
 
 
-def test_unequal_accepts_appended_discriminant():
-    report = verify_section3_unequal(discriminants=(5, 8, 13, 17, 29, 37))
-    assert report.verdict == VERDICT_NO_IDENTITY
-    assert all(
-        rec.decision.outcome is Outcome.CERTIFIED_TRUE for rec in report.constants
-    )
-    d5 = [c for c in report.candidates if c.d == 5]
-    assert len(d5) == 2
-    assert all(c.status == ELIMINATED_BY_BOUND for c in d5)
+def test_unequal_chains_cover_every_small_field(report_s3u):
+    # the large-D chain starts at 41; every smaller narrow class number
+    # one field, Q(sqrt 5) included, needs a chain of its own
+    chained = {c.d for c in report_s3u.candidates if c.d is not None}
+    assert chained == {f.discriminant for f in narrow_one_fields(40)}
 
 
 def test_unequal_verdict_is_precision_independent(report_s3u):
