@@ -277,6 +277,18 @@ def test_unequal_report_structure(report_s3u):
     assert any("270 pairs" in note for note in report_s3u.interpretations)
 
 
+def test_unequal_accepts_appended_discriminant(report_s3u):
+    # Q(sqrt 5) now rides in the default chains; its two rows must be
+    # eliminated by bound like every other chain's
+    assert report_s3u.verdict == VERDICT_NO_IDENTITY
+    assert all(
+        rec.decision.outcome is Outcome.CERTIFIED_TRUE for rec in report_s3u.constants
+    )
+    d5 = [c for c in report_s3u.candidates if c.d == 5]
+    assert len(d5) == 2
+    assert all(c.status == ELIMINATED_BY_BOUND for c in d5)
+
+
 def test_unequal_chains_cover_every_small_field(report_s3u):
     # the large-D chain starts at 41; every smaller narrow class number
     # one field, Q(sqrt 5) included, needs a chain of its own
