@@ -116,10 +116,26 @@ class Fixtures:
 _DATA_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
+def _exact(value, what: str):
+    # int() would truncate a JSON float and Fraction() would read its binary
+    # value; a bool is an int to Python.  An exact fact is an int or a string.
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected {what}, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    return int(_exact(value, "an integer"))
+
+
+def _rational(value) -> Fraction:
+    return Fraction(_exact(value, "an integer or a string"))
+
+
 def takeuchi_constants(fixtures: Fixtures) -> tuple[Fraction, Fraction]:
     data = fixtures.get("takeuchi_disc_bound").data
     try:
-        return Fraction(data["a"]), Fraction(data["b"])
+        return _rational(data["a"]), _rational(data["b"])
     except _DATA_ERRORS as exc:
         raise MalformedFixtureError("takeuchi_disc_bound", str(exc)) from None
 
@@ -128,7 +144,7 @@ def voight_min_disc(fixtures: Fixtures, degree: int) -> int:
     data = fixtures.get("voight_min_totally_real_disc").data
     key = f"voight_min_totally_real_disc[{degree}]"
     try:
-        return int(data[str(degree)])
+        return _integer(data[str(degree)])
     except KeyError:
         raise MissingFixtureError(key) from None
     except (TypeError, ValueError) as exc:
@@ -139,7 +155,11 @@ def magma_weight_range(fixtures: Fixtures) -> tuple[int, int, int]:
     """(discriminant, weight_min, weight_max) of the computed dim > 1 range."""
     data = fixtures.get("magma_dim_d8").data
     try:
-        return int(data["discriminant"]), int(data["weight_min"]), int(data["weight_max"])
+        return (
+            _integer(data["discriminant"]),
+            _integer(data["weight_min"]),
+            _integer(data["weight_max"]),
+        )
     except _DATA_ERRORS as exc:
         raise MalformedFixtureError("magma_dim_d8", str(exc)) from None
 
@@ -148,6 +168,6 @@ def ishikawa_zero_dim_fields(fixtures: Fixtures) -> frozenset[int]:
     data = fixtures.get("ishikawa_weight2_dim").data
     try:
         dims = data["dim_s2"]
-        return frozenset(int(d) for d, dim in dims.items() if int(dim) == 0)
+        return frozenset(_integer(d) for d, dim in dims.items() if _integer(dim) == 0)
     except _DATA_ERRORS as exc:
         raise MalformedFixtureError("ishikawa_weight2_dim", str(exc)) from None

@@ -1,31 +1,36 @@
 """Certified interval arithmetic over exact rational endpoints.
 
 The decision layer never trusts a floating-point value: every real
-quantity is represented by a ``CertifiedReal``, an interval with
-``Fraction`` endpoints that provably contains the mathematical value.
-Rational operations (+, -, *, /, integer powers) are exact while every
-endpoint numerator and denominator fits in ``precision + GUARD_BITS``
-bits; above that size cap each endpoint is rounded outward (``lo`` down,
-``hi`` up) to that many significant bits, so endpoints stay small at
-every precision.  The transcendental constructors (pi, zeta(s) at even
-s, exp, log, sqrt) compute with integer fixed-point arithmetic (zeta
-through Euler's closed form), account for every truncation and division
-loss explicitly, and round outward, so the containment invariant
+quantity is represented by a ``CertifiedReal``, an interval that provably
+contains the mathematical value.  Each endpoint is kept as a reduced
+integer pair (numerator, denominator > 0), in the style of Arb's ``arf``
+numbers, and the kernel works on those integers alone; ``lo`` and ``hi``
+read an endpoint back as a ``Fraction``.  Rational operations (+, -, *,
+/, integer powers) are exact while every endpoint numerator and
+denominator fits in ``precision + GUARD_BITS`` bits; above that size cap
+each endpoint is rounded outward (``lo`` down, ``hi`` up) to a dyadic with
+that many significant bits, so endpoints stay small at every precision.
+The transcendental constructors (pi, zeta(s) at even s, exp, log, sqrt)
+compute with integer fixed-point arithmetic (zeta through Euler's closed
+form), account for every truncation and division loss explicitly, and
+round outward, so the containment invariant
 
     lo <= true value <= hi
 
 holds unconditionally.  Comparisons against rational thresholds are
-three-valued (``CertifiedTrue`` / ``CertifiedFalse`` / ``Inconclusive``)
-and a comparison is only ever decided when the whole interval lies on
-one side of the threshold.
+three-valued (``CertifiedTrue`` / ``CertifiedFalse`` / ``Inconclusive``),
+decided by cross-multiplying against the threshold, and a comparison is
+only ever decided when the whole interval lies on one side of it.
 
 Interior expression nodes (``Add`` ... ``Abs``) are enclosed through one
 bounded memo keyed by ``(node, precision)``.  Nodes are frozen
 dataclasses, so the key is the tree's structure: the same subexpression
 built twice, such as 4 pi^2 in every unequal-weight chain, is enclosed
-once per precision.  An enclosure is a function of that key alone, so the
-memo cannot change a result.  It is bounded because a run builds thousands
-of distinct nodes and an unbounded memo would keep every one alive.
+once per precision.  Each node computes its structural hash once and
+keeps it, so a lookup does not rehash the subtree below it.  An enclosure
+is a function of the key alone, so the memo cannot change a result.  It
+is bounded because a run builds thousands of distinct nodes and an
+unbounded memo would keep every one alive.
 
 ``evaluate_with_escalation`` retries an undecided comparison at doubled
 precision up to a ceiling.  Doubling the precision shrinks enclosure
@@ -48,6 +53,10 @@ from .exact import bernoulli
 
 RationalLike = Union[int, Fraction]
 
+# A rational inside the kernel: (numerator, denominator) with the
+# denominator positive and the two coprime, so equal values have equal pairs.
+Pair = tuple[int, int]
+
 # Extra significant bits kept above the working precision when interval
 # arithmetic rounds an oversized endpoint outward.
 GUARD_BITS = 32
@@ -59,67 +68,146 @@ class Outcome(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+def _pair(x: RationalLike) -> Pair:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _lt(a: Pair, b: Pair) -> bool:
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _reduced(num: int, den: int) -> Pair:
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
+def _dyadic(num: int, q: int) -> Pair:
+    """num / 2^q as a reduced pair: only trailing zeros can cancel."""
+    if num == 0:
+        return 0, 1
+    z = min((num & -num).bit_length() - 1, q)
+    return num >> z, 1 << (q - z)
+
+
+def _add(a: Pair, b: Pair) -> Pair:
+    # Knuth 4.5.1, as in Fraction: reduce through the gcd of the denominators
+    (an, ad), (bn, bd) = a, b
+    g = math.gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
+
+
+def _mul(a: Pair, b: Pair) -> Pair:
+    # the two cross gcds leave the product reduced
+    (an, ad), (bn, bd) = a, b
+    g1 = math.gcd(an, bd)
+    if g1 > 1:
+        an //= g1
+        bd //= g1
+    g2 = math.gcd(bn, ad)
+    if g2 > 1:
+        bn //= g2
+        ad //= g2
+    return an * bn, ad * bd
+
+
 class CertifiedReal:
     """Interval [lo, hi] guaranteed to contain the represented value.
 
-    ``precision`` records the working precision (in bits) the enclosure
-    was built at; it is bookkeeping for reports, soundness comes from the
-    endpoints alone.
+    Each endpoint is kept as a reduced integer pair; ``lo`` and ``hi``
+    read it back as a ``Fraction``.  ``precision`` records the working
+    precision (in bits) the enclosure was built at; it is bookkeeping for
+    reports, soundness comes from the endpoints alone.
     """
 
-    lo: Fraction
-    hi: Fraction
-    precision: int
+    __slots__ = ("_lo", "_hi", "_precision")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: RationalLike, hi: RationalLike, precision: int):
+        lo, hi = _pair(lo), _pair(hi)
+        if _lt(hi, lo):
             raise ValueError("empty interval")
+        self._lo, self._hi, self._precision = lo, hi, precision
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*self._lo)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*self._hi)
+
+    @property
+    def precision(self) -> int:
+        return self._precision
 
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     def contains(self, x: RationalLike) -> bool:
-        return self.lo <= x <= self.hi
+        x = _pair(x)
+        return not _lt(x, self._lo) and not _lt(self._hi, x)
 
     def subset_of(self, lo: RationalLike, hi: RationalLike) -> bool:
-        return lo <= self.lo and self.hi <= hi
+        return not _lt(self._lo, _pair(lo)) and not _lt(_pair(hi), self._hi)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CertifiedReal:
+            return NotImplemented
+        return (self._lo, self._hi, self._precision) == (other._lo, other._hi, other._precision)
+
+    def __hash__(self) -> int:
+        return hash((self._lo, self._hi, self._precision))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CertifiedReal({float(self.lo):.12g}, {float(self.hi):.12g}, p={self.precision})"
 
     # -- rational operations, rounded outward above the size cap ---------
 
-    def _prec_with(self, other: "CertifiedReal") -> int:
-        return min(self.precision, other.precision)
-
     def __add__(self, other: "CertifiedReal") -> "CertifiedReal":
-        return _capped(self.lo + other.lo, self.hi + other.hi, self._prec_with(other))
+        precision = min(self._precision, other._precision)
+        return _capped(_add(self._lo, other._lo), _add(self._hi, other._hi), precision)
 
     def __sub__(self, other: "CertifiedReal") -> "CertifiedReal":
-        return _capped(self.lo - other.hi, self.hi - other.lo, self._prec_with(other))
+        (ln, ld), (hn, hd) = other._lo, other._hi
+        precision = min(self._precision, other._precision)
+        return _capped(_add(self._lo, (-hn, hd)), _add(self._hi, (-ln, ld)), precision)
 
     def __neg__(self) -> "CertifiedReal":
-        return CertifiedReal(-self.hi, -self.lo, self.precision)
+        (ln, ld), (hn, hd) = self._lo, self._hi
+        return _interval((-hn, hd), (-ln, ld), self._precision)
 
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
-        if self.lo >= 0 and other.lo >= 0:
+        precision = min(self._precision, other._precision)
+        if self._lo[0] >= 0 and other._lo[0] >= 0:
             # the common case: both factors nonnegative
-            return _capped(self.lo * other.lo, self.hi * other.hi, self._prec_with(other))
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return _capped(min(products), max(products), self._prec_with(other))
+            return _capped(_mul(self._lo, other._lo), _mul(self._hi, other._hi), precision)
+        products = [_mul(a, b) for a in (self._lo, self._hi) for b in (other._lo, other._hi)]
+        lo = hi = products[0]
+        for p in products[1:]:
+            if _lt(p, lo):
+                lo = p
+            if _lt(hi, p):
+                hi = p
+        return _capped(lo, hi, precision)
 
     def reciprocal(self) -> "CertifiedReal":
-        if self.lo <= 0 <= self.hi:
+        (ln, ld), (hn, hd) = self._lo, self._hi
+        if ln <= 0 <= hn:
             raise ZeroDivisionError("interval straddles zero")
-        return _capped(1 / self.hi, 1 / self.lo, self.precision)
+        if hn < 0:
+            # denominators stay positive: the sign moves to the numerator
+            return _capped((-hd, -hn), (-ld, -ln), self._precision)
+        return _capped((hd, hn), (ld, ln), self._precision)
 
     def __truediv__(self, other: "CertifiedReal") -> "CertifiedReal":
         return self * other.reciprocal()
@@ -127,52 +215,63 @@ class CertifiedReal:
     def pow_int(self, n: int) -> "CertifiedReal":
         if n < 0:
             return self.pow_int(-n).reciprocal()
+        precision = self._precision
         if n == 0:
-            return CertifiedReal(Fraction(1), Fraction(1), self.precision)
-        if self.lo >= 0 or n % 2 == 1:
+            return _interval((1, 1), (1, 1), precision)
+        (ln, ld), (hn, hd) = self._lo, self._hi
+        # coprime numerator and denominator stay coprime under a power
+        lo, hi = (ln**n, ld**n), (hn**n, hd**n)
+        if ln >= 0 or n % 2 == 1:
             # x^n is nondecreasing on the interval
-            return _capped(self.lo**n, self.hi**n, self.precision)
-        if self.hi <= 0:
-            return _capped(self.hi**n, self.lo**n, self.precision)
+            return _capped(lo, hi, precision)
+        if hn <= 0:
+            return _capped(hi, lo, precision)
         # even power of an interval straddling zero
-        return _capped(Fraction(0), max(self.lo**n, self.hi**n), self.precision)
+        return _capped((0, 1), hi if _lt(lo, hi) else lo, precision)
 
     def abs(self) -> "CertifiedReal":
-        if self.lo >= 0:
+        (ln, ld), hi = self._lo, self._hi
+        if ln >= 0:
             return self
-        if self.hi <= 0:
+        if hi[0] <= 0:
             return -self
-        return CertifiedReal(Fraction(0), max(-self.lo, self.hi), self.precision)
+        neg_lo = (-ln, ld)
+        return _interval((0, 1), hi if _lt(neg_lo, hi) else neg_lo, self._precision)
 
 
-def _round_outward(x: Fraction, bits: int, up: bool) -> Fraction:
-    """x itself if its numerator and denominator fit in ``bits`` bits, else
-    x rounded down (or up) to a dyadic with at most ``bits + 1``
+def _interval(lo: Pair, hi: Pair, precision: int) -> CertifiedReal:
+    # kernel results hold lo <= hi by construction: no emptiness test
+    x = object.__new__(CertifiedReal)
+    x._lo, x._hi, x._precision = lo, hi, precision
+    return x
+
+
+def _floor_dyadic(num: int, den: int, bits: int) -> Pair:
+    """num/den rounded down to a dyadic with at most ``bits + 1``
     significant bits."""
-    num, den = x.numerator, x.denominator
-    if num.bit_length() <= bits and den.bit_length() <= bits:
-        return x
-    if up:
-        num = -num
-    # |x| lies in [2^(e-1), 2^(e+1)) for e = len(num) - len(den)
+    # |num/den| lies in [2^(e-1), 2^(e+1)) for e = len(num) - len(den)
     shift = bits - num.bit_length() + den.bit_length()
-    if shift >= 0:
-        rounded = Fraction((num << shift) // den, 1 << shift)
-    else:
-        rounded = Fraction((num // (den << -shift)) << -shift)
-    return -rounded if up else rounded
+    if shift < 0:
+        return (num // (den << -shift)) << -shift, 1
+    return _dyadic((num << shift) // den, shift)
 
 
-def _capped(lo: Fraction, hi: Fraction, precision: int) -> CertifiedReal:
+def _capped(lo: Pair, hi: Pair, precision: int) -> CertifiedReal:
+    """[lo, hi], with an endpoint whose numerator or denominator exceeds
+    ``precision + GUARD_BITS`` bits rounded outward: lo down, hi up."""
     bits = precision + GUARD_BITS
-    return CertifiedReal(
-        _round_outward(lo, bits, up=False), _round_outward(hi, bits, up=True), precision
-    )
+    (ln, ld), (hn, hd) = lo, hi
+    if ln.bit_length() > bits or ld.bit_length() > bits:
+        lo = _floor_dyadic(ln, ld, bits)
+    if hn.bit_length() > bits or hd.bit_length() > bits:
+        hn, hd = _floor_dyadic(-hn, hd, bits)
+        hi = (-hn, hd)
+    return _interval(lo, hi, precision)
 
 
 def from_rational(x: RationalLike, precision: int) -> CertifiedReal:
-    x = Fraction(x)
-    return CertifiedReal(x, x, precision)
+    x = _pair(x)
+    return _interval(x, x, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +307,7 @@ def enclose_pi(precision: int) -> CertifiedReal:
     a239, e239 = _atan_recip_scaled(239, q)
     center = 16 * a5 - 4 * a239
     err = 16 * e5 + 4 * e239
-    scale = 1 << q
-    return CertifiedReal(Fraction(center - err, scale), Fraction(center + err, scale), precision)
+    return _interval(_dyadic(center - err, q), _dyadic(center + err, q), precision)
 
 
 @lru_cache(maxsize=None)
@@ -225,66 +323,67 @@ def enclose_zeta(s: int, precision: int) -> CertifiedReal:
     q = precision + 8
     # raising pi to the s-th power multiplies its relative width by about s
     pi_bits = q + s.bit_length() + 8
-    coeff = abs(bernoulli(s)) / (2 * math.factorial(s))
+    b = bernoulli(s)
+    coeff = _reduced(abs(b.numerator), 2 * math.factorial(s) * b.denominator)
     value = (from_rational(2, pi_bits) * enclose_pi(pi_bits)).pow_int(s)
-    value = value * from_rational(coeff, pi_bits)
-    scale = 1 << q
-    lo = Fraction((value.lo.numerator * scale) // value.lo.denominator, scale)
-    hi = Fraction(-((-value.hi.numerator * scale) // value.hi.denominator), scale)
-    return CertifiedReal(lo, hi, precision)
+    value = value * _interval(coeff, coeff, pi_bits)
+    (ln, ld), (hn, hd) = value._lo, value._hi
+    return _interval(_dyadic((ln << q) // ld, q), _dyadic(-((-hn << q) // hd), q), precision)
 
 
-def gamma_integer(k: int) -> Fraction:
+def gamma_integer(k: int) -> int:
     """Gamma(k) = (k-1)! exactly, for integer k >= 1."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return Fraction(math.factorial(k - 1))
+    return math.factorial(k - 1)
 
 
 def _enclose_increasing(
-    bounds: Callable[[Fraction, int], tuple[Fraction, Fraction]], x: CertifiedReal
+    bounds: Callable[[Pair, int], tuple[Pair, Pair]], x: CertifiedReal
 ) -> CertifiedReal:
     # f increasing: f(x) lies between the lower bound of f(lo) and the
     # upper bound of f(hi)
-    lo, _ = bounds(x.lo, x.precision)
-    _, hi = bounds(x.hi, x.precision)
-    return CertifiedReal(lo, hi, x.precision)
+    lo, _ = bounds(x._lo, x._precision)
+    _, hi = bounds(x._hi, x._precision)
+    return _interval(lo, hi, x._precision)
 
 
-def _sqrt_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    if x < 0:
+def _sqrt_bounds(x: Pair, precision: int) -> tuple[Pair, Pair]:
+    num, den = x
+    if num < 0:
         raise ValueError("square root of a negative value")
-    if x == 0:
-        return Fraction(0), Fraction(0)
+    if num == 0:
+        return (0, 1), (0, 1)
     q = precision + 32
     # isqrt(num * den * 4^q) / (den * 2^q) <= sqrt(num/den) < (isqrt + 1)/...
-    num, den = x.numerator, x.denominator
     r = math.isqrt(num * den << (2 * q))
     scale = den << q
-    return Fraction(r, scale), Fraction(r + 1, scale)
+    return _reduced(r, scale), _reduced(r + 1, scale)
 
 
 def enclose_sqrt(x: CertifiedReal) -> CertifiedReal:
-    return _enclose_increasing(_sqrt_fraction, x)
+    return _enclose_increasing(_sqrt_bounds, x)
 
 
-def _exp_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
+def _exp_bounds(x: Pair, precision: int) -> tuple[Pair, Pair]:
     # exp(x) via argument halving + Taylor: r = x / 2^k with |r| <= 1/2,
     # exp(x) = exp(r)^(2^k).  Negative x goes through 1/exp(-x).
-    if x < 0:
-        lo, hi = _exp_fraction(-x, precision)
-        return 1 / hi, 1 / lo
-    k = max(0, x.numerator.bit_length() - x.denominator.bit_length() + 2) if x else 0
+    num, den = x
+    if num < 0:
+        (ln, ld), (hn, hd) = _exp_bounds((-num, den), precision)
+        return (hd, hn), (ld, ln)
+    k = max(0, num.bit_length() - den.bit_length() + 2) if num else 0
     q = precision + 48 + k
     scale = 1 << q
-    r = x / (1 << k)
+    # r = num / (den 2^k), left unreduced: only the floors below read it
+    r_den = den << k
     # Taylor terms t_j = r^j / j! as scaled integers, floor per step
     term = scale
     total = scale
     j = 0
     while term > 0:
         j += 1
-        term = term * r.numerator // (r.denominator * j)
+        term = term * num // (r_den * j)
         total += term
     # each of j steps lost < 1 unit; tail < 2 * (first zero term bound)
     # <= 2 * (j + 1) units since the true term was below (loss + 1) units
@@ -293,28 +392,27 @@ def _exp_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     for _ in range(k):
         lo_i = (lo_i * lo_i) >> q
         hi_i = ((hi_i * hi_i) >> q) + 1
-    return Fraction(lo_i, scale), Fraction(hi_i + 1, scale)
+    return _dyadic(lo_i, q), _dyadic(hi_i + 1, q)
 
 
 def enclose_exp(x: CertifiedReal) -> CertifiedReal:
-    return _enclose_increasing(_exp_fraction, x)
+    return _enclose_increasing(_exp_bounds, x)
 
 
 @lru_cache(maxsize=None)
-def _log2_enclosure(precision: int) -> tuple[Fraction, Fraction]:
-    return _atanh_based_log(Fraction(2), precision)
+def _log2_enclosure(precision: int) -> tuple[Pair, Pair]:
+    return _atanh_based_log((2, 1), precision)
 
 
-def _atanh_based_log(y: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    # for y in [1, 2]: log y = 2 atanh(u), u = (y-1)/(y+1) in [0, 1/3]
-    u = (y - 1) / (y + 1)
-    if u == 0:
-        return Fraction(0), Fraction(0)
+def _atanh_based_log(y: Pair, precision: int) -> tuple[Pair, Pair]:
+    # for y in [1, 2]: log y = 2 atanh(u), u = (y-1)/(y+1) in [0, 1/3],
+    # left unreduced: only the floors below read it
+    num, den = y[0] - y[1], y[0] + y[1]
+    if num == 0:
+        return (0, 1), (0, 1)
     q = precision + 48
-    scale = 1 << q
-    num, den = u.numerator, u.denominator
     num2, den2 = num * num, den * den
-    term = scale * num // den
+    term = (num << q) // den
     total = 0
     j = 0
     while term > 0:
@@ -323,31 +421,30 @@ def _atanh_based_log(y: Fraction, precision: int) -> tuple[Fraction, Fraction]:
         j += 1
     # u^(2j+1) tail: sum < u^(2J+3)/((2J+3)(1 - u^2)) < 2 units at stop;
     # floor losses < 2j units
-    lo = Fraction(2 * total, scale)
-    hi = Fraction(2 * (total + 2 * j + 4), scale)
-    return lo, hi
+    return _dyadic(2 * total, q), _dyadic(2 * (total + 2 * j + 4), q)
 
 
-def _log_fraction(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    if x <= 0:
+def _log_bounds(x: Pair, precision: int) -> tuple[Pair, Pair]:
+    num, den = x
+    if num <= 0:
         raise ValueError("logarithm of a nonpositive value")
-    # normalize x = 2^m * y with y in [1, 2)
-    m = x.numerator.bit_length() - x.denominator.bit_length()
-    y = x / Fraction(2) ** m
-    if y < 1:
+    # normalize x = 2^m * y with y in [1, 2), y left unreduced
+    m = num.bit_length() - den.bit_length()
+    y = (num, den << m) if m >= 0 else (num << -m, den)
+    if y[0] < y[1]:
         m -= 1
-        y = 2 * y
+        y = (2 * y[0], y[1])
     ylo, yhi = _atanh_based_log(y, precision)
     if m == 0:
         return ylo, yhi
     l2lo, l2hi = _log2_enclosure(precision)
-    if m > 0:
-        return ylo + m * l2lo, yhi + m * l2hi
-    return ylo + m * l2hi, yhi + m * l2lo
+    if m < 0:
+        l2lo, l2hi = l2hi, l2lo
+    return _add(ylo, _mul((m, 1), l2lo)), _add(yhi, _mul((m, 1), l2hi))
 
 
 def enclose_log(x: CertifiedReal) -> CertifiedReal:
-    return _enclose_increasing(_log_fraction, x)
+    return _enclose_increasing(_log_bounds, x)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +453,9 @@ def enclose_log(x: CertifiedReal) -> CertifiedReal:
 
 class Expr:
     """Closed real expression; ``enclose(precision)`` yields a CertifiedReal."""
+
+    # a node's kept structural hash (see _hashed_once); unset until first use
+    __slots__ = ("_hash",)
 
     def enclose(self, precision: int) -> CertifiedReal:
         raise NotImplementedError
@@ -392,6 +492,29 @@ class Expr:
         return Sub(Rat(0), self)
 
 
+def _hashed_once(cls):
+    """Make ``cls`` a frozen, slotted dataclass whose structural hash is kept.
+
+    A node never changes, so its hash is computed once, from its
+    children's kept hashes, and stored in the ``_hash`` slot; the
+    enclosure memo hashes every node it is asked about, which would
+    otherwise walk the whole subtree each time.  Slots keep a node smaller
+    than an instance dict would.  Equality stays structural.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    structural_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = structural_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -400,7 +523,7 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot use {type(x).__name__} in an expression")
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Rat(Expr):
     value: Fraction
 
@@ -408,10 +531,10 @@ class Rat(Expr):
         object.__setattr__(self, "value", Fraction(value))
 
     def enclose(self, precision: int) -> CertifiedReal:
-        return CertifiedReal(self.value, self.value, precision)
+        return from_rational(self.value, precision)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Pi(Expr):
     def enclose(self, precision: int) -> CertifiedReal:
         return enclose_pi(precision)
@@ -420,7 +543,7 @@ class Pi(Expr):
 PI = Pi()
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Zeta(Expr):
     s: int
 
@@ -428,7 +551,7 @@ class Zeta(Expr):
         return enclose_zeta(self.s, precision)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class GammaInt(Expr):
     k: int
 
@@ -452,11 +575,13 @@ def _enclose_memo(node: "_Node", precision: int) -> CertifiedReal:
 class _Node(Expr):
     """Interior node; subclasses define ``_enclose``, which the memo calls."""
 
+    __slots__ = ()
+
     def enclose(self, precision: int) -> CertifiedReal:
         return _enclose_memo(self, precision)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Add(_Node):
     a: Expr
     b: Expr
@@ -465,7 +590,7 @@ class Add(_Node):
         return self.a.enclose(precision) + self.b.enclose(precision)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Sub(_Node):
     a: Expr
     b: Expr
@@ -474,7 +599,7 @@ class Sub(_Node):
         return self.a.enclose(precision) - self.b.enclose(precision)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Mul(_Node):
     a: Expr
     b: Expr
@@ -483,7 +608,7 @@ class Mul(_Node):
         return self.a.enclose(precision) * self.b.enclose(precision)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Div(_Node):
     a: Expr
     b: Expr
@@ -492,7 +617,7 @@ class Div(_Node):
         return self.a.enclose(precision) / self.b.enclose(precision)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Pow(_Node):
     base: Expr
     exponent: int
@@ -501,7 +626,7 @@ class Pow(_Node):
         return self.base.enclose(precision).pow_int(self.exponent)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Sqrt(_Node):
     x: Expr
 
@@ -509,7 +634,7 @@ class Sqrt(_Node):
         return enclose_sqrt(self.x.enclose(precision))
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Exp(_Node):
     x: Expr
 
@@ -517,7 +642,7 @@ class Exp(_Node):
         return enclose_exp(self.x.enclose(precision))
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Log(_Node):
     x: Expr
 
@@ -525,7 +650,7 @@ class Log(_Node):
         return enclose_log(self.x.enclose(precision))
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Abs(_Node):
     x: Expr
 
@@ -574,18 +699,21 @@ def certified_compare(
     '=' is never certified true, not even from a zero-width interval: it
     is CertifiedFalse exactly when the threshold lies outside the interval.
     """
-    t = Fraction(threshold)
+    tn, td = _pair(threshold)
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
+    # the sign of (endpoint - threshold): every denominator is positive
+    (ln, ld), (hn, hd) = x._lo, x._hi
+    lo_side, hi_side = ln * td - tn * ld, hn * td - tn * hd
     if relation == "=":
-        inside = x.lo <= t <= x.hi
+        inside = lo_side <= 0 <= hi_side
         out = Outcome.INCONCLUSIVE if inside else Outcome.CERTIFIED_FALSE
     else:
         holds = RELATIONS[relation]
-        worst, best = (x.lo, x.hi) if relation in (">", ">=") else (x.hi, x.lo)
-        if holds(worst, t):
+        worst, best = (lo_side, hi_side) if relation in (">", ">=") else (hi_side, lo_side)
+        if holds(worst, 0):
             out = Outcome.CERTIFIED_TRUE
-        elif not holds(best, t):
+        elif not holds(best, 0):
             out = Outcome.CERTIFIED_FALSE
         else:
             out = Outcome.INCONCLUSIVE

@@ -37,12 +37,13 @@ def format_decimal(value, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor
     infinity, so a (floor, ceil) pair printed for an interval still
     brackets it.
     """
-    fr = Fraction(value)
-    scaled = fr * 10**digits
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    scaled, den = value.numerator * 10**digits, value.denominator
     if rounding == "floor":
-        units = scaled.numerator // scaled.denominator
+        units = scaled // den
     elif rounding == "ceil":
-        units = -((-scaled.numerator) // scaled.denominator)
+        units = -((-scaled) // den)
     else:
         raise ValueError(f"unknown rounding {rounding!r}")
     sign = "-" if units < 0 else ""

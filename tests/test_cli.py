@@ -91,6 +91,20 @@ def test_demo_sqrt5_command(capsys):
     assert out.endswith("all coefficients verified: E4 = 60*E2^2\n")
 
 
+@pytest.mark.parametrize("bound", [0, 1])
+def test_demo_sqrt5_below_trace_2_claims_only_the_constant_term(capsys, bound):
+    # no totally positive element has trace 0 or 1, so no coefficient is
+    # compared and the identity is not verified beyond its constant term
+    assert main(["demo-sqrt5", str(bound)]) == 0
+    out = capsys.readouterr().out
+    assert f"coefficients compared up to trace {bound}: 0" in out
+    assert "verified" not in out
+    assert out.endswith(
+        "only the constant term was checked: no totally positive element "
+        "of Q(sqrt 5) has trace below 2\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Argument validation
 
@@ -226,6 +240,16 @@ def test_verify_missing_fixture_exit(tmp_path, capsys):
         ("s5", "takeuchi_disc_bound", {"a": "abc", "b": "83185/10000"}),
         ("s4-noninert", "magma_dim_d8", {}),
         ("s5", "voight_min_totally_real_disc", {"3": "abc", "4": "abc", "5": "abc"}),
+        # JSON floats and bools are not read as the integers they truncate to
+        ("s4-noninert", "ishikawa_weight2_dim", {"dim_s2": {"8": 0.4, "13": 0}}),
+        (
+            "s4-noninert",
+            "magma_dim_d8",
+            {"discriminant": 8, "weight_min": 6.9, "weight_max": 18, "dim_exceeds": 1},
+        ),
+        ("s5", "voight_min_totally_real_disc", {"3": 49.9, "4": 725, "5": 14641}),
+        ("s5", "voight_min_totally_real_disc", {"3": True, "4": 725, "5": 14641}),
+        ("s5", "takeuchi_disc_bound", {"a": 29.099, "b": "83185/10000"}),
     ],
 )
 def test_verify_malformed_fixture_data_exit(tmp_path, capsys, section, key, data):

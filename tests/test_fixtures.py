@@ -110,6 +110,18 @@ def test_accessor_rejects_mangled_data():
         takeuchi_constants(Fixtures.from_document(doc))
 
 
+def test_integer_strings_are_accepted():
+    doc = {
+        "facts": {
+            "voight_min_totally_real_disc": {"data": {"3": "49"}},
+            "takeuchi_disc_bound": {"data": {"a": 29, "b": "83185/10000"}},
+        }
+    }
+    fx = Fixtures.from_document(doc)
+    assert voight_min_disc(fx, 3) == 49
+    assert takeuchi_constants(fx) == (29, Fraction(83185, 10000))
+
+
 def test_grh_fact_is_flagged_conditional():
     fact = Fixtures.load().get("grh_eigenform_product_criterion")
     assert fact.conditional_on

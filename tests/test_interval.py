@@ -150,6 +150,34 @@ def _package_op(op, X, Y, n):
     return X.pow_int(n)
 
 
+# The Fraction kernel that the integer-pair kernel replaced, kept as the
+# bit-for-bit reference for its size-capped outward rounding.
+
+
+def _reference_round(x: Fraction, bits: int, up: bool) -> Fraction:
+    num, den = x.numerator, x.denominator
+    if num.bit_length() <= bits and den.bit_length() <= bits:
+        return x
+    if up:
+        num = -num
+    shift = bits - num.bit_length() + den.bit_length()
+    if shift >= 0:
+        rounded = Fraction((num << shift) // den, 1 << shift)
+    else:
+        rounded = Fraction((num // (den << -shift)) << -shift)
+    return -rounded if up else rounded
+
+
+def _reference_op(op, x, y, n, precision):
+    # a negative power is the reciprocal of the positive one, each rounded
+    if op == "pow_int" and n < 0:
+        x = _reference_op(op, x, y, -n, precision)
+        op = "reciprocal"
+    lo, hi = _exact_op(op, x, y, n)
+    bits = precision + GUARD_BITS
+    return _reference_round(lo, bits, up=False), _reference_round(hi, bits, up=True)
+
+
 def _fits(v: Fraction, bits: int) -> bool:
     return v.numerator.bit_length() <= bits and v.denominator.bit_length() <= bits
 
@@ -184,6 +212,11 @@ def test_rounded_operations(op, x, y, n, precision):
         assert den & (den - 1) == 0
         assert num.bit_length() - (num & -num).bit_length() + 1 <= bits + 1
         assert min(num.bit_length(), den.bit_length()) <= bits + 2
+    # bit for bit the reference rounding; == compares the kernel's integer
+    # pairs, so it also fails on an endpoint left unreduced
+    reference = _reference_op(op, x, y, n, precision)
+    assert (out.lo, out.hi) == reference
+    assert out == CertifiedReal(*reference, precision)
 
 
 def test_reciprocal_through_zero_rejected():

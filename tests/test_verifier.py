@@ -228,6 +228,25 @@ def test_proof_skeleton_order_is_pinned(default_reports, section):
     assert (len(constants), digest) == SKELETON_DIGESTS[section]
 
 
+# sha256 of the whole canonical report, enclosure digits included.  The
+# interval kernel's rounding decides those digits, so a kernel change that
+# keeps these digests is byte-identical; a deliberate change to the digits
+# updates them and says so.
+REPORT_DIGESTS = {
+    "s3-unequal": "bdb460dbd0963d4fe1438fb2889ff6fc7ddc11e01677a808ef237dbb9febcd3c",
+    "s3-equal": "0ee5f892c3af8e40af8264d8f12b5810bff7dae8568afc63806eb82ecfc30dad",
+    "s4-inert": "4c9760b7e6e2be73ade997c7ec4b414e1efea833b51fb74770f464c4fcf9319d",
+    "s4-noninert": "c3ac635b8fab8b173981ef6f0ff93e581a277cfba04fb1c2450f236880804de8",
+    "s5": "313b5818596165bea0c5f4a4b88e170aba2727d3386e2d5f3c240467e9b73fe9",
+}
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_report_bytes_are_pinned(default_reports, section):
+    text = default_reports[section].to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[section]
+
+
 def test_reproduced_tables_match_golden(default_reports):
     for section in ("s3-equal", "s4-inert", "s4-noninert"):
         assert compare_to_golden(default_reports[section]) == [], section
