@@ -30,6 +30,7 @@ from .report import (
     VerificationReport,
     compare_to_golden,
     fraction_str,
+    golden_tables,
     tables_csv,
     tables_markdown,
 )
@@ -210,14 +211,14 @@ def cmd_verify(section: str, cfg: RunConfig) -> int:
     except MissingFixtureError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING_FIXTURE
-    mismatches = []
     for rep in reports:
         try:
             _emit(rep, cfg)
         except OSError as exc:
             print(f"eigenprod: error: cannot write reports: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        mismatches.extend(compare_to_golden(rep))
+    golden = golden_tables()
+    mismatches = [line for rep in reports for line in compare_to_golden(rep, golden)]
     if cfg.out_dir is not None:
         for rep in reports:
             print(f"section {rep.section}: {rep.verdict}")

@@ -150,6 +150,10 @@ class CertifiedReal:
     def precision(self) -> int:
         return self._precision
 
+    def endpoint_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``(lo, hi)`` as reduced ``(numerator, denominator > 0)`` pairs."""
+        return self._lo, self._hi
+
     def width(self) -> Fraction:
         return self.hi - self.lo
 

@@ -4,7 +4,11 @@ A report collects everything one verification run established: the
 candidate triples with the reason each was eliminated, reproduced tables,
 every certified constant with its enclosure, and the external facts that
 were consumed.  Serialization is canonical so identical runs produce byte
-identical files.
+identical files: a report is the bytes of
+``json.dumps(data, sort_keys=True, indent=2)`` (non-ASCII text as ``\\u``
+escapes) and one trailing newline, written by this module's own
+`canonical_json`, which rejects floats and non-string keys with
+``TypeError`` instead of coercing them.
 """
 
 import json
@@ -39,15 +43,23 @@ def format_decimal(value, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor
     """
     if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
-    scaled, den = value.numerator * 10**digits, value.denominator
+    return pair_decimal(value.numerator, value.denominator, digits, rounding)
+
+
+def pair_decimal(
+    num: int, den: int, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor"
+) -> str:
+    """`format_decimal` of ``num / den`` for integers with ``den > 0``,
+    computed without building a ``Fraction``."""
+    scale = 10**digits
     if rounding == "floor":
-        units = scaled // den
+        units = num * scale // den
     elif rounding == "ceil":
-        units = -((-scaled) // den)
+        units = -(-num * scale // den)
     else:
         raise ValueError(f"unknown rounding {rounding!r}")
     sign = "-" if units < 0 else ""
-    whole, frac = divmod(abs(units), 10**digits)
+    whole, frac = divmod(abs(units), scale)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
@@ -59,11 +71,75 @@ def fraction_str(value) -> str:
 
 
 def certified_real_json(enclosure) -> dict:
+    (lo_num, lo_den), (hi_num, hi_den) = enclosure.endpoint_pairs()
     return {
-        "lo": format_decimal(enclosure.lo, rounding="floor"),
-        "hi": format_decimal(enclosure.hi, rounding="ceil"),
+        "lo": pair_decimal(lo_num, lo_den, rounding="floor"),
+        "hi": pair_decimal(hi_num, hi_den, rounding="ceil"),
         "precision": enclosure.precision,
     }
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def canonical_json(data) -> str:
+    """The text ``json.dumps(data, sort_keys=True, indent=2)`` would give.
+
+    Only ``str`` keys and ``str``, ``int``, ``bool``, ``None``, ``dict``,
+    ``list`` and ``tuple`` values are accepted; anything else, a float
+    included, raises ``TypeError``.
+    """
+    parts = []
+    _write(data, parts.append, "\n", {})
+    return "".join(parts)
+
+
+def _write(obj, append, newline: str, heads: dict) -> None:
+    # `newline` is "\n" plus the indentation of the line `obj` starts on;
+    # `heads` maps each key seen so far to its encoding plus ": ", so the
+    # few distinct report keys are encoded, and held in memory, once
+    if isinstance(obj, str):
+        append(_encode_str(obj))
+    elif obj is None:
+        append("null")
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif isinstance(obj, int):
+        append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(obj):
+            head = heads.get(key)
+            if head is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                head = heads[key] = _encode_str(key) + ": "
+            append(sep)
+            append(head)
+            _write(obj[key], append, inner, heads)
+            sep = comma
+        append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in obj:
+            append(sep)
+            _write(item, append, inner, heads)
+            sep = comma
+        append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -146,7 +222,10 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """The canonical report text.  Not ``json.dumps(..., indent=2)``:
+        any ``indent`` makes CPython use its pure-Python encoder, about
+        twice as slow as `canonical_json` on the default reports."""
+        return canonical_json(self.to_json_dict()) + "\n"
 
 
 def resolve_verdict(report: VerificationReport) -> str:
@@ -214,10 +293,14 @@ def golden_tables() -> dict:
     return json.loads(text)
 
 
-def compare_to_golden(report: VerificationReport) -> list[str]:
+def compare_to_golden(
+    report: VerificationReport, golden: Optional[dict] = None
+) -> list[str]:
     """Mismatch descriptions for every table of the report that has a
-    golden baseline; empty when everything matches."""
-    golden = golden_tables()
+    golden baseline; empty when everything matches.  `golden` is the
+    parsed `golden_tables()`, read here when not given."""
+    if golden is None:
+        golden = golden_tables()
     mismatches = []
     for name, table in sorted(report.tables.items()):
         if name not in golden:

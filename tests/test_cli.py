@@ -187,6 +187,14 @@ def test_verify_out_dir_is_deterministic(tmp_path, capsys):
     assert blob["verdict"] == "no identity exists"
 
 
+def test_verify_stdout_matches_out_dir_bytes(tmp_path, capsysbinary):
+    assert main(["verify", "s5"]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main(["verify", "s5", "--out-dir", str(tmp_path)]) == 0
+    assert capsysbinary.readouterr().out == b"section s5: no identity exists\n"
+    assert stdout == (tmp_path / "report-s5.json").read_bytes()
+
+
 def test_verify_out_dir_writes_tables(tmp_path):
     out = tmp_path / "md"
     assert main(

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigenprod import (
     CandidateRecord,
@@ -23,10 +25,12 @@ from eigenprod.report import (
     VERDICT_FAILED,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_IDENTITY,
+    canonical_json,
     certified_real_json,
     echo_fixtures,
     format_decimal,
     fraction_str,
+    pair_decimal,
     tables_csv,
     tables_markdown,
 )
@@ -67,6 +71,30 @@ def test_format_decimal_brackets_interval():
 def test_format_decimal_rejects_unknown_rounding():
     with pytest.raises(ValueError, match="unknown rounding"):
         format_decimal(Fraction(1), 4, "nearest")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    num=st.integers(min_value=-(2**520), max_value=2**520),
+    den=st.integers(min_value=1, max_value=2**520),
+    rounding=st.sampled_from(["floor", "ceil"]),
+)
+@example(num=0, den=1, rounding="floor")
+@example(num=0, den=7, rounding="ceil")
+@example(num=-5, den=1, rounding="ceil")
+@example(num=-(2**501) + 1, den=3, rounding="floor")
+@example(num=2**501 - 1, den=2**501 + 1, rounding="ceil")
+@example(num=-1, den=2**505, rounding="ceil")
+def test_pair_decimal_matches_format_decimal(num, den, rounding):
+    # the integer-pair path the reports use, against the Fraction path, on
+    # unreduced pairs and endpoints past the 501 bits of a default run
+    text = pair_decimal(num, den, 30, rounding)
+    assert text == format_decimal(Fraction(num, den), 30, rounding)
+    ulp, value = Fraction(1, 10**30), Fraction(num, den)
+    if rounding == "floor":
+        assert Fraction(text) <= value < Fraction(text) + ulp
+    else:
+        assert Fraction(text) - ulp < value <= Fraction(text)
 
 
 def test_fraction_str():
@@ -257,3 +285,46 @@ def test_echo_fixtures_sorted():
     echoed = echo_fixtures(fixtures)
     assert [e["key"] for e in echoed] == ["a", "b"]
     assert echoed[0]["conditional_on"] == "grh"
+
+
+# ---------------------------------------------------------------------------
+# Canonical writer
+
+_texts = st.text(max_size=8) | st.sampled_from(
+    ["", '"', "\\", 'a"b\\c', "\x00\x1f\n\t\r\x7f", "\u00e9\u2603\U0001d11e", "\ud800"]
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**600), max_value=2**600)
+    | _texts
+)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_documents)
+@example({})
+@example([])
+@example({"": [], "a": {"b": {}}, "c": [[], {}, ()], "d": [[[]]]})
+@example([{"k": 1, "a": 2}, {"k": {"k": [{"a": None}]}}])
+@example({"\u00e9\x00\"\\": [-(2**600), 0, None, True, False, "\u2603\n\t"]})
+def test_canonical_json_matches_stdlib_indent(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, {"a": [Fraction(1, 2)]}, {1: "a"}, [{"a": {2: None}}]],
+    ids=["float", "fraction", "int-key", "nested-int-key"],
+)
+def test_canonical_json_rejects_what_stdlib_would_coerce(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
