@@ -147,6 +147,10 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and _factorize(n) == [(n, 1)]
 
 
+# KroneckerCharacter.power_sums rows by discriminant
+_power_sum_rows: dict[int, tuple[int, ...]] = {}
+
+
 @dataclass(frozen=True)
 class KroneckerCharacter:
     """The quadratic character chi(n) = (discriminant / n).
@@ -204,26 +208,50 @@ class KroneckerCharacter:
         half = self.value_table()[: (self.period + 1) // 2]
         return bytes(map((1).__eq__, half)), bytes(map((-1).__eq__, half))
 
-    @lru_cache(maxsize=None)
-    def power_sum(self, i: int) -> int:
-        """T_i = sum_{a=1}^{period} chi(a) (2a - period)^i, computed once per i.
+    def power_sums(self, i: int) -> tuple[int, ...]:
+        """T_p, T_{p+2}, ... through at least T_i, where p = 0 for even chi
+        and p = 1 for odd chi; T_j = sum_{a=1}^{period} chi(a) (2a - period)^j.
 
-        The reflection a -> period - a fixes the sum up to the sign
-        chi(-1) (-1)^i, so T_i = 0, with no walk, unless (-1)^i = chi(-1).
-        Otherwise the two halves agree and T_i is twice the sum over
-        a < period / 2, where (2a - period)^i = chi(-1) (period - 2a)^i:
-        one C-level pass over each sign's half-period mask.
+        The reflection a -> period - a fixes T_j up to the sign
+        chi(-1) (-1)^j, so T_j = 0 unless (-1)^j = chi(-1), and the row
+        holds only the other parity.  There the two halves agree and T_j
+        is twice the sum over a < period / 2, where
+        (2a - period)^j = chi(-1) (period - 2a)^j.  The row is memoised per
+        discriminant and grows from its last power: one ``pow`` per offset
+        period - 2a, then one multiplication by the offset's square per
+        further sum.  Only the sums are kept, not the powers.
         """
-        f = self.period
-        sign = -1 if self.is_odd() else 1
-        if (-1) ** i != sign:
+        p = 1 if self.is_odd() else 0
+        row = _power_sum_rows.get(self.discriminant, ())
+        j = p + 2 * len(row)  # the first index the row lacks
+        if j <= i:
+            plus, minus = self._half_period_masks()
+            offsets = range(self.period, 0, -2)  # period - 2a for a = 0, 1, ...
+            # chi(a) = +1 offsets, then chi(a) = -1 offsets
+            signed = [*compress(offsets, plus), *compress(offsets, minus)]
+            cut = sum(plus)
+            squares = [o * o for o in signed]
+            powers = list(map(pow, signed, repeat(j)))
+            grown = list(row)
+            while True:
+                s = sum(powers[:cut]) - sum(powers[cut:])
+                grown.append(-2 * s if p else 2 * s)
+                j += 2
+                if j > i:
+                    break
+                powers = list(map(operator.mul, powers, squares))
+            # rebound, never mutated, like _bernoulli_numbers
+            row = _power_sum_rows[self.discriminant] = tuple(grown)
+        return row
+
+    power_sums.cache_clear = _power_sum_rows.clear
+
+    def power_sum(self, i: int) -> int:
+        """T_i = sum_{a=1}^{period} chi(a) (2a - period)^i, read from
+        ``power_sums``; zero, with no walk, unless (-1)^i = chi(-1)."""
+        if i % 2 != self.is_odd():
             return 0
-        plus, minus = self._half_period_masks()
-        offsets = range(f, 0, -2)  # period - 2a for a = 0, 1, ...
-        s = sum(map(pow, compress(offsets, plus), repeat(i))) - sum(
-            map(pow, compress(offsets, minus), repeat(i))
-        )
-        return 2 * sign * s
+        return self.power_sums(i)[i // 2]
 
 
 # chi_{-4}, chi_8 and chi_{-8} on one period
@@ -238,6 +266,18 @@ _TWO_PART_TABLES = {
 # Generalized Bernoulli numbers and L-values
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_weights(k: int) -> tuple[int, tuple[int, ...]]:
+    # the common denominator den of B_0, B_2, ... up to index k, and
+    # C(k, j) B_j (2 - 2^j) den for j = 0, 2, ... <= k
+    bern = _bernoulli_row(k)[: k + 1 : 2]
+    den = math.lcm(*(b.denominator for b in bern))
+    return den, tuple(
+        math.comb(k, j) * b.numerator * (den // b.denominator) * (2 - 2**j)
+        for j, b in zip(range(0, k + 1, 2), bern)
+    )
+
+
 def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
     """B_{k, chi} for the quadratic character chi of period f.
 
@@ -247,23 +287,26 @@ def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
 
         B_{k, chi} = sum_{j even} C(k, j) B_j (2 - 2^j) f^j T_{k-j} / (f 2^k)
 
-    with the centered integer power sums T_i = sum_{a=1}^{f} chi(a) (2a - f)^i
-    (``KroneckerCharacter.power_sum``).  T_i vanishes unless
-    (-1)^i = chi(-1), and otherwise walks half the period once per
-    (character, i), however many weights ask for it; so B_{k, chi} = 0
-    without a walk when chi(-1) != (-1)^k.  The terms are summed as
-    integers over the common denominator of the B_j times f 2^k.
+    with the centered integer power sums T_i = sum_{a=1}^{f} chi(a) (2a - f)^i.
+    T_i vanishes unless (-1)^i = chi(-1), so B_{k, chi} = 0 without a
+    walk when chi(-1) != (-1)^k.  Otherwise every T_{k-j} comes from one
+    read of the character's memoised row (``KroneckerCharacter.power_sums``),
+    which walks half the period only when it must grow, and the weights
+    C(k, j) B_j (2 - 2^j) over the common denominator of the B_j are
+    memoised per k.  The terms are summed as integers, by Horner's rule
+    in f^2, over that denominator times f 2^k.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
+    if k % 2 != chi.is_odd():
+        return Fraction(0)
     f = chi.period
-    bern = _bernoulli_row(k)[: k + 1 : 2]  # B_0, B_2, ... up to index k
-    den = math.lcm(*(b.denominator for b in bern))
-    numerator = sum(
-        math.comb(k, j) * b.numerator * (den // b.denominator) * (2 - 2**j) * f**j
-        * chi.power_sum(k - j)
-        for j, b in zip(range(0, k + 1, 2), bern)
-    )
+    den, weights = _bernoulli_weights(k)
+    f2 = f * f
+    numerator = 0
+    # T_{k-j} = row[k // 2 - j // 2], so the top weight meets row[0]
+    for w, t in zip(reversed(weights), chi.power_sums(k)):
+        numerator = numerator * f2 + w * t
     return Fraction(numerator, den * f * 2**k)
 
 

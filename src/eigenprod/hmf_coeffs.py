@@ -17,9 +17,12 @@ exact integer test.  A nonzero totally nonnegative integer is
 automatically totally positive (sqrt(D) is irrational), so the boundary
 terms of a convolution are exactly mu = 0 and mu = nu.  They carry the
 rational constant terms; every interior term is a product of two integer
-divisor sums, so the interior is summed in integers.  Each element's
-ideal factorization (``factor_ideal``) and its divisor sum at each weight
-are memoised, so overlapping convolution windows compute them once.
+divisor sums, so the interior is summed in integers.  A product's
+coefficients up to a trace bound come from one convolution of two
+integer coefficient tables grouped by trace, a single pass over all
+pairs whose traces sum to at most the bound; ``product_coefficient``
+reads one entry of that table.  Each element's ideal factorization
+(``factor_ideal``) and its divisor sum at each weight are memoised.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from itertools import repeat
+from operator import add, mul
 
 from .exact import (
     _factorize,
@@ -293,8 +297,8 @@ def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> i
 
 @lru_cache(maxsize=None)
 def _element_divisor_sum(D: int, k: int, x: int, y: int) -> int:
-    # sigma_{k-1}((x + y omega)), once per element and weight: the
-    # convolution windows of neighbouring nu overlap almost entirely
+    # sigma_{k-1}((x + y omega)), once per element and weight, so the
+    # product tables of one field share them
     return _divisor_sum(k, factor_ideal(D, x, y))
 
 
@@ -310,29 +314,74 @@ def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fract
 # Products
 
 
-def _nonneg_points(
-    D: int, trace_bound: int, cap: tuple[int, int] | None = None
-) -> Iterator[tuple[int, int]]:
-    # (x, y) of trace 1..trace_bound, by trace, that are totally
-    # nonnegative: the embeddings (s +- y sqrt(D)) / 2 of an element of
-    # trace s are >= 0 exactly when y^2 D <= s^2.  With cap = (trace, y)
-    # of some nu, only the points with nu - (x, y) totally nonnegative.
+def _trace_rows(D: int, trace_bound: int) -> list[range]:
+    # rows[s]: the y of the totally nonnegative x + y omega of trace s,
+    # ascending, for s = 0..trace_bound.  The embeddings (s +- y sqrt(D)) / 2
+    # are >= 0 exactly when y^2 D <= s^2, and x = (s - t y) / 2 must be an
+    # integer: y = s mod 2 when t = 1, s even when t = 0
     t, _ = _omega_params(D)
-    for s in range(1, trace_bound + 1):
+    rows = []
+    for s in range(trace_bound + 1):
         y_max = math.isqrt(s * s // D)
-        lo, hi = -y_max, y_max
-        if cap is not None:
-            gap = math.isqrt((cap[0] - s) ** 2 // D)
-            lo, hi = max(lo, cap[1] - gap), min(hi, cap[1] + gap)
-        for y in range(lo, hi + 1):
-            if (s - t * y) % 2 == 0:  # x = (s - t y) / 2 must be an integer
-                yield (s - t * y) // 2, y
+        if t:
+            rows.append(range(-y_max + (s + y_max) % 2, y_max + 1, 2))
+        else:
+            rows.append(range(-y_max, y_max + 1) if s % 2 == 0 else range(0))
+    return rows
 
 
 def enumerate_totally_nonneg(D: int, trace_bound: int) -> list[TotallyPositiveElement]:
     """Nonzero totally nonnegative integers of trace <= trace_bound, by trace."""
     _require_real_fundamental(D)
-    return [TotallyPositiveElement(D, x, y) for x, y in _nonneg_points(D, trace_bound)]
+    t, _ = _omega_params(D)
+    rows = _trace_rows(D, trace_bound)
+    return [
+        TotallyPositiveElement(D, (s - t * y) // 2, y)
+        for s in range(1, trace_bound + 1)
+        for y in rows[s]
+    ]
+
+
+def _product_table(
+    f: EisensteinDescriptor, h: EisensteinDescriptor, trace_bound: int
+) -> dict[tuple[int, int], Fraction]:
+    # c_{f h}(nu) for every nonzero totally nonnegative nu = (x, y) of trace
+    # <= trace_bound, from one pass over the pairs (mu, mu') of nonzero
+    # totally nonnegative elements with trace sum <= trace_bound.  Grouped
+    # by trace, the y of each trace form one progression of step 1 or 2,
+    # so the pairs of traces (s1, s2) are a one-dimensional convolution of
+    # two integer rows into the row of trace s1 + s2.  The boundary terms
+    # mu = 0 and mu' = 0 carry the constant terms and join last, in one
+    # Fraction per nu, so the interior stays in integers.
+    D = f.discriminant
+    t, _ = _omega_params(D)
+    step = 2 if t else 1
+    rows = _trace_rows(D, trace_bound)
+
+    def divisor_sums(k: int) -> list[list[int]]:
+        return [
+            [_element_divisor_sum(D, k, (s - t * y) // 2, y) for y in ys] if s else []
+            for s, ys in enumerate(rows)
+        ]
+
+    cf = divisor_sums(f.weight)
+    ch = cf if h.weight == f.weight else divisor_sums(h.weight)
+    interior = [[0] * len(ys) for ys in rows]
+    for s1 in range(1, trace_bound):
+        for s2 in range(1, trace_bound - s1 + 1):
+            right, out = ch[s2], interior[s1 + s2]
+            n = len(right)
+            first = (rows[s1].start + rows[s2].start - rows[s1 + s2].start) // step
+            for i, left in enumerate(cf[s1], first):
+                out[i : i + n] = map(add, out[i : i + n], map(mul, repeat(left), right))
+    f0, h0 = f.constant_term, h.constant_term
+    den = f0.denominator * h0.denominator
+    fw, hw = f0.numerator * h0.denominator, h0.numerator * f0.denominator
+    return {
+        ((s - t * y) // 2, y): Fraction(inner * den + fw * hv + hw * fv, den)
+        for s in range(1, trace_bound + 1)
+        for y, fv, hv, inner in zip(rows[s], cf[s], ch[s], interior[s])
+    }
 
 
 def product_coefficient(
@@ -340,31 +389,20 @@ def product_coefficient(
 ) -> Fraction:
     """Coefficient of q^nu in the product f * h: the convolution
 
-        sum_{mu + mu' = nu, both totally nonnegative} c_f(mu) c_h(mu').
+        sum_{mu + mu' = nu, both totally nonnegative} c_f(mu) c_h(mu'),
 
-    The decompositions mu = 0 and mu = nu contribute the constant-term
-    cross terms; every other term is an integer product of two divisor
-    sums, so the interior is summed in integers.
+    read from the product table up to the trace of nu.  The decompositions
+    mu = 0 and mu = nu contribute the constant-term cross terms; every
+    other term is an integer product of two divisor sums, so the interior
+    is summed in integers.
     """
     if f.discriminant != h.discriminant:
         raise ValueError("forms live over different fields")
-    D = f.discriminant
-    if nu.discriminant != D:
+    if nu.discriminant != f.discriminant:
         raise ValueError("element and forms live over different fields")
     if nu.is_zero():
         return f.constant_term * h.constant_term
-    kf, kh = f.weight, h.weight
-    boundary = (
-        f.constant_term * _element_divisor_sum(D, kh, nu.x, nu.y)
-        + h.constant_term * _element_divisor_sum(D, kf, nu.x, nu.y)
-    )
-    trace = nu.trace()
-    interior = sum(
-        _element_divisor_sum(D, kf, x, y)
-        * _element_divisor_sum(D, kh, nu.x - x, nu.y - y)
-        for x, y in _nonneg_points(D, trace - 1, (trace, nu.y))
-    )
-    return boundary + interior
+    return _product_table(f, h, nu.trace())[nu.x, nu.y]
 
 
 @dataclass(frozen=True)
@@ -398,8 +436,9 @@ def verify_sqrt5_identity(trace_bound: int) -> SqrtFiveIdentityReport:
     )
     mismatches = []
     checked = 0
+    e2_squared = _product_table(e2, e2, trace_bound)
     for nu in enumerate_totally_nonneg(5, trace_bound):
-        lhs = scalar * product_coefficient(e2, e2, nu)
+        lhs = scalar * e2_squared[nu.x, nu.y]
         rhs = coefficient(e4, nu)
         checked += 1
         if lhs != rhs:

@@ -64,7 +64,7 @@ def pair_decimal(
 
 
 def fraction_str(value) -> str:
-    fr = Fraction(value)
+    fr = value if isinstance(value, Fraction) else Fraction(value)
     if fr.denominator == 1:
         return str(fr.numerator)
     return f"{fr.numerator}/{fr.denominator}"

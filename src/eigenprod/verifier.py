@@ -298,9 +298,16 @@ def residual_inert(D: int, k: int) -> Fraction:
     """Exact constant-term residual of the equal-weight identity, 2 inert.
 
     Zero exactly when (4^(2k-1) - 4^(k-1)) zeta_F(1-k)^2 = 4 zeta_F(1-2k).
+    Built as one ``Fraction`` from integer cross-products; zeta_F(1-2k)
+    is asked for first, so the character's power sums grow in one walk.
     """
+    c = dedekind_zeta_neg(D, 2 * k)
     a = dedekind_zeta_neg(D, k)
-    return (4 ** (2 * k - 1) - 4 ** (k - 1)) * a * a - 4 * dedekind_zeta_neg(D, 2 * k)
+    aq, cq = a.denominator, c.denominator
+    m = 4 ** (2 * k - 1) - 4 ** (k - 1)
+    return Fraction(
+        m * a.numerator**2 * cq - 4 * c.numerator * aq * aq, aq * aq * cq
+    )
 
 
 def residual_noninert(k: int) -> int:
@@ -310,11 +317,17 @@ def residual_noninert(k: int) -> int:
 
 def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
     """Exact constant-term residual (A + B) C - A B of the unequal-weight
-    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2."""
+    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
+    as one ``Fraction`` from integer cross-products; C is asked for first,
+    so the character's power sums grow in one walk."""
+    c = dedekind_zeta_neg(D, k1 + k2)
     a = dedekind_zeta_neg(D, k1)
     b = dedekind_zeta_neg(D, k2)
-    c = dedekind_zeta_neg(D, k1 + k2)
-    return (a + b) * c - a * b
+    aq, bq, cq = a.denominator, b.denominator, c.denominator
+    ab = a.numerator * bq + b.numerator * aq
+    return Fraction(
+        ab * c.numerator - a.numerator * b.numerator * cq, aq * bq * cq
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +424,13 @@ def verify_section3_unequal(
                 label=f"D = {D}, all even k1 > k2 >= 2",
             )
 
-    # exact residual cross-check, independent of every enclosure above
+    # exact residual cross-check, independent of every enclosure above;
+    # heaviest pair first, so each field's power sums grow in one walk
     zero_count = 0
     pair_count = 0
     for D in discriminants:
-        for k1 in range(4, 22, 2):
-            for k2 in range(2, k1, 2):
+        for k1 in range(20, 2, -2):
+            for k2 in range(k1 - 2, 0, -2):
                 pair_count += 1
                 if residual_unequal(D, k1, k2) == 0:
                     zero_count += 1
@@ -1245,8 +1259,9 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
     for f in narrow_one_fields(d_limit):
         D = f.discriminant
         inert = f.two_splitting is Splitting.INERT
-        for k1 in range(2, k_limit + 1, 2):
-            for k2 in range(2, k1 + 1, 2):
+        # heaviest pair first, so each field's power sums grow in one walk
+        for k1 in range(k_limit - k_limit % 2, 0, -2):
+            for k2 in range(k1, 0, -2):
                 if k1 == k2:
                     if inert:
                         vanishes = residual_inert(D, k1) == 0

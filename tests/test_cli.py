@@ -105,6 +105,18 @@ def test_demo_sqrt5_below_trace_2_claims_only_the_constant_term(capsys, bound):
     )
 
 
+@pytest.mark.parametrize("bound", [0, 1])
+def test_demo_sqrt5_below_trace_2_full_output(capsys, bound):
+    assert main(["demo-sqrt5", str(bound)]) == 0
+    assert capsys.readouterr().out == (
+        "scalar from constant terms: 60\n"
+        "constant term check: 60 * (1/120)^2 = 1/240: ok\n"
+        f"coefficients compared up to trace {bound}: 0\n"
+        "only the constant term was checked: no totally positive element "
+        "of Q(sqrt 5) has trace below 2\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Argument validation
 

@@ -249,7 +249,7 @@ def test_character_table_matches_kronecker(sign):
 def test_power_sum_matches_full_period_definition(sign):
     # T_i = sum_{a=1}^{f} chi(a) (2a - f)^i over the whole period, through
     # kronecker, against the half-period sum with its parity zeros
-    KroneckerCharacter.power_sum.cache_clear()
+    KroneckerCharacter.power_sums.cache_clear()
     checked = 0
     for f in range(3, 601):
         delta = sign * f
@@ -261,6 +261,28 @@ def test_power_sum_matches_full_period_definition(sign):
             assert chi.power_sum(i) == sum(c * t**i for c, t in terms), (delta, i)
         checked += 1
     assert checked == (182 if sign == 1 else 184)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("delta", [-3, -4, -8, -15, -24, 5, 8, 12, 13, 997])
+def test_power_sums_row_independent_of_request_order(delta, order):
+    # the memoised row grows from its last power; whichever order the
+    # indices arrive in, and on a new character object each time, every
+    # T_i must equal the full-period definition
+    KroneckerCharacter.power_sums.cache_clear()
+    f = abs(delta)
+    terms = [(c, 2 * a - f) for a in range(1, f + 1) if (c := kronecker(delta, a))]
+    indices = list(range(41))
+    if order == "descending":
+        indices.reverse()
+    elif order == "shuffled":
+        random.Random(f).shuffle(indices)
+    for i in indices:
+        expected = sum(c * t**i for c, t in terms)
+        assert KroneckerCharacter(delta).power_sum(i) == expected, (delta, i)
+    row = KroneckerCharacter(delta).power_sums(40)
+    p = 1 if delta < 0 else 0
+    assert row == tuple(sum(c * t**i for c, t in terms) for i in range(p, 41, 2))
 
 
 def test_character_vanishes_exactly_on_common_factors():
@@ -296,7 +318,7 @@ def test_generalized_bernoulli_matches_polynomial_route(delta):
 def test_generalized_bernoulli_high_weights_any_order(delta):
     # weights up to 40 asked for in a scrambled order on one character
     # object, from an empty power-sum cache, so no fill order is favoured
-    KroneckerCharacter.power_sum.cache_clear()
+    KroneckerCharacter.power_sums.cache_clear()
     chi = KroneckerCharacter(delta)
     weights = list(range(41))
     random.Random(delta).shuffle(weights)

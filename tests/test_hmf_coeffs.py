@@ -31,6 +31,7 @@ from eigenprod import (
 )
 from eigenprod.hmf_coeffs import (
     _element_divisor_sum,
+    _product_table,
     element_norm,
     element_trace,
     is_totally_nonnegative,
@@ -304,6 +305,21 @@ def test_product_coefficient_matches_reference_convolution(D):
         for nu in [TotallyPositiveElement(D, 0, 0)] + enumerate_totally_nonneg(D, 10):
             expected = _reference_product_coefficient(f, h, nu)
             assert product_coefficient(f, h, nu) == expected, (D, k1, k2, nu)
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13])
+def test_product_table_matches_reference_convolution(D):
+    # one pass over all pairs up to trace 12 against the box convolution
+    # of each nu; t = 1 for D = 5, 13 and t = 0 for D = 8, 12
+    points = enumerate_totally_nonneg(D, 12)
+    for k1, k2 in ((2, 2), (2, 4), (4, 6)):
+        f = EisensteinDescriptor(D, k1)
+        h = EisensteinDescriptor(D, k2)
+        table = _product_table(f, h, 12)
+        assert sorted(table) == sorted((nu.x, nu.y) for nu in points)
+        for nu in points:
+            expected = _reference_product_coefficient(f, h, nu)
+            assert table[nu.x, nu.y] == expected, (D, k1, k2, nu)
 
 
 @pytest.mark.parametrize("D", [5, 8, 13])

@@ -9,6 +9,7 @@ import hashlib
 import inspect
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from eigenprod import (
     c_equal_expr,
     c_unequal_expr,
     compare_to_golden,
+    dedekind_zeta_neg,
     exact_identity_scan,
     inert_one_fields,
     narrow_one_fields,
@@ -163,6 +165,39 @@ def test_unequal_residual_never_vanishes():
         for k1 in range(4, 13, 2):
             for k2 in range(2, k1, 2):
                 assert residual_unequal(D, k1, k2) != 0, (D, k1, k2)
+
+
+def _fraction_residual_inert(D, k):
+    # the Fraction formula the integer cross-products replaced
+    a = dedekind_zeta_neg(D, k)
+    return (4 ** (2 * k - 1) - 4 ** (k - 1)) * a * a - 4 * dedekind_zeta_neg(D, 2 * k)
+
+
+def _fraction_residual_unequal(D, k1, k2):
+    a = dedekind_zeta_neg(D, k1)
+    b = dedekind_zeta_neg(D, k2)
+    c = dedekind_zeta_neg(D, k1 + k2)
+    return (a + b) * c - a * b
+
+
+def test_integer_residuals_match_fraction_formulas():
+    checked = 0
+    for f in narrow_one_fields(200):
+        D = f.discriminant
+        for k1 in range(2, 21, 2):
+            for k2 in range(2, k1 + 1, 2):
+                if k1 == k2:
+                    got, want = residual_inert(D, k1), _fraction_residual_inert(D, k1)
+                else:
+                    got = residual_unequal(D, k1, k2)
+                    want = _fraction_residual_unequal(D, k1, k2)
+                assert isinstance(got, Fraction), (D, k1, k2)
+                assert (got.numerator, got.denominator) == (
+                    want.numerator,
+                    want.denominator,
+                ), (D, k1, k2)
+                checked += 1
+    assert checked == 22 * 55
 
 
 def test_exact_identity_scan_finds_the_unique_identity():
@@ -510,6 +545,20 @@ def _eigenprod_caches():
     return list({id(c): c for c in caches}.values())
 
 
+def test_scan_memory_peak_from_cold_caches():
+    # the power-sum rows keep their sums, not the powers of the walk;
+    # keeping the powers took the peak to about 2.8 MiB
+    for cache in _eigenprod_caches():
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        assert exact_identity_scan(1000, 20) == [(5, 2, 2)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
+
+
 def test_results_equal_from_cold_and_warm_caches():
     # a cache key that dropped an argument would show here as a warm
     # result that differs from the cold one.  From an 8-bit base section 3
@@ -528,7 +577,7 @@ def test_results_equal_from_cold_and_warm_caches():
     names = {c.__qualname__ for c in caches}
     assert {
         "factor_ideal",
-        "KroneckerCharacter.power_sum",
+        "KroneckerCharacter.power_sums",
         "dedekind_zeta_neg",
         "is_fundamental_discriminant",
         "_enclose_memo",
