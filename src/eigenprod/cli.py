@@ -7,7 +7,7 @@ over the exact-arithmetic layers.  Exit codes are part of the contract:
     1   a section failed (a decided-false certificate or a survivor)
     2   some decision stayed inconclusive at the precision ceiling
     3   a reproduced table disagrees with the golden baseline
-    4   a required external fact is missing from the fixtures
+    4   the fixtures are unreadable, or a required fact is missing or malformed
     64  command line usage error
 
 Identical configuration gives byte-identical output files.

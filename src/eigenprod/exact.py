@@ -3,8 +3,8 @@
 Everything in this module is computed in exact arithmetic
 (``fractions.Fraction`` over Python integers): Bernoulli numbers,
 Kronecker symbols, generalized Bernoulli numbers attached to quadratic
-characters, and the negative special values of Riemann and Dedekind zeta
-functions built from them.  No floating point enters at any stage, so
+characters, and the negative special values of Dedekind zeta functions
+built from them.  No floating point enters at any stage, so
 equalities between these values are decidable and are used as such by the
 verification layer.
 
@@ -15,9 +15,9 @@ below an ideal (``hmf_coeffs.factor_ideal``, ``hmf_coeffs.ideals_of_norm``).
 
 Conventions:
 
-* ``bernoulli(1) == -1/2`` (the "first" convention), so that
-  ``zeta(1-k) == -bernoulli(k)/k`` holds for every integer ``k >= 2``.
-* ``L(1-k, chi) == -generalized_bernoulli(k, chi)/k`` for ``k >= 1``.
+* ``bernoulli(1) == -1/2`` (the "first" convention).
+* ``zeta_F(1-k) == B_k B_{k,chi} / k^2`` for even ``k >= 2``, the product
+  of ``zeta(1-k) == -B_k/k`` and ``L(1-k, chi) == -B_{k,chi}/k``.
 * Discriminants passed to character or field constructors must be
   fundamental; this is validated, not assumed.
 """
@@ -202,12 +202,6 @@ class KroneckerCharacter:
             table = list(map(operator.mul, table, factor * (f // len(factor))))
         return tuple(table)
 
-    @lru_cache(maxsize=None)
-    def _half_period_masks(self) -> tuple[bytes, bytes]:
-        # where chi(a) = +1 and where chi(a) = -1, for 0 <= a < period / 2
-        half = self.value_table()[: (self.period + 1) // 2]
-        return bytes(map((1).__eq__, half)), bytes(map((-1).__eq__, half))
-
     def power_sums(self, i: int) -> tuple[int, ...]:
         """T_p, T_{p+2}, ... through at least T_i, where p = 0 for even chi
         and p = 1 for odd chi; T_j = sum_{a=1}^{period} chi(a) (2a - period)^j.
@@ -225,7 +219,9 @@ class KroneckerCharacter:
         row = _power_sum_rows.get(self.discriminant, ())
         j = p + 2 * len(row)  # the first index the row lacks
         if j <= i:
-            plus, minus = self._half_period_masks()
+            # where chi(a) = +1 and where chi(a) = -1, for 0 <= a < period / 2
+            half = self.value_table()[: (self.period + 1) // 2]
+            plus, minus = bytes(map((1).__eq__, half)), bytes(map((-1).__eq__, half))
             offsets = range(self.period, 0, -2)  # period - 2a for a = 0, 1, ...
             # chi(a) = +1 offsets, then chi(a) = -1 offsets
             signed = [*compress(offsets, plus), *compress(offsets, minus)]
@@ -310,32 +306,18 @@ def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
     return Fraction(numerator, den * f * 2**k)
 
 
-def dirichlet_l_neg(k: int, chi: KroneckerCharacter) -> Fraction:
-    """L(1 - k, chi) = -B_{k, chi} / k for k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return -generalized_bernoulli(k, chi) / k
-
-
-def riemann_zeta_neg(k: int) -> Fraction:
-    """zeta(1 - k) = -B_k / k for even k >= 2."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError("k must be even and >= 2")
-    return -bernoulli(k) / k
-
-
 @lru_cache(maxsize=None)
 def dedekind_zeta_neg(D: int, k: int) -> Fraction:
     """zeta_F(1 - k) for F the real quadratic field of discriminant D.
 
-    Factors as zeta(1 - k) * L(1 - k, chi_D); k must be even and >= 2 (odd
-    k give 0 and are rejected as misuse), D must be a fundamental
-    discriminant > 1.
+    Factors as zeta(1 - k) * L(1 - k, chi_D) = B_k B_{k, chi_D} / k^2; k must
+    be even and >= 2 (odd k give 0 and are rejected as misuse), D must be a
+    fundamental discriminant > 1.
     """
     _require_real_fundamental(D)
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be even and >= 2")
-    return riemann_zeta_neg(k) * dirichlet_l_neg(k, KroneckerCharacter(D))
+    return bernoulli(k) * generalized_bernoulli(k, KroneckerCharacter(D)) / (k * k)
 
 
 def _sigma1(n: int) -> int:

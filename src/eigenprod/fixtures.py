@@ -73,6 +73,11 @@ class Fixtures:
             raise ValueError("malformed fixtures document: facts must map keys to objects")
         facts = {}
         for key, body in entries.items():
+            for field in ("statement", "source", "conditional_on"):
+                if not isinstance(body.get(field, ""), str):
+                    raise ValueError(
+                        f"malformed fixtures document: {key}.{field} must be a string"
+                    )
             facts[key] = Fixture(
                 key=key,
                 statement=body.get("statement", ""),

@@ -22,7 +22,8 @@ coefficients up to a trace bound come from one convolution of two
 integer coefficient tables grouped by trace, a single pass over all
 pairs whose traces sum to at most the bound; ``product_coefficient``
 reads one entry of that table.  Each element's ideal factorization
-(``factor_ideal``) and its divisor sum at each weight are memoised.
+(``factor_ideal``) is memoised; its divisor sums are not, since a table
+reads each element once per weight.
 """
 
 from __future__ import annotations
@@ -282,24 +283,13 @@ class EisensteinDescriptor:
         )
 
 
-def _divisor_sum(k: int, ideal: IdealFactorization) -> int:
-    total = 1
-    for prime_norm, _, e in ideal.entries:
-        q = prime_norm ** (k - 1)
-        total *= sum(q**i for i in range(e + 1))
-    return total
-
-
 def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> int:
     """sigma_{k-1}(ideal) = prod over prime powers of sum_i N^(i (k-1))."""
-    return _divisor_sum(form.weight, ideal)
-
-
-@lru_cache(maxsize=None)
-def _element_divisor_sum(D: int, k: int, x: int, y: int) -> int:
-    # sigma_{k-1}((x + y omega)), once per element and weight, so the
-    # product tables of one field share them
-    return _divisor_sum(k, factor_ideal(D, x, y))
+    total = 1
+    for prime_norm, _, e in ideal.entries:
+        q = prime_norm ** (form.weight - 1)
+        total *= sum(q**i for i in range(e + 1))
+    return total
 
 
 def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fraction:
@@ -358,14 +348,16 @@ def _product_table(
     step = 2 if t else 1
     rows = _trace_rows(D, trace_bound)
 
-    def divisor_sums(k: int) -> list[list[int]]:
+    def divisor_sums(form: EisensteinDescriptor) -> list[list[int]]:
         return [
-            [_element_divisor_sum(D, k, (s - t * y) // 2, y) for y in ys] if s else []
+            [eisenstein_coeff(form, factor_ideal(D, (s - t * y) // 2, y)) for y in ys]
+            if s
+            else []
             for s, ys in enumerate(rows)
         ]
 
-    cf = divisor_sums(f.weight)
-    ch = cf if h.weight == f.weight else divisor_sums(h.weight)
+    cf = divisor_sums(f)
+    ch = cf if h.weight == f.weight else divisor_sums(h)
     interior = [[0] * len(ys) for ys in rows]
     for s1 in range(1, trace_bound):
         for s2 in range(1, trace_bound - s1 + 1):

@@ -592,9 +592,10 @@ def verify_section3_equal(
     else:
         run.note("both readings of the maximal-D column agree on every row")
 
-    # exact residual on every admissible pair
+    # exact residual on every admissible pair, heaviest weight first so each
+    # field's power-sum row grows in one walk; the report sorts candidates
     zero_count = 0
-    for D, k in admissible:
+    for D, k in reversed(admissible):
         if residual_inert(D, k) == 0:
             zero_count += 1
             run.candidate(

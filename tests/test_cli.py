@@ -298,6 +298,31 @@ def test_verify_malformed_fixtures_document_exit(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("fixtures error: malformed fixtures document")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("statement", 1.5), ("source", {"doi": "x"}), ("conditional_on", None), ("statement", True)],
+    ids=["float", "object", "null", "bool"],
+)
+def test_verify_non_string_fixture_metadata_exit(tmp_path, capsys, field, value):
+    # the metadata is echoed into every report that reads the fact, so a
+    # value that is not a string stops the run before any section
+    doc = json.loads(
+        resources.files("eigenprod.data").joinpath("fixtures.json").read_text(encoding="utf-8")
+    )
+    doc["facts"]["takeuchi_disc_bound"][field] = value
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["verify", "all", "--fixtures", str(path), "--out-dir", str(out)])
+    assert code == EXIT_MISSING_FIXTURE
+    err = capsys.readouterr().err
+    assert err.startswith("fixtures error: malformed fixtures document")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_verify_unreadable_fixtures_exit(tmp_path, capsys):
     code = main(["verify", "s5", "--fixtures", str(tmp_path / "absent.json")])
     assert code == EXIT_MISSING_FIXTURE

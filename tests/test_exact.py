@@ -18,11 +18,9 @@ from eigenprod import (
     KroneckerCharacter,
     bernoulli,
     dedekind_zeta_neg,
-    dirichlet_l_neg,
     generalized_bernoulli,
     is_fundamental_discriminant,
     kronecker,
-    riemann_zeta_neg,
     zagier_zeta_minus_one,
 )
 
@@ -341,28 +339,7 @@ def test_generalized_bernoulli_parity_vanishing():
 
 
 # ---------------------------------------------------------------------------
-# L-values and zeta values
-
-
-def test_dirichlet_l_neg_identity():
-    for delta in (5, 8, -3, -4):
-        chi = KroneckerCharacter(delta)
-        for k in range(1, 9):
-            assert dirichlet_l_neg(k, chi) == -generalized_bernoulli(k, chi) / k
-    with pytest.raises(ValueError):
-        dirichlet_l_neg(0, KroneckerCharacter(5))
-
-
-def test_riemann_zeta_neg_values():
-    assert riemann_zeta_neg(2) == Fraction(-1, 12)
-    assert riemann_zeta_neg(4) == Fraction(1, 120)
-    assert riemann_zeta_neg(6) == Fraction(-1, 252)
-
-
-@pytest.mark.parametrize("k", [0, 1, 3, -2])
-def test_riemann_zeta_neg_rejects_bad_index(k):
-    with pytest.raises(ValueError, match="k must be even"):
-        riemann_zeta_neg(k)
+# Zeta values
 
 
 def test_dedekind_zeta_neg_known_values():
@@ -393,8 +370,9 @@ def test_dedekind_zeta_neg_rejects_bad_input():
         dedekind_zeta_neg(15, 2)
     with pytest.raises(ValueError, match="not a real quadratic fundamental"):
         dedekind_zeta_neg(-3, 2)
-    with pytest.raises(ValueError, match="k must be even"):
-        dedekind_zeta_neg(5, 3)
+    for k in (0, 1, 3, -2):
+        with pytest.raises(ValueError, match="k must be even"):
+            dedekind_zeta_neg(5, k)
 
 
 def test_zagier_route_agrees_with_l_function_route():

@@ -30,7 +30,6 @@ from eigenprod import (
     verify_sqrt5_identity,
 )
 from eigenprod.hmf_coeffs import (
-    _element_divisor_sum,
     _product_table,
     element_norm,
     element_trace,
@@ -324,14 +323,24 @@ def test_product_table_matches_reference_convolution(D):
 
 @pytest.mark.parametrize("D", [5, 8, 13])
 def test_memoised_divisor_sum_matches_eisenstein_coeff(D):
-    _element_divisor_sum.cache_clear()
-    points = enumerate_totally_nonneg(D, 30)
-    for k in (2, 4, 6):
-        form = EisensteinDescriptor(D, k)
+    # the product table reads its divisor sums through factor_ideal, the
+    # one arithmetic memo; from a cleared cache and from a full one it must
+    # equal the convolution of eisenstein_coeff values
+    keys = [(nu.x, nu.y) for nu in enumerate_totally_nonneg(D, 20)]
+    traces = {p: element_trace(D, *p) for p in keys}
+    for k1, k2 in ((2, 2), (4, 6)):
+        f = EisensteinDescriptor(D, k1)
+        h = EisensteinDescriptor(D, k2)
+        cf = {p: eisenstein_coeff(f, factor_ideal(D, *p)) for p in keys}
+        ch = {p: eisenstein_coeff(h, factor_ideal(D, *p)) for p in keys}
+        expected = {p: h.constant_term * cf[p] + f.constant_term * ch[p] for p in keys}
+        for a in keys:
+            for b in keys:
+                if traces[a] + traces[b] <= 20:
+                    expected[a[0] + b[0], a[1] + b[1]] += cf[a] * ch[b]
+        factor_ideal.cache_clear()
         for _ in range(2):  # cold, then from the cache
-            for nu in points:
-                expected = eisenstein_coeff(form, factor_ideal(D, nu.x, nu.y))
-                assert _element_divisor_sum(D, k, nu.x, nu.y) == expected, (k, nu)
+            assert _product_table(f, h, 20) == expected, (D, k1, k2)
 
 
 def test_factor_ideal_still_rejects_after_cached_calls():

@@ -19,6 +19,7 @@ from eigenprod import (
     PI,
     Exp,
     Fixtures,
+    KroneckerCharacter,
     MissingFixtureError,
     Outcome,
     Pow,
@@ -54,7 +55,7 @@ from eigenprod.report import (
     VERDICT_NO_IDENTITY,
     fraction_str,
 )
-from eigenprod import verifier
+from eigenprod import exact, verifier
 from eigenprod.verifier import _takeuchi
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
@@ -557,6 +558,25 @@ def test_scan_memory_peak_from_cold_caches():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20, peak
+
+
+def test_equal_weight_section_writes_each_power_sum_row_once(monkeypatch):
+    # the exact residuals ask for each field's heaviest weight first, so
+    # each discriminant's row grows in one walk; taking the weights bottom
+    # up wrote 55 rows 102 times
+    writes = Counter()
+
+    class CountingRows(dict):
+        def __setitem__(self, key, row):
+            writes[key] += 1
+            super().__setitem__(key, row)
+
+    dedekind_zeta_neg.cache_clear()
+    KroneckerCharacter.power_sums.cache_clear()
+    monkeypatch.setattr(exact, "_power_sum_rows", CountingRows())
+    verify_section3_equal()
+    assert len(writes) == 55
+    assert set(writes.values()) == {1}
 
 
 def test_results_equal_from_cold_and_warm_caches():
