@@ -370,9 +370,14 @@ def test_dedekind_zeta_neg_rejects_bad_input():
         dedekind_zeta_neg(15, 2)
     with pytest.raises(ValueError, match="not a real quadratic fundamental"):
         dedekind_zeta_neg(-3, 2)
-    for k in (0, 1, 3, -2):
-        with pytest.raises(ValueError, match="k must be even"):
-            dedekind_zeta_neg(5, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, -2])
+def test_riemann_zeta_neg_rejects_bad_index(k):
+    # The index rule of the zeta(1 - k) = -B_k / k factor is enforced by
+    # dedekind_zeta_neg, the one route to zeta values at negative integers.
+    with pytest.raises(ValueError, match="k must be even"):
+        dedekind_zeta_neg(5, k)
 
 
 def test_zagier_route_agrees_with_l_function_route():
