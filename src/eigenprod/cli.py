@@ -1,7 +1,11 @@
 """Command line driver.
 
 Runs section verifications and emits reports, plus thin query commands
-over the exact-arithmetic layers.  Exit codes are part of the contract:
+over the exact-arithmetic layers.  Parsing needs only the defaults and
+section names of the package itself; each command imports the layers it
+runs, so the query commands never load the certified layer, the
+fixtures, the reports or the verifier.  Exit codes are part of the
+contract:
 
     0   every requested section ends with "no identity exists"
     1   a section failed (a decided-false certificate or a survivor)
@@ -13,28 +17,14 @@ over the exact-arithmetic layers.  Exit codes are part of the contract:
 Identical configuration gives byte-identical output files.
 """
 
+from __future__ import annotations
+
 import argparse
-import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .exact import dedekind_zeta_neg
-from .fixtures import Fixtures, MissingFixtureError
-from .hmf_coeffs import verify_sqrt5_identity
-from .quadfield import field_descriptor
-from .report import (
-    VERDICT_INCONCLUSIVE,
-    VERDICT_NO_IDENTITY,
-    VerificationReport,
-    compare_to_golden,
-    fraction_str,
-    golden_tables,
-    tables_csv,
-    tables_markdown,
-)
-from .verifier import (
+from . import (
     DEFAULT_BASE_PRECISION,
     DEFAULT_D_LIMIT,
     DEFAULT_N_MAX,
@@ -45,13 +35,11 @@ from .verifier import (
     SECTION_NONINERT,
     SECTION_ORDER,
     SECTION_UNEQUAL,
-    exact_identity_scan,
-    verify_section3_equal,
-    verify_section3_unequal,
-    verify_section4_inert,
-    verify_section4_noninert,
-    verify_section5,
 )
+
+if TYPE_CHECKING:
+    from .fixtures import Fixtures
+    from .report import VerificationReport
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -148,6 +136,14 @@ def build_parser() -> _Parser:
 def _run_section(
     section: str, cfg: RunConfig, fixtures: Optional[Fixtures]
 ) -> VerificationReport:
+    from .verifier import (
+        verify_section3_equal,
+        verify_section3_unequal,
+        verify_section4_inert,
+        verify_section4_noninert,
+        verify_section5,
+    )
+
     if section == SECTION_UNEQUAL:
         return verify_section3_unequal(
             base_precision=cfg.base_precision,
@@ -173,6 +169,10 @@ def _run_section(
 
 
 def _emit(report: VerificationReport, cfg: RunConfig) -> None:
+    from pathlib import Path
+
+    from .report import tables_csv, tables_markdown
+
     if cfg.out_dir is None:
         if cfg.output_format == "json":
             sys.stdout.write(report.to_json())
@@ -196,12 +196,20 @@ def _emit(report: VerificationReport, cfg: RunConfig) -> None:
 
 
 def cmd_verify(section: str, cfg: RunConfig) -> int:
+    from .fixtures import Fixtures, MissingFixtureError
+    from .report import (
+        VERDICT_INCONCLUSIVE,
+        VERDICT_NO_IDENTITY,
+        compare_to_golden,
+        golden_tables,
+    )
+
     sections = list(SECTION_ORDER) if section == "all" else [section]
     fixtures = None
     if any(s in _FIXTURE_SECTIONS for s in sections):
         try:
             fixtures = Fixtures.load(cfg.fixtures_path)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             print(f"fixtures error: {exc}", file=sys.stderr)
             return EXIT_MISSING_FIXTURE
     reports = []
@@ -234,11 +242,15 @@ def cmd_verify(section: str, cfg: RunConfig) -> int:
 
 
 def cmd_zeta(D: int, k: int) -> int:
-    print(fraction_str(dedekind_zeta_neg(D, k)))
+    from .exact import dedekind_zeta_neg
+
+    print(dedekind_zeta_neg(D, k))
     return EXIT_OK
 
 
 def cmd_field(D: int) -> int:
+    from .quadfield import field_descriptor
+
     f = field_descriptor(D)
     print(f"discriminant: {f.discriminant}")
     print(f"radicand: {f.radicand}")
@@ -248,17 +260,21 @@ def cmd_field(D: int) -> int:
 
 
 def cmd_scan(d_limit: int, k_limit: int) -> int:
+    from .hmf_coeffs import exact_identity_scan
+
     for triple in exact_identity_scan(d_limit, k_limit):
         print(triple)
     return EXIT_OK
 
 
 def cmd_demo_sqrt5(trace_bound: int) -> int:
+    from .hmf_coeffs import verify_sqrt5_identity
+
     rep = verify_sqrt5_identity(trace_bound)
-    print(f"scalar from constant terms: {fraction_str(rep.scalar)}")
+    print(f"scalar from constant terms: {rep.scalar}")
     print(
         "constant term check: "
-        f"{fraction_str(rep.scalar)} * (1/120)^2 = 1/240: "
+        f"{rep.scalar} * (1/120)^2 = 1/240: "
         f"{'ok' if rep.constant_term_ok else 'FAILED'}"
     )
     print(f"coefficients compared up to trace {rep.trace_bound}: {rep.coefficients_checked}")

@@ -24,6 +24,11 @@ pairs whose traces sum to at most the bound; ``product_coefficient``
 reads one entry of that table.  Each element's ideal factorization
 (``factor_ideal``) is memoised; its divisor sums are not, since a table
 reads each element once per weight.
+
+The exact constant-term residuals of the product identities, and the scan
+over them, close the module: each residual is the constant-term side of a
+comparison between Eisenstein products, so it lives beside the
+coefficients it stands for.
 """
 
 from __future__ import annotations
@@ -44,7 +49,12 @@ from .exact import (
     is_fundamental_discriminant,
     kronecker,
 )
-from .quadfield import class_number_imaginary, narrow_class_number
+from .quadfield import (
+    Splitting,
+    class_number_imaginary,
+    narrow_class_number,
+    narrow_one_fields,
+)
 
 
 class PrimeClass(Enum):
@@ -472,3 +482,77 @@ def cusp_dim_lower_bound(D: int, k: int) -> Fraction:
     if delta:
         bound -= Fraction(class_number_imaginary(d3), 6)
     return bound
+
+
+# ---------------------------------------------------------------------------
+# Constant-term residuals and the exact residual scan
+
+
+def residual_inert(D: int, k: int) -> Fraction:
+    """Exact constant-term residual of the equal-weight identity, 2 inert.
+
+    Zero exactly when (4^(2k-1) - 4^(k-1)) zeta_F(1-k)^2 = 4 zeta_F(1-2k).
+    Built as one ``Fraction`` from integer cross-products; zeta_F(1-2k)
+    is asked for first, so the character's power sums grow in one walk.
+    """
+    c = dedekind_zeta_neg(D, 2 * k)
+    a = dedekind_zeta_neg(D, k)
+    aq, cq = a.denominator, c.denominator
+    m = 4 ** (2 * k - 1) - 4 ** (k - 1)
+    return Fraction(
+        m * a.numerator**2 * cq - 4 * c.numerator * aq * aq, aq * aq * cq
+    )
+
+
+def residual_noninert(k: int) -> int:
+    """Equal-weight residual factor when 2 splits or ramifies; never zero."""
+    return 2 ** (2 * k - 1) - 2 ** (k - 1)
+
+
+def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
+    """Exact constant-term residual (A + B) C - A B of the unequal-weight
+    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
+    as one ``Fraction`` from integer cross-products; C is asked for first,
+    so the character's power sums grow in one walk."""
+    c = dedekind_zeta_neg(D, k1 + k2)
+    a = dedekind_zeta_neg(D, k1)
+    b = dedekind_zeta_neg(D, k2)
+    aq, bq, cq = a.denominator, b.denominator, c.denominator
+    ab = a.numerator * bq + b.numerator * aq
+    return Fraction(
+        ab * c.numerator - a.numerator * b.numerator * cq, aq * bq * cq
+    )
+
+
+def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]]:
+    """All (D, k1, k2) with a vanishing exact constant-term residual.
+
+    Scans every narrow class number one field with discriminant at most
+    d_limit, including 5, and every even pair 2 <= k2 <= k1 <= k_limit.
+    Equal weights use the splitting-specific residual, unequal weights the
+    three-value residual; both are exact rationals, so membership in the
+    result is a theorem, not an approximation.  A limit below the
+    smallest field (D = 5) or weight (k = 2) is rejected, not scanned as
+    an empty range.
+    """
+    if d_limit < 5:
+        raise ValueError("the discriminant limit must be at least 5")
+    if k_limit < 2:
+        raise ValueError("the weight limit must be at least 2")
+    survivors = []
+    for f in narrow_one_fields(d_limit):
+        D = f.discriminant
+        inert = f.two_splitting is Splitting.INERT
+        # heaviest pair first, so each field's power sums grow in one walk
+        for k1 in range(k_limit - k_limit % 2, 0, -2):
+            for k2 in range(k1, 0, -2):
+                if k1 == k2:
+                    if inert:
+                        vanishes = residual_inert(D, k1) == 0
+                    else:
+                        vanishes = residual_noninert(k1) == 0
+                else:
+                    vanishes = residual_unequal(D, k1, k2) == 0
+                if vanishes:
+                    survivors.append((D, k1, k2))
+    return sorted(survivors)

@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import _is_prime, _require_real_fundamental, is_fundamental_discriminant
-from .interval import PI, Expr, Log, Rat, Sqrt
 
 
 class Splitting(Enum):
@@ -79,20 +77,6 @@ def class_number_imaginary(delta: int) -> int:
             a += 1
         b += 2
     return count
-
-
-def ramare_bound(delta: int) -> Expr:
-    """Upper bound for h(delta), delta < -4 fundamental, as an expression:
-
-        h(delta) <= (|delta|^(1/2) / pi) * (log|delta| / 2 + 5/2 - log 6),
-
-    from the optima of L(1, chi) upper bounds.  The s4-inert certificate
-    ``class_number_route_d13`` subtracts ramare_bound(-39) / 6.
-    """
-    if delta >= -4 or not is_fundamental_discriminant(delta):
-        raise ValueError("requires a fundamental discriminant below -4")
-    n = -delta
-    return Sqrt(Rat(n)) / PI * (Log(Rat(n)) / 2 + Rat(Fraction(5, 2)) - Log(Rat(6)))
 
 
 # ---------------------------------------------------------------------------

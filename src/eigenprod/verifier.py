@@ -17,7 +17,18 @@ degrees 3 and 4 run ``_degree_grid`` with their own constants.
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exact import dedekind_zeta_neg, is_fundamental_discriminant
+from . import (
+    DEFAULT_BASE_PRECISION,
+    DEFAULT_D_LIMIT,
+    DEFAULT_N_MAX,
+    DEFAULT_PRECISION_CEILING,
+    SECTION_DEGREE,
+    SECTION_EQUAL,
+    SECTION_INERT,
+    SECTION_NONINERT,
+    SECTION_UNEQUAL,
+)
+from .exact import is_fundamental_discriminant
 from .fixtures import (
     Fixtures,
     MissingFixtureError,
@@ -26,7 +37,12 @@ from .fixtures import (
     takeuchi_constants,
     voight_min_disc,
 )
-from .hmf_coeffs import cusp_dim_lower_bound
+from .hmf_coeffs import (
+    cusp_dim_lower_bound,
+    residual_inert,
+    residual_noninert,
+    residual_unequal,
+)
 from .interval import (
     PI,
     RELATIONS,
@@ -36,6 +52,7 @@ from .interval import (
     Exp,
     Expr,
     GammaInt,
+    Log,
     Outcome,
     Pow,
     Rat,
@@ -44,7 +61,7 @@ from .interval import (
     certified_compare,
     evaluate_with_escalation,
 )
-from .quadfield import Splitting, narrow_one_fields, ramare_bound
+from .quadfield import Splitting, narrow_one_fields
 from .report import (
     ELIMINATED_BY_BOUND,
     ELIMINATED_BY_DIMENSION,
@@ -58,24 +75,6 @@ from .report import (
     format_decimal,
     fraction_str,
     resolve_verdict,
-)
-
-DEFAULT_BASE_PRECISION = 128
-DEFAULT_PRECISION_CEILING = 1024
-DEFAULT_D_LIMIT = 4000
-DEFAULT_N_MAX = 64
-
-SECTION_UNEQUAL = "s3-unequal"
-SECTION_EQUAL = "s3-equal"
-SECTION_INERT = "s4-inert"
-SECTION_NONINERT = "s4-noninert"
-SECTION_DEGREE = "s5"
-SECTION_ORDER = (
-    SECTION_UNEQUAL,
-    SECTION_EQUAL,
-    SECTION_INERT,
-    SECTION_NONINERT,
-    SECTION_DEGREE,
 )
 
 _FLIP = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
@@ -245,7 +244,7 @@ def _none_undecided(decisions) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# comparison constants and exact residuals
+# comparison constants
 
 
 def _four_pi_sq() -> Expr:
@@ -294,40 +293,18 @@ def c_equal_expr(D: int, k: int) -> Expr:
     return Pow(Rat(108) / Pow(PI, 6), 2) * Sqrt(Rat(D)) * Rat(k)
 
 
-def residual_inert(D: int, k: int) -> Fraction:
-    """Exact constant-term residual of the equal-weight identity, 2 inert.
+def ramare_bound(delta: int) -> Expr:
+    """Upper bound for h(delta), delta < -4 fundamental, as an expression:
 
-    Zero exactly when (4^(2k-1) - 4^(k-1)) zeta_F(1-k)^2 = 4 zeta_F(1-2k).
-    Built as one ``Fraction`` from integer cross-products; zeta_F(1-2k)
-    is asked for first, so the character's power sums grow in one walk.
+        h(delta) <= (|delta|^(1/2) / pi) * (log|delta| / 2 + 5/2 - log 6),
+
+    from the optima of L(1, chi) upper bounds.  The s4-inert certificate
+    ``class_number_route_d13`` subtracts ramare_bound(-39) / 6.
     """
-    c = dedekind_zeta_neg(D, 2 * k)
-    a = dedekind_zeta_neg(D, k)
-    aq, cq = a.denominator, c.denominator
-    m = 4 ** (2 * k - 1) - 4 ** (k - 1)
-    return Fraction(
-        m * a.numerator**2 * cq - 4 * c.numerator * aq * aq, aq * aq * cq
-    )
-
-
-def residual_noninert(k: int) -> int:
-    """Equal-weight residual factor when 2 splits or ramifies; never zero."""
-    return 2 ** (2 * k - 1) - 2 ** (k - 1)
-
-
-def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
-    """Exact constant-term residual (A + B) C - A B of the unequal-weight
-    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
-    as one ``Fraction`` from integer cross-products; C is asked for first,
-    so the character's power sums grow in one walk."""
-    c = dedekind_zeta_neg(D, k1 + k2)
-    a = dedekind_zeta_neg(D, k1)
-    b = dedekind_zeta_neg(D, k2)
-    aq, bq, cq = a.denominator, b.denominator, c.denominator
-    ab = a.numerator * bq + b.numerator * aq
-    return Fraction(
-        ab * c.numerator - a.numerator * b.numerator * cq, aq * bq * cq
-    )
+    if delta >= -4 or not is_fundamental_discriminant(delta):
+        raise ValueError("requires a fundamental discriminant below -4")
+    n = -delta
+    return Sqrt(Rat(n)) / PI * (Log(Rat(n)) / 2 + Rat(Fraction(5, 2)) - Log(Rat(6)))
 
 
 # ---------------------------------------------------------------------------
@@ -1235,41 +1212,3 @@ def verify_section5(
         label="degree n = 4, all weights",
     )
     return run.report()
-
-
-# ---------------------------------------------------------------------------
-# exhaustive exact scan
-
-
-def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]]:
-    """All (D, k1, k2) with a vanishing exact constant-term residual.
-
-    Scans every narrow class number one field with discriminant at most
-    d_limit, including 5, and every even pair 2 <= k2 <= k1 <= k_limit.
-    Equal weights use the splitting-specific residual, unequal weights the
-    three-value residual; both are exact rationals, so membership in the
-    result is a theorem, not an approximation.  A limit below the
-    smallest field (D = 5) or weight (k = 2) is rejected, not scanned as
-    an empty range.
-    """
-    if d_limit < 5:
-        raise ValueError("the discriminant limit must be at least 5")
-    if k_limit < 2:
-        raise ValueError("the weight limit must be at least 2")
-    survivors = []
-    for f in narrow_one_fields(d_limit):
-        D = f.discriminant
-        inert = f.two_splitting is Splitting.INERT
-        # heaviest pair first, so each field's power sums grow in one walk
-        for k1 in range(k_limit - k_limit % 2, 0, -2):
-            for k2 in range(k1, 0, -2):
-                if k1 == k2:
-                    if inert:
-                        vanishes = residual_inert(D, k1) == 0
-                    else:
-                        vanishes = residual_noninert(k1) == 0
-                else:
-                    vanishes = residual_unequal(D, k1, k2) == 0
-                if vanishes:
-                    survivors.append((D, k1, k2))
-    return sorted(survivors)

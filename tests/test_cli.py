@@ -375,3 +375,55 @@ def test_module_invocation_runs_main():
     assert bad.returncode == EXIT_USAGE
     assert bad.stdout == ""
     assert "eigenprod: error:" in bad.stderr
+
+
+# Each command imports only the layers it runs.  A fresh interpreter runs
+# one command and prints the package modules it loaded.
+_PRINT_LOADED = "print(*(m for m in sys.modules if m.startswith('eigenprod.')))\n"
+_LOADED_BY = (
+    "import contextlib, io, sys\n"
+    "from eigenprod.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    main(sys.argv[1:])\n"
+) + _PRINT_LOADED
+_VERIFY_LAYERS = {
+    "eigenprod.interval",
+    "eigenprod.verifier",
+    "eigenprod.report",
+    "eigenprod.fixtures",
+}
+
+
+def _loaded_by(code, *argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_layer():
+    assert _loaded_by("import eigenprod, sys\n" + _PRINT_LOADED) == set()
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        (["scan", "100", "12"], {"exact", "quadfield", "hmf_coeffs"}),
+        (["demo-sqrt5", "8"], {"exact", "quadfield", "hmf_coeffs"}),
+        (["zeta", "13", "4"], {"exact"}),
+        (["field", "13"], {"exact", "quadfield"}),
+    ],
+    ids=["scan", "demo-sqrt5", "zeta", "field"],
+)
+def test_query_command_loads_only_its_layers(argv, layers):
+    loaded = _loaded_by(_LOADED_BY, *argv)
+    assert loaded == {"eigenprod.cli"} | {f"eigenprod.{m}" for m in layers}
+    assert loaded.isdisjoint(_VERIFY_LAYERS)
+
+
+def test_verify_loads_the_certified_and_report_layers():
+    assert _VERIFY_LAYERS <= _loaded_by(_LOADED_BY, "verify", "s3-unequal")

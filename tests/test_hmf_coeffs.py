@@ -3,7 +3,9 @@
 Ideal counts are checked against the divisor-character sum, element
 enumeration against a plain box scan, product coefficients against a
 hand-expanded convolution, and the Hecke relations at one prime of each
-class on the package coefficients at powers of a prime generator.
+class on the package coefficients at powers of a prime generator.  The
+unequal-weight constant-term residual is tied to the coefficients it
+stands for.
 """
 
 import random
@@ -20,13 +22,16 @@ from eigenprod import (
     TotallyPositiveElement,
     coefficient,
     cusp_dim_lower_bound,
+    dedekind_zeta_neg,
     eisenstein_coeff,
     enumerate_totally_nonneg,
     factor_ideal,
     ideal_from_prime_powers,
     ideals_of_norm,
     kronecker,
+    narrow_one_fields,
     product_coefficient,
+    residual_unequal,
     verify_sqrt5_identity,
 )
 from eigenprod.hmf_coeffs import (
@@ -401,3 +406,35 @@ def test_cusp_dimension_bound_domain():
         cusp_dim_lower_bound(40, 2)
     with pytest.raises(ValueError, match="k must be >= 2"):
         cusp_dim_lower_bound(13, 1)
+
+
+# ---------------------------------------------------------------------------
+# Constant-term residuals against the coefficient engine
+
+
+def test_unequal_residual_is_the_coefficient_gap_at_one():
+    """residual_unequal(D, k1, k2) = 4 zeta_F(1-k1-k2) (c_{E_k1 E_k2}(1)
+    - lambda c_{E_{k1+k2}}(1)), with lambda = c_0(E_k1) c_0(E_k2) /
+    c_0(E_{k1+k2}) the scalar that matches the constant terms.
+
+    No totally positive element has trace 1, so only the two boundary
+    terms reach nu = 1: with A, B, C the zeta values at 1-k1, 1-k2 and
+    1-k1-k2, the product coefficient there is (A + B) / 4, lambda is
+    A B / (4 C) and c_{E_{k1+k2}}(1) = 1, which leaves (A + B) C - A B.
+    The right side is read from the coefficient engine alone, so flipping
+    any sign in residual_unequal fails the test.
+    """
+    triples = 0
+    for field in narrow_one_fields(200):
+        D = field.discriminant
+        one = TotallyPositiveElement(D, 1, 0)
+        forms = {k: EisensteinDescriptor(D, k) for k in range(2, 25, 2)}
+        for k1 in range(4, 13, 2):
+            for k2 in range(2, k1, 2):
+                f, h, fh = forms[k1], forms[k2], forms[k1 + k2]
+                lam = f.constant_term * h.constant_term / fh.constant_term
+                gap = product_coefficient(f, h, one) - lam * coefficient(fh, one)
+                expected = 4 * dedekind_zeta_neg(D, k1 + k2) * gap
+                assert residual_unequal(D, k1, k2) == expected, (D, k1, k2)
+                triples += 1
+    assert triples == 330

@@ -1,16 +1,18 @@
 """Package hygiene: the public export list, the module imports, the
 function locals and the private helpers.
 
-Every name in ``eigenprod.__all__`` must resolve under a star import and
-appear once; every module-level import in a package module must be read
-somewhere in that module; every name a function stores must be loaded in
-that function; every module-level function or class must be read
-somewhere in the package outside its own definition and ``__init__.py``,
-unless it is a named library-only entry point.
+Every name in ``eigenprod.__all__`` must resolve under a star import,
+appear once, and be the very object its home module defines; every
+module-level import in a package module must be read somewhere in that
+module; every name a function stores must be loaded in that function;
+every module-level function or class must be read somewhere in the
+package outside its own definition and ``__init__.py``, unless it is a
+named library-only entry point.
 """
 
 import ast
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,30 @@ def test_star_import_resolves_every_exported_name_once():
     exec("from eigenprod import *", namespace)
     missing = [name for name in eigenprod.__all__ if name not in namespace]
     assert missing == []
+
+
+def test_lazy_export_is_its_home_modules_object():
+    # the package loads a name's home module on first access and keeps the
+    # value; the home must define it, not merely import it
+    for name in eigenprod.__all__:
+        if name == "__version__":
+            continue
+        home = import_module(f"eigenprod.{eigenprod._HOME[name]}")
+        value = getattr(eigenprod, name)
+        assert value is getattr(home, name), name
+        assert vars(eigenprod)[name] is value, name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_unknown_package_attribute_is_missing():
+    with pytest.raises(AttributeError, match="no attribute 'riemann_zeta_neg'"):
+        eigenprod.riemann_zeta_neg
+    assert not hasattr(eigenprod, "ramare")
+    assert "ramare" not in vars(eigenprod)
+
+
+def test_package_dir_covers_every_export():
+    assert set(eigenprod.__all__) <= set(dir(eigenprod))
 
 
 def _unused_imports(source: str) -> list[str]:
