@@ -18,6 +18,8 @@ Conventions:
 * ``bernoulli(1) == -1/2`` (the "first" convention).
 * ``zeta_F(1-k) == B_k B_{k,chi} / k^2`` for even ``k >= 2``, the product
   of ``zeta(1-k) == -B_k/k`` and ``L(1-k, chi) == -B_{k,chi}/k``.
+  ``dedekind_zeta_neg`` takes ``zeta_F(-1)`` (k = 2) from Zagier's divisor
+  sum instead, and the tests check it against this product.
 * Discriminants passed to character or field constructors must be
   fundamental; this is validated, not assumed.
 """
@@ -312,11 +314,17 @@ def dedekind_zeta_neg(D: int, k: int) -> Fraction:
 
     Factors as zeta(1 - k) * L(1 - k, chi_D) = B_k B_{k, chi_D} / k^2; k must
     be even and >= 2 (odd k give 0 and are rejected as misuse), D must be a
-    fundamental discriminant > 1.
+    fundamental discriminant > 1.  zeta_F(-1) (k = 2) comes from Zagier's
+    divisor sum (``zagier_zeta_minus_one``), O(sqrt(D)) small
+    factorisations instead of a walk over the character's period; every
+    other k takes the Bernoulli route, and the tests check the k = 2
+    values against that route too.
     """
     _require_real_fundamental(D)
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be even and >= 2")
+    if k == 2:
+        return zagier_zeta_minus_one(D)
     return bernoulli(k) * generalized_bernoulli(k, KroneckerCharacter(D)) / (k * k)
 
 
@@ -325,13 +333,15 @@ def _sigma1(n: int) -> int:
 
 
 def zagier_zeta_minus_one(D: int) -> Fraction:
-    """zeta_F(-1) as the finite divisor sum
+    """zeta_F(-1) as the finite divisor sum (Siegel; Zagier 1976)
 
         (1/60) * sum_{b^2 < D, b^2 == D mod 4} sigma_1((D - b^2) / 4),
 
-    b running over all integers (negative b included).  An independent
-    route to dedekind_zeta_neg(D, 2); the test suite compares the two
-    exactly.
+    b running over all integers (negative b included).  This is the route
+    ``dedekind_zeta_neg(D, 2)`` takes: about sqrt(D)/2 small divisor sums,
+    where the L-value route walks a whole period of the character.  The
+    test suite checks it exactly against the L-value route
+    B_2 B_{2, chi_D} / 4.
     """
     _require_real_fundamental(D)
     total = 0

@@ -51,8 +51,8 @@ from .exact import (
 )
 from .quadfield import (
     Splitting,
+    _narrow_class_number_is_one,
     class_number_imaginary,
-    narrow_class_number,
     narrow_one_fields,
 )
 
@@ -470,7 +470,7 @@ def cusp_dim_lower_bound(D: int, k: int) -> Fraction:
     if D <= 12:
         raise ValueError("the bound requires D > 12")
     _require_real_fundamental(D)
-    if narrow_class_number(D) != 1:
+    if not _narrow_class_number_is_one(D):
         raise ValueError("the bound is stated for narrow class number one")
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -8,7 +8,14 @@ arithmetic on exact inequalities, no floating point.
 
 The verification layer only ever runs over real quadratic fields of
 narrow class number one; ``narrow_one_fields`` enumerates those up to a
-discriminant bound.
+discriminant bound.  It does not count cycles.  It walks only the
+principal rho-cycle, which decides h+(D) = 1 on its own: the cycle must
+hold a form with a = -1 (a unit of norm -1, so the narrow and wide class
+groups agree) and a form with a = l for every prime l < sqrt(D)/2 that
+does not stay inert (the primes of norm below Minkowski's bound, which
+generate the class group).  That is O(sqrt(D)) work per field, where the
+cycle count lists every reduced form; ``narrow_class_number`` stays for
+``field`` and as the test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .exact import _is_prime, _require_real_fundamental, is_fundamental_discriminant
+from .exact import (
+    _is_prime,
+    _require_real_fundamental,
+    is_fundamental_discriminant,
+    kronecker,
+)
 
 
 class Splitting(Enum):
@@ -121,7 +133,6 @@ def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
     return (c, r, (r * r - D) // (4 * c))
 
 
-@lru_cache(maxsize=None)
 def narrow_class_number(D: int) -> int:
     """h+(D): cycles of reduced indefinite forms under rho."""
     _require_real_fundamental(D)
@@ -141,6 +152,57 @@ def narrow_class_number(D: int) -> int:
         else:
             raise ArithmeticError(f"rho walk failed to close for D={D}")
     return cycles
+
+
+@lru_cache(maxsize=None)
+def _narrow_class_number_is_one(D: int) -> bool:
+    """h+(D) == 1, read off the principal rho-cycle alone.
+
+    The cycle starts at (1, b0, (b0^2 - D)/4), b0 the largest integer
+    below sqrt(D) with b0 = D (mod 2); that form is reduced, since
+    sqrt(D) - b0 < 2 < sqrt(D) + b0.  The cycle is the set of reduced
+    forms properly equivalent to it, i.e. the trivial narrow class.
+
+    Lemma: a form that properly represents m, with 0 < |m| < sqrt(D)/2,
+    has a reduced form (m, b, c) in its cycle.  It is properly equivalent
+    to some (m, b', c'), and the translation b' -> b' + 2mt reaches a b
+    with sqrt(D) - 2|m| < b < sqrt(D); then 0 < b and
+    sqrt(D) - b < 2|m| < sqrt(D) + b, so (m, b, c) is reduced.
+
+    The predicate holds iff the cycle contains
+    (i) a form with a = -1, and
+    (ii) for every prime l with 4 l^2 < D and (D/l) != -1, a form with a = l.
+
+    The forms of the cycle represent exactly what the principal form, the
+    norm form, represents.  If h+ = 1, then h+ = h forces a unit of norm
+    -1, so the principal form represents -1, and every prime ideal of
+    norm l has a generator of norm l, so it represents l; by the lemma
+    (1 < sqrt(D)/2 for D >= 5) both show up in the cycle.  Conversely,
+    (i) gives an element of norm -1, a unit, so the narrow and wide class
+    groups are equal.  A form (l, b, c) in the cycle gives an element of
+    norm l, which generates one of the primes above l; its conjugate
+    generates the other.  By Minkowski's bound sqrt(D)/2 every ideal
+    class holds an ideal of norm below sqrt(D)/2, a product of primes of
+    norm l with 4 l^2 < D and of inert primes (l), which are principal;
+    so (ii) makes every class trivial.
+    """
+    s = math.isqrt(D)
+    b0 = s if (D - s) % 2 == 0 else s - 1
+    start = form = (1, b0, (b0 * b0 - D) // 4)
+    leading = set()
+    while True:
+        leading.add(form[0])
+        form = _rho(form, D, s)
+        if form == start:
+            break
+    if -1 not in leading:
+        return False
+    ell = 2
+    while 4 * ell * ell < D:
+        if ell not in leading and _is_prime(ell) and kronecker(D, ell) != -1:
+            return False
+        ell += 1 if ell == 2 else 2
+    return True
 
 
 def fundamental_unit_norm(n: int) -> int:
@@ -191,13 +253,17 @@ def narrow_one_fields(limit: int) -> tuple[FieldDescriptor, ...]:
     discriminant <= limit, ascending.
 
     Genus theory prefilter: h+ is odd only when the discriminant has a
-    single prime divisor, so D = 8 or D a prime congruent to 1 mod 4;
-    the exact cycle count then decides.
+    single prime divisor, so D = 8 or D a prime congruent to 1 mod 4.
+    The principal rho-cycle then decides (``_narrow_class_number_is_one``):
+    h+ = 1 iff the cycle holds a form with a = -1, so that narrow and
+    wide classes agree, and a form with a = l for each prime l below
+    Minkowski's bound sqrt(D)/2 that is not inert, so that the primes
+    generating the class group are principal.
     """
     out = []
     for D in range(5, limit + 1):
         if D != 8 and not (D % 4 == 1 and _is_prime(D)):
             continue
-        if narrow_class_number(D) == 1:
-            out.append(field_descriptor(D))
+        if _narrow_class_number_is_one(D):
+            out.append(FieldDescriptor(D, radicand(D), splitting_of_two(D), 1))
     return tuple(out)

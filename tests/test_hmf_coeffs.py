@@ -4,8 +4,8 @@ Ideal counts are checked against the divisor-character sum, element
 enumeration against a plain box scan, product coefficients against a
 hand-expanded convolution, and the Hecke relations at one prime of each
 class on the package coefficients at powers of a prime generator.  The
-unequal-weight constant-term residual is tied to the coefficients it
-stands for.
+unequal-weight and the inert equal-weight constant-term residuals are
+tied to the coefficients they stand for.
 """
 
 import random
@@ -19,6 +19,7 @@ from eigenprod import (
     EisensteinDescriptor,
     IdealFactorization,
     PrimeClass,
+    Splitting,
     TotallyPositiveElement,
     coefficient,
     cusp_dim_lower_bound,
@@ -31,6 +32,7 @@ from eigenprod import (
     kronecker,
     narrow_one_fields,
     product_coefficient,
+    residual_inert,
     residual_unequal,
     verify_sqrt5_identity,
 )
@@ -404,6 +406,9 @@ def test_cusp_dimension_bound_domain():
         cusp_dim_lower_bound(5, 2)
     with pytest.raises(ValueError, match="narrow class number one"):
         cusp_dim_lower_bound(40, 2)
+    # h+(229) = 3: a prime = 1 mod 4 that passes the genus prefilter
+    with pytest.raises(ValueError, match="narrow class number one"):
+        cusp_dim_lower_bound(229, 2)
     with pytest.raises(ValueError, match="k must be >= 2"):
         cusp_dim_lower_bound(13, 1)
 
@@ -438,3 +443,41 @@ def test_unequal_residual_is_the_coefficient_gap_at_one():
                 assert residual_unequal(D, k1, k2) == expected, (D, k1, k2)
                 triples += 1
     assert triples == 330
+
+
+def test_inert_residual_is_the_coefficient_gap_at_one_and_two():
+    """residual_inert(D, k) = -4 zeta_F(1-2k) (gap(2) - (1 + 4^(k-1)) gap(1))
+    for 2 inert, where gap(nu) = c_{E_k E_k}(nu) - lambda c_{E_2k}(nu) and
+    lambda = c_0(E_k)^2 / c_0(E_2k).
+
+    With A = zeta_F(1-k), C = zeta_F(1-2k), c_0(E_k) = A / 4 and
+    lambda = A^2 / (4 C).  No totally positive element has trace 1, so
+    only the boundary terms reach nu = 1: gap(1) = A / 2 - lambda.  At
+    nu = 2 the only interior split is 1 + 1, since (2 +- y sqrt(D)) / 2 is
+    totally positive only for y = 0 once D >= 5; it adds
+    sigma_{k-1}(1)^2 = 1.  With 2 inert, (2) is prime of norm 4, so
+    sigma_{k-1}((2)) = 1 + 4^(k-1) and sigma_{2k-1}((2)) = 1 + 4^(2k-1):
+    gap(2) = (A / 2)(1 + 4^(k-1)) + 1 - lambda (1 + 4^(2k-1)).  The
+    boundary terms cancel in the combination, which leaves
+    1 - lambda (4^(2k-1) - 4^(k-1)); times -4 C that is
+    (4^(2k-1) - 4^(k-1)) A^2 - 4 C, the residual.  The right side is read
+    from the coefficient engine alone, so flipping either sign in
+    residual_inert fails the test.
+    """
+    pairs = 0
+    for field in narrow_one_fields(200):
+        if field.two_splitting is not Splitting.INERT:
+            continue
+        D = field.discriminant
+        one, two = TotallyPositiveElement(D, 1, 0), TotallyPositiveElement(D, 2, 0)
+        for k in range(2, 13, 2):
+            f, f2 = EisensteinDescriptor(D, k), EisensteinDescriptor(D, 2 * k)
+            lam = f.constant_term**2 / f2.constant_term
+            gap1, gap2 = (
+                product_coefficient(f, f, nu) - lam * coefficient(f2, nu)
+                for nu in (one, two)
+            )
+            expected = -4 * dedekind_zeta_neg(D, 2 * k) * (gap2 - (1 + 4 ** (k - 1)) * gap1)
+            assert residual_inert(D, k) == expected, (D, k)
+            pairs += 1
+    assert pairs == 78

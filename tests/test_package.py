@@ -176,9 +176,6 @@ def test_unread_private_helper_is_caught():
 
 # Public names that no package code reads, each kept for a reason
 LIBRARY_ENTRY_POINTS = {
-    # Zagier's divisor sum, an independent route to dedekind_zeta_neg(D, 2)
-    # that the suite compares over every real fundamental D <= 4000
-    "exact.py:zagier_zeta_minus_one",
     # the continued-fraction unit norm, checked against narrow_class_number
     # beyond the reach of the tests' Pell search
     "quadfield.py:fundamental_unit_norm",

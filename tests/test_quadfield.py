@@ -25,7 +25,7 @@ from eigenprod import (
     splitting_of_two,
 )
 from eigenprod.exact import _factorize
-from eigenprod.quadfield import radicand
+from eigenprod.quadfield import _narrow_class_number_is_one, radicand
 
 
 def _oracle_h_imaginary(delta: int) -> int:
@@ -170,6 +170,20 @@ def test_narrow_one_universe():
     assert all(isinstance(f, FieldDescriptor) for f in fields)
     assert all(f.narrow_class_number == 1 for f in fields)
     assert narrow_one_fields(100) is narrow_one_fields(100)
+    # the --d-limit 20000 stress configuration
+    assert len(narrow_one_fields(20000)) == 918
+
+
+def test_principal_cycle_criterion_matches_cycle_count():
+    # the predicate on its own, without the genus prefilter, over every
+    # real fundamental D <= 4000: dropping its a = -1 condition goes wrong
+    # at D = 12, 21, 28, ..., dropping its prime loop at D = 40, 65, 85, ...
+    checked = 0
+    for D in range(5, 4001):
+        if is_fundamental_discriminant(D):
+            assert _narrow_class_number_is_one(D) == (narrow_class_number(D) == 1), D
+            checked += 1
+    assert checked == 1216
 
 
 def test_narrow_one_forces_prime_or_eight():
