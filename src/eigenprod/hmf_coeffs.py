@@ -505,7 +505,19 @@ def residual_inert(D: int, k: int) -> Fraction:
 
 
 def residual_noninert(k: int) -> int:
-    """Equal-weight residual factor when 2 splits or ramifies; never zero."""
+    """Equal-weight residual factor when 2 splits or ramifies; never zero.
+
+    Narrow class number one gives a prime above 2 a totally positive
+    generator pi of norm 2.  No interior split mu + mu' = pi exists: for
+    totally positive mu and mu', sqrt N(mu + mu') >= sqrt N(mu) +
+    sqrt N(mu') >= 2 by Cauchy-Schwarz over the two embeddings, so N(pi)
+    would be at least 4.  Only the boundary terms reach pi, and with
+    gap(nu) = c_{E_k E_k}(nu) - lambda c_{E_2k}(nu), lambda =
+    c_0(E_k)^2 / c_0(E_2k), sigma_{k-1}((pi)) = 1 + 2^(k-1) and
+    sigma_{2k-1}((pi)) = 1 + 2^(2k-1) they cancel in
+    gap(pi) - (1 + 2^(k-1)) gap(1) = -lambda (2^(2k-1) - 2^(k-1)),
+    which leaves this factor.
+    """
     return 2 ** (2 * k - 1) - 2 ** (k - 1)
 
 

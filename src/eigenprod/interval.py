@@ -23,14 +23,13 @@ decided by cross-multiplying against the threshold, and a comparison is
 only ever decided when the whole interval lies on one side of it.
 
 Interior expression nodes (``Add`` ... ``Abs``) are enclosed through one
-bounded memo keyed by ``(node, precision)``.  Nodes are frozen
-dataclasses, so the key is the tree's structure: the same subexpression
-built twice, such as 4 pi^2 in every unequal-weight chain, is enclosed
-once per precision.  Each node computes its structural hash once and
-keeps it, so a lookup does not rehash the subtree below it.  An enclosure
-is a function of the key alone, so the memo cannot change a result.  It
-is bounded because a run builds thousands of distinct nodes and an
-unbounded memo would keep every one alive.
+bounded memo keyed by ``(node, precision)``.  A node is its kind and its
+argument tuple, compared structurally (see ``Expr``), so the key is the
+tree's structure: the same subexpression built twice, such as 4 pi^2 in
+every unequal-weight chain, is enclosed once per precision.  An
+enclosure is a function of the key alone, so the memo cannot change a
+result.  It is bounded because a run builds thousands of distinct nodes
+and an unbounded memo would keep every one alive.
 
 ``evaluate_with_escalation`` retries an undecided comparison at doubled
 precision up to a ceiling.  Doubling the precision shrinks enclosure
@@ -49,6 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
+from . import DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CEILING
 from .exact import bernoulli
 
 RationalLike = Union[int, Fraction]
@@ -70,7 +70,7 @@ class Outcome(Enum):
 
 def _pair(x: RationalLike) -> Pair:
     if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+        raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
     return x.numerator, x.denominator
 
 
@@ -456,10 +456,30 @@ def enclose_log(x: CertifiedReal) -> CertifiedReal:
 
 
 class Expr:
-    """Closed real expression; ``enclose(precision)`` yields a CertifiedReal."""
+    """Closed real expression; ``enclose(precision)`` yields a CertifiedReal.
 
-    # a node's kept structural hash (see _hashed_once); unset until first use
-    __slots__ = ("_hash",)
+    A node is its kind (its class) and its argument tuple ``args``:
+    children, or a leaf's value.  A node never changes, so its structural
+    hash is computed once, at construction, from its children's kept
+    hashes; the enclosure memo hashes every node it is asked about, which
+    would otherwise walk the whole subtree each time.  Equality is
+    structural: the same kind with equal arguments.
+    """
+
+    __slots__ = ("args", "_hash")
+
+    def __init__(self, *args):
+        self.args = args
+        self._hash = hash((type(self), args))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.args == self.args
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({', '.join(map(repr, self.args))})"
 
     def enclose(self, precision: int) -> CertifiedReal:
         raise NotImplementedError
@@ -496,50 +516,23 @@ class Expr:
         return Sub(Rat(0), self)
 
 
-def _hashed_once(cls):
-    """Make ``cls`` a frozen, slotted dataclass whose structural hash is kept.
-
-    A node never changes, so its hash is computed once, from its
-    children's kept hashes, and stored in the ``_hash`` slot; the
-    enclosure memo hashes every node it is asked about, which would
-    otherwise walk the whole subtree each time.  Slots keep a node smaller
-    than an instance dict would.  Equality stays structural.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    structural_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = structural_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
 def _coerce(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Rat(x)
-    raise TypeError(f"cannot use {type(x).__name__} in an expression")
+    return x if isinstance(x, Expr) else Rat(x)
 
 
-@_hashed_once
 class Rat(Expr):
-    value: Fraction
+    __slots__ = ()
 
     def __init__(self, value: RationalLike):
-        object.__setattr__(self, "value", Fraction(value))
+        super().__init__(Fraction(*_pair(value)))
 
     def enclose(self, precision: int) -> CertifiedReal:
-        return from_rational(self.value, precision)
+        return from_rational(self.args[0], precision)
 
 
-@_hashed_once
 class Pi(Expr):
+    __slots__ = ()
+
     def enclose(self, precision: int) -> CertifiedReal:
         return enclose_pi(precision)
 
@@ -547,20 +540,18 @@ class Pi(Expr):
 PI = Pi()
 
 
-@_hashed_once
 class Zeta(Expr):
-    s: int
+    __slots__ = ()
 
     def enclose(self, precision: int) -> CertifiedReal:
-        return enclose_zeta(self.s, precision)
+        return enclose_zeta(self.args[0], precision)
 
 
-@_hashed_once
 class GammaInt(Expr):
-    k: int
+    __slots__ = ()
 
     def enclose(self, precision: int) -> CertifiedReal:
-        return from_rational(gamma_integer(self.k), precision)
+        return from_rational(gamma_integer(self.args[0]), precision)
 
 
 # Bound on the structural memo below.  In a cold `verify all` at the
@@ -577,89 +568,65 @@ def _enclose_memo(node: "_Node", precision: int) -> CertifiedReal:
 
 
 class _Node(Expr):
-    """Interior node; subclasses define ``_enclose``, which the memo calls."""
+    """Interior node: its kind's ``op`` applied to the enclosures of its
+    children, through the memo."""
 
     __slots__ = ()
 
     def enclose(self, precision: int) -> CertifiedReal:
         return _enclose_memo(self, precision)
 
+    def _enclose(self, precision: int) -> CertifiedReal:
+        return self.op(*[x.enclose(precision) for x in self.args])
 
-@_hashed_once
+
 class Add(_Node):
-    a: Expr
-    b: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return self.a.enclose(precision) + self.b.enclose(precision)
+    __slots__ = ()
+    op = staticmethod(operator.add)
 
 
-@_hashed_once
 class Sub(_Node):
-    a: Expr
-    b: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return self.a.enclose(precision) - self.b.enclose(precision)
+    __slots__ = ()
+    op = staticmethod(operator.sub)
 
 
-@_hashed_once
 class Mul(_Node):
-    a: Expr
-    b: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return self.a.enclose(precision) * self.b.enclose(precision)
+    __slots__ = ()
+    op = staticmethod(operator.mul)
 
 
-@_hashed_once
 class Div(_Node):
-    a: Expr
-    b: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return self.a.enclose(precision) / self.b.enclose(precision)
+    __slots__ = ()
+    op = staticmethod(operator.truediv)
 
 
-@_hashed_once
 class Pow(_Node):
-    base: Expr
-    exponent: int
+    # the exponent is an int, not a child
+    __slots__ = ()
 
     def _enclose(self, precision: int) -> CertifiedReal:
-        return self.base.enclose(precision).pow_int(self.exponent)
+        base, exponent = self.args
+        return base.enclose(precision).pow_int(exponent)
 
 
-@_hashed_once
 class Sqrt(_Node):
-    x: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return enclose_sqrt(self.x.enclose(precision))
+    __slots__ = ()
+    op = staticmethod(enclose_sqrt)
 
 
-@_hashed_once
 class Exp(_Node):
-    x: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return enclose_exp(self.x.enclose(precision))
+    __slots__ = ()
+    op = staticmethod(enclose_exp)
 
 
-@_hashed_once
 class Log(_Node):
-    x: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return enclose_log(self.x.enclose(precision))
+    __slots__ = ()
+    op = staticmethod(enclose_log)
 
 
-@_hashed_once
 class Abs(_Node):
-    x: Expr
-
-    def _enclose(self, precision: int) -> CertifiedReal:
-        return self.x.enclose(precision).abs()
+    __slots__ = ()
+    op = staticmethod(CertifiedReal.abs)
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +695,8 @@ def evaluate_with_escalation(
     expr: Expr,
     threshold: RationalLike,
     relation: str,
-    base_precision: int = 128,
-    precision_ceiling: int = 1024,
+    base_precision: int = DEFAULT_BASE_PRECISION,
+    precision_ceiling: int = DEFAULT_PRECISION_CEILING,
 ) -> Decision:
     """Decide ``expr <relation> threshold``, doubling precision as needed.
 

@@ -2,8 +2,9 @@
 
 The five verifiers are deterministic, so running each once and asserting
 against the shared report keeps the suite fast without weakening anything.
-The Hecke relation check at a prime, read off package coefficients, is
-shared the same way.
+The Hecke relation check at a prime, read off package coefficients, and
+the search for a prime's totally positive generator are shared the same
+way.
 """
 
 import pytest
@@ -107,3 +108,8 @@ def check_hecke_relations(D: int, prime_norm: int, k: int, j_max: int):
 @pytest.fixture(scope="session")
 def hecke_relations():
     return check_hecke_relations
+
+
+@pytest.fixture(scope="session")
+def prime_generator():
+    return _prime_generator

@@ -4,8 +4,8 @@ Ideal counts are checked against the divisor-character sum, element
 enumeration against a plain box scan, product coefficients against a
 hand-expanded convolution, and the Hecke relations at one prime of each
 class on the package coefficients at powers of a prime generator.  The
-unequal-weight and the inert equal-weight constant-term residuals are
-tied to the coefficients they stand for.
+unequal-weight and both equal-weight constant-term residuals are tied
+to the coefficients they stand for.
 """
 
 import random
@@ -33,6 +33,7 @@ from eigenprod import (
     narrow_one_fields,
     product_coefficient,
     residual_inert,
+    residual_noninert,
     residual_unequal,
     verify_sqrt5_identity,
 )
@@ -481,3 +482,30 @@ def test_inert_residual_is_the_coefficient_gap_at_one_and_two():
             assert residual_inert(D, k) == expected, (D, k)
             pairs += 1
     assert pairs == 78
+
+
+def test_noninert_residual_is_the_coefficient_gap_at_pi(prime_generator):
+    """gap(pi) - (1 + 2^(k-1)) gap(1) = -lambda residual_noninert(k) when 2
+    splits or ramifies, with pi a totally positive generator of a prime
+    above 2 and gap, lambda as in the inert test.
+
+    No interior split reaches pi (see residual_noninert), so gap(pi) =
+    (A / 2)(1 + 2^(k-1)) - lambda (1 + 2^(2k-1)) against gap(1) =
+    A / 2 - lambda, and the boundary terms cancel.  The right side's
+    lambda and the left side are read from the coefficient engine alone,
+    so flipping either sign in residual_noninert fails the test.
+    """
+    traces = []
+    for D in (8, 17, 41, 73):
+        pi = prime_generator(D, 2)
+        one = TotallyPositiveElement(D, 1, 0)
+        traces.append(pi.trace())
+        for k in (2, 4, 6):
+            f, f2 = EisensteinDescriptor(D, k), EisensteinDescriptor(D, 2 * k)
+            lam = f.constant_term**2 / f2.constant_term
+            gap1, gap_pi = (
+                product_coefficient(f, f, nu) - lam * coefficient(f2, nu)
+                for nu in (one, pi)
+            )
+            assert gap_pi - (1 + 2 ** (k - 1)) * gap1 == -lam * residual_noninert(k), (D, k)
+    assert traces == [4, 5, 7, 9]

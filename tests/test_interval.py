@@ -6,6 +6,8 @@ containment is asserted with a guard band of 2^-250, many orders below
 any enclosure width produced here.
 """
 
+import dataclasses
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -37,10 +39,17 @@ from eigenprod import (
     evaluate_with_escalation,
     gamma_integer,
 )
+from eigenprod import interval
 from eigenprod.interval import (
     GUARD_BITS,
     RELATIONS,
+    Add,
+    Div,
+    Mul,
+    Pi,
+    Sub,
     _enclose_memo,
+    _Node,
     from_rational,
 )
 
@@ -364,6 +373,71 @@ def test_enclosure_memo_keys_on_structure_and_precision():
     assert high.width() <= low.width()
     # an unbounded memo keeps every node of a run alive
     assert _enclose_memo.cache_info().maxsize is not None
+
+
+def _one_tree_per_kind() -> list:
+    # built afresh on every call, so two calls give equal, distinct trees
+    x = Rat(Fraction(3, 2)) * PI
+    return [
+        Rat(Fraction(3, 2)),
+        Pi(),
+        Zeta(4),
+        GammaInt(5),
+        Add(x, Zeta(2)),
+        Sub(x, Zeta(2)),
+        Mul(x, Zeta(2)),
+        Div(x, Zeta(2)),
+        Pow(x, 3),
+        Sqrt(x),
+        Exp(x),
+        Log(x),
+        Abs(Sub(Rat(1), x)),
+    ]
+
+
+def test_node_identity_is_structural():
+    # the enclosure memo relies on these: equal trees are one key, trees of
+    # different kinds over the same children are different keys
+    precision = 136  # a precision no other test encloses at
+    for a, b in zip(_one_tree_per_kind(), _one_tree_per_kind()):
+        assert a is not b
+        assert a == b and hash(a) == hash(b), type(a).__name__
+        assert not hasattr(a, "__dict__"), type(a).__name__
+        if isinstance(a, _Node):
+            enc = a.enclose(precision)
+            before = _enclose_memo.cache_info()
+            assert b.enclose(precision) is enc
+            after = _enclose_memo.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    x, y = Rat(2) * PI, Zeta(2)
+    pair_kinds = [Add(x, y), Sub(x, y), Mul(x, y), Div(x, y)]
+    for a, b in itertools.combinations(pair_kinds, 2):
+        assert a != b
+    assert Pow(x, 2) != Pow(x, 3)
+    assert Add(x, y) != Add(y, x)
+    assert Rat(2) == Rat(Fraction(4, 2))
+    assert Rat(2) != GammaInt(2) and Zeta(2) != GammaInt(2)
+    classes = [obj for obj in vars(interval).values() if inspect.isclass(obj)]
+    assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == ["Decision"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Rat(0.1),
+        lambda: Rat(2) + 0.5,
+        lambda: CertifiedReal(0.1, 0.2, 8),
+        lambda: from_rational(0.5, 8),
+        lambda: CertifiedReal(1, 2, 8).contains(1.5),
+        lambda: certified_compare(CertifiedReal(1, 2, 8), 3.14, ">"),
+        lambda: evaluate_with_escalation(PI, 0.1, ">"),
+    ],
+    ids=["rat", "sugar", "interval", "from-rational", "contains", "compare", "escalation"],
+)
+def test_floats_rejected_at_the_certified_boundary(call):
+    # a float's binary value is not the decimal it was written as
+    with pytest.raises(TypeError):
+        call()
 
 
 # ---------------------------------------------------------------------------
