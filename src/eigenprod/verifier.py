@@ -9,6 +9,15 @@ recorded in the direction that was actually decided, so a report reads as
 a list of true statements; anything undecided or decided the wrong way
 flips the verdict, never the record.
 
+One rule decides every symbolic family: a family is the span of records
+appended since its mark, and it is eliminated exactly when every one of
+them is CertifiedTrue (``_Run.family``, ``_Run.holds_since``).  A signed
+check records the direction that was decided, so a sweep whose end is
+decided false still holds.  Besides the chain and sweep certificates, the
+spans take in f4_floor_d8 and f6_floor_d8 (the D = 8 unequal-weight chain)
+and s4-inert's chain_middle_consistent_* (the discriminant family), so
+those gate their family too.
+
 Proof shapes the paper runs twice are written once: both cusp-factor
 branches run ``_cusp_factor_sweep`` with their own bounds and hooks, and
 degrees 3 and 4 run ``_degree_grid`` with their own constants.
@@ -39,9 +48,9 @@ from .fixtures import (
 )
 from .hmf_coeffs import (
     cusp_dim_lower_bound,
+    exact_identity_scan,
     residual_inert,
     residual_noninert,
-    residual_unequal,
 )
 from .interval import (
     PI,
@@ -208,6 +217,26 @@ class _Run:
     ) -> None:
         self.candidates.append(CandidateRecord(status, detail, d, k1, k2, label))
 
+    def mark(self) -> int:
+        """Where the span of the next family's certificates starts."""
+        return len(self.constants)
+
+    def holds_since(self, mark: int) -> bool:
+        """Whether every certificate recorded since mark is CertifiedTrue."""
+        return all(
+            rec.decision.outcome is Outcome.CERTIFIED_TRUE
+            for rec in self.constants[mark:]
+        )
+
+    def family(
+        self, mark: int, detail: str, label: str, status: str = ELIMINATED_BY_BOUND
+    ) -> None:
+        """Record a symbolic family: eliminated with status exactly when
+        every certificate recorded since mark holds, a survivor otherwise."""
+        self.candidate(
+            status if self.holds_since(mark) else SURVIVOR, detail, label=label
+        )
+
     def note(self, text: str) -> None:
         self.interpretations.append(text)
 
@@ -233,14 +262,6 @@ def _ordered_candidates(cands: list[CandidateRecord]) -> list[CandidateRecord]:
         key=lambda c: (c.d, c.k1 if c.k1 is not None else 0, c.k2 if c.k2 is not None else 0),
     )
     return families + concrete
-
-
-def _all_certified(*decisions: Decision) -> bool:
-    return all(d.outcome is Outcome.CERTIFIED_TRUE for d in decisions)
-
-
-def _none_undecided(decisions) -> bool:
-    return all(d.outcome is not Outcome.INCONCLUSIVE for d in decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +340,9 @@ def verify_section3_unequal(
 
     One chain disposes of every field with D >= 41 at once; each smaller
     narrow class number one field gets its own chain terminating in the
-    directly evaluated constant C(D, 4, 2).  An exact residual sweep
-    re-checks every pair up to weight 20 independently of the enclosures.
+    directly evaluated constant C(D, 4, 2).  The exact residual scan of the
+    ``scan`` command (``exact_identity_scan``) re-checks every pair up to
+    weight 20 independently of the enclosures.
     """
     discriminants = [f.discriminant for f in narrow_one_fields(40)]
     run = _Run(SECTION_UNEQUAL, base_precision, precision_ceiling)
@@ -329,17 +351,18 @@ def verify_section3_unequal(
     # zeta(4)^2 zeta(2)^2 = pi^12 / (8100 * 36): the closed form behind the
     # front constant, checked on the rational coefficient
     run.exact("front_constant_coefficient", 8100 * 36, 291600, "=")
-    d1 = run.check("four_pi_sq_below_41", _four_pi_sq(), 41, "<")
-    d2 = run.check("front_constant_times_16", K * 16, 1, ">")
+    mark = run.mark()
+    run.check("four_pi_sq_below_41", _four_pi_sq(), 41, "<")
+    run.check("front_constant_times_16", K * 16, 1, ">")
     inner41 = K * Pow(Rat(41 * 4) / _four_pi_sq(), 2) - 1
-    d3 = run.check(
+    run.check(
         "large_disc_chain",
         K * Pow(Rat(41 * 16) / _four_pi_sq(), 2) * inner41,
         1,
         ">",
     )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _all_certified(d1, d2, d3) else SURVIVOR,
+    run.family(
+        mark,
         "chain certificates four_pi_sq_below_41, front_constant_times_16, "
         "large_disc_chain; growth in D and k1 covers the rest",
         label="all fields with D >= 41, k1 > k2",
@@ -347,39 +370,23 @@ def verify_section3_unequal(
 
     for D in discriminants:
         w = _weight_factor(D)
-        links = [
-            run.check(f"growth_ratio_floor_d{D}", Rat(16) * w, 1, ">"),
-            run.check(f"growth_ratio_k6_d{D}", Rat(36) * w, 1, ">"),
-        ]
+        mark = run.mark()
+        run.check(f"growth_ratio_floor_d{D}", Rat(16) * w, 1, ">")
+        run.check(f"growth_ratio_k6_d{D}", Rat(36) * w, 1, ">")
         deep = K * Pow(Rat(16) * w, 2)
-        links.append(run.check(f"deep_weight_chain_d{D}", deep, 1, ">"))
-        links.append(
-            run.check(
-                f"deep_weight_tail_d{D}",
-                K * Pow(Rat(36) * w, 4) * (deep - 1),
-                1,
-                ">",
-            )
-        )
+        run.check(f"deep_weight_chain_d{D}", deep, 1, ">")
+        tail = K * Pow(Rat(36) * w, 4) * (deep - 1)
+        run.check(f"deep_weight_tail_d{D}", tail, 1, ">")
         f6 = Pow(w, 4) * 14400
         low = K * f6
-        links.append(run.check(f"low_weight_f6_d{D}", low, 1, ">"))
-        links.append(
-            run.check(
-                f"low_weight_tail_d{D}",
-                K * Pow(Rat(36) * w, 2) * (low - 1),
-                1,
-                ">",
-            )
-        )
-        links.append(
-            run.check(f"direct_constant_d{D}_k4_k2", c_unequal_expr(D, 4, 2), 1, ">")
-        )
+        run.check(f"low_weight_f6_d{D}", low, 1, ">")
+        run.check(f"low_weight_tail_d{D}", K * Pow(Rat(36) * w, 2) * (low - 1), 1, ">")
+        run.check(f"direct_constant_d{D}_k4_k2", c_unequal_expr(D, 4, 2), 1, ">")
         if D == 8:
             # the two printed growth floors of the worked small field
             run.check("f4_floor_d8", Pow(w, 2) * 36, Fraction(1478, 1000), ">=")
             run.check("f6_floor_d8", f6, Fraction(24281, 1000), ">=")
-        if _all_certified(*links):
+        if run.holds_since(mark):
             run.candidate(
                 ELIMINATED_BY_BOUND,
                 "growth chain certified down to the direct constant C(D, 4, 2)",
@@ -401,16 +408,10 @@ def verify_section3_unequal(
                 label=f"D = {D}, all even k1 > k2 >= 2",
             )
 
-    # exact residual cross-check, independent of every enclosure above;
-    # heaviest pair first, so each field's power sums grow in one walk
-    zero_count = 0
-    pair_count = 0
-    for D in discriminants:
-        for k1 in range(20, 2, -2):
-            for k2 in range(k1 - 2, 0, -2):
-                pair_count += 1
-                if residual_unequal(D, k1, k2) == 0:
-                    zero_count += 1
+    # exact residual cross-check, independent of every enclosure above: the
+    # scan behind the ``scan`` command over the same fields, k1 > k2 only
+    zero_count = sum(k1 > k2 for _, k1, k2 in exact_identity_scan(40, 20))
+    pair_count = len(discriminants) * sum(k1 // 2 - 1 for k1 in range(2, 22, 2))
     run.exact("unequal_residual_zero_count", zero_count, 0, "=")
     run.note(
         f"the exact constant-term residual vanishes for none of the {pair_count} "
@@ -459,26 +460,29 @@ def verify_section3_equal(
 
     # 2 split or ramified: residual is field independent and positive
     sweep_floor = min(residual_noninert(k) for k in range(2, 42, 2))
-    dn = run.exact("noninert_residual_floor", sweep_floor, 0, ">")
+    mark = run.mark()
+    run.exact("noninert_residual_floor", sweep_floor, 0, ">")
     run.note(
         "the split/ramified residual 2^(2k-1) - 2^(k-1) is positive for every "
         "even k >= 2; the sweep to k = 40 spot-checks the closed form"
     )
-    run.candidate(
-        ELIMINATED_BY_EXACT_IDENTITY if _all_certified(dn) else SURVIVOR,
+    run.family(
+        mark,
         "constant-term residual 2^(2k-1) - 2^(k-1) > 0 for every weight",
         label="equal weights, 2 split or ramified, every field",
+        status=ELIMINATED_BY_EXACT_IDENTITY,
     )
 
     # 2 inert: weight cap via the linear growth of C(D, k)
-    cap_lo = run.check("weight_cap_c_13_20", c_equal_expr(13, 20), 1, "<=")
-    cap_hi = run.check("weight_cap_c_13_22", c_equal_expr(13, 22), 1, ">")
+    mark = run.mark()
+    run.check("weight_cap_c_13_20", c_equal_expr(13, 20), 1, "<=")
+    run.check("weight_cap_c_13_22", c_equal_expr(13, 22), 1, ">")
     run.note(
         "C(D, k) is linear in k and increasing in D, so C(13, 22) > 1 caps the "
         "weight at 20 for every inert field in the universe"
     )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _all_certified(cap_lo, cap_hi) else SURVIVOR,
+    run.family(
+        mark,
         "C(13, 22) > 1 together with growth of C in k and in D",
         label="equal weights, 2 inert, k >= 22",
     )
@@ -505,7 +509,7 @@ def verify_section3_equal(
     universe = inert_one_fields(d_limit)
     rows = []
     admissible: list[tuple[int, int]] = []
-    sweep_decisions: list[Decision] = []
+    mark = run.mark()
     for k in range(2, 22, 2):
         max_d = None
         for D in universe:
@@ -517,7 +521,6 @@ def verify_section3_equal(
                 hold_suffix="admits",
                 fail_suffix="exceeds",
             )
-            sweep_decisions.append(dec)
             if dec.outcome is Outcome.CERTIFIED_TRUE:
                 max_d = D
                 admissible.append((D, k))
@@ -525,8 +528,8 @@ def verify_section3_equal(
             break
         rows.append([k, max_d])
     run.tables["table1"] = {"columns": ["k", "max_d"], "rows": rows}
-    run.candidate(
-        ELIMINATED_BY_BOUND if _none_undecided(sweep_decisions) else SURVIVOR,
+    run.family(
+        mark,
         "per-weight rejection certificate plus growth of C in D",
         label="equal weights, 2 inert, D above the per-weight maximum",
     )
@@ -652,9 +655,9 @@ def _cusp_factor_sweep(
     weight_gap: Callable[[int], Expr],
     pair_bound: Callable[[int, int], Expr],
     table: str,
-    ratio_certs: Sequence[Decision],
+    mark: int,
     weight_note: str,
-    step_certs: Callable[[_Run, list[int]], list[Decision]],
+    step_certs: Callable[[_Run, list[int]], None],
     row_cert: Optional[Callable[[_Run, int, int, int], None]] = None,
 ) -> list[tuple[int, int, int]]:
     """The three nested bound sweeps of both cusp-factor branches.
@@ -663,16 +666,17 @@ def _cusp_factor_sweep(
     surviving k1 gets the window of k2 where pair_bound(k1, k2) reaches
     norm^(k2-1) (norm^k1 - 1), plus two look-ahead certificates; each pair
     in a window gets the run of fields whose discriminant bound reaches
-    the same left side.  ratio_certs (recorded by the caller) and
-    step_certs(run, k1s) make the first failures final; row_cert(run, k1,
-    k2, max_d) adds a certificate at each pair's largest field.  Fills the
-    table and its interpretations twin; returns the sorted triples.
+    the same left side.  The ratio certificates the caller recorded since
+    mark and step_certs(run, k1s) make the first failures final;
+    row_cert(run, k1, k2, max_d) adds a certificate at each pair's largest
+    field.  Each of the three families is eliminated when its span holds:
+    the weight family from mark, the pair and discriminant families from
+    their first sweep certificate.  Fills the table and its
+    interpretations twin; returns the sorted triples.
     """
-    weight_decisions = []
     surviving_k1 = []
     for k1 in range(2, k1_stop, 2):
         dec = run.check_signed(f"weight_bound_k1_{k1}", weight_gap(k1), 0, ">=")
-        weight_decisions.append(dec)
         if dec.outcome is Outcome.CERTIFIED_TRUE:
             surviving_k1.append(k1)
     max_k1 = max(surviving_k1)
@@ -680,10 +684,8 @@ def _cusp_factor_sweep(
         f"the weight-only bound holds for even k1 up to {max_k1} and fails "
         f"beyond; {weight_note}"
     )
-    run.candidate(
-        ELIMINATED_BY_BOUND
-        if _all_certified(*ratio_certs) and _none_undecided(weight_decisions)
-        else SURVIVOR,
+    run.family(
+        mark,
         f"weight-only bound fails from k1 = {max_k1 + 2} on and keeps decreasing",
         label=f"k1 > {max_k1}, every k2 and D",
     )
@@ -695,32 +697,29 @@ def _cusp_factor_sweep(
         )
 
     # per-k1 window of admissible k2
-    pair_decisions = []
+    mark = run.mark()
     windows: list[tuple[int, Optional[int]]] = []
     for k1 in surviving_k1:
         max_k2 = None
         k2 = 2
         while k2 <= 200:
-            dec = pair_check(k1, k2)
-            pair_decisions.append(dec)
-            if dec.outcome is not Outcome.CERTIFIED_TRUE:
+            if pair_check(k1, k2).outcome is not Outcome.CERTIFIED_TRUE:
                 break
             max_k2 = k2
             k2 += 2
-        pair_decisions += [pair_check(k1, k2 + 2), pair_check(k1, k2 + 4)]
+        pair_check(k1, k2 + 2)
+        pair_check(k1, k2 + 4)
         windows.append((k1, max_k2))
-    steps = step_certs(run, surviving_k1)
-    run.candidate(
-        ELIMINATED_BY_BOUND
-        if _all_certified(*steps) and _none_undecided(pair_decisions)
-        else SURVIVOR,
+    step_certs(run, surviving_k1)
+    run.family(
+        mark,
         "pair bound failures persist beyond each recorded window",
         label="k2 beyond each per-k1 maximum",
     )
 
     # per-pair discriminant sweep; each table row reads the largest
     # admitted field at k2 = 2 and over the whole window
-    disc_decisions = []
+    mark = run.mark()
     triples: list[tuple[int, int, int]] = []
     rows = []
     alt_rows = []
@@ -737,7 +736,6 @@ def _cusp_factor_sweep(
                     0,
                     ">=",
                 )
-                disc_decisions.append(dec)
                 if dec.outcome is not Outcome.CERTIFIED_TRUE:
                     break
                 max_d = D
@@ -752,8 +750,8 @@ def _cusp_factor_sweep(
         "the discriminant bound decreases strictly in D, so the first rejected "
         "field closes each row"
     )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _none_undecided(disc_decisions) else SURVIVOR,
+    run.family(
+        mark,
         "discriminant bound fails at the first field past each maximum and "
         "decreases beyond",
         label="D beyond each per-pair maximum",
@@ -776,7 +774,7 @@ def _cusp_factor_sweep(
     return sorted(triples)
 
 
-def _inert_step_certs(run: _Run, k1s: list[int]) -> list[Decision]:
+def _inert_step_certs(run: _Run, k1s: list[int]) -> None:
     step2_dev = max(
         abs(
             9 * _s2_factor(k1, k2)
@@ -786,15 +784,12 @@ def _inert_step_certs(run: _Run, k1s: list[int]) -> list[Decision]:
         for k1 in k1s
         for k2 in range(2, 62, 2)
     )
-    certs = [
-        run.exact("s2_step_identity_deviation", step2_dev, 0, "="),
-        run.exact("pair_lhs_step_exceeds_rhs_step", 16, 9, ">"),
-    ]
+    run.exact("s2_step_identity_deviation", step2_dev, 0, "=")
+    run.exact("pair_lhs_step_exceeds_rhs_step", 16, 9, ">")
     run.note(
         "the pair bound left side multiplies by 16 per k2 step while the right "
         "side multiplies by at most 9, so the first failure is final"
     )
-    return certs
 
 
 def _inert_row_cert(run: _Run, k1: int, k2: int, max_d: int) -> None:
@@ -824,15 +819,14 @@ def verify_section4_inert(
 
     # bound ratio per unit weight step: (2 pi)^2 S(k) / ((k-1)^2 S(k-1))
     # with S(k) <= 9 S(k-1) and (k-1)^2 >= 361 once k >= 20
-    g_ratio = run.check(
-        "g_ratio_tail_below_one", Rat(9) * Pow(Rat(2) * PI, 2), 361, "<"
-    )
+    mark = run.mark()
+    run.check("g_ratio_tail_below_one", Rat(9) * Pow(Rat(2) * PI, 2), 361, "<")
     step_dev = max(
         abs(9 * _s_factor(k - 1) - _s_factor(k) - (224 + 5 * 4 ** (k - 2)))
         for k in range(20, 61)
     )
-    s_ident = run.exact("s_step_identity_deviation", step_dev, 0, "=")
-    s_floor = run.exact("s_step_floor", 224 + 5 * 4**18, 0, ">")
+    run.exact("s_step_identity_deviation", step_dev, 0, "=")
+    run.exact("s_step_floor", 224 + 5 * 4**18, 0, ">")
     run.note(
         "9 S(k-1) - S(k) = 224 + 5*4^(k-2) > 0, so the bound at most multiplies "
         "by 9 (2 pi)^2 / (k-1)^2 per step and decreases for every k >= 20"
@@ -846,7 +840,7 @@ def verify_section4_inert(
         weight_gap=lambda k1: _weight_only_bound(k1) - Rat(4**k1 - 1),
         pair_bound=_pair_bound,
         table="table2",
-        ratio_certs=(g_ratio, s_ident, s_floor),
+        mark=mark,
         weight_note="the decreasing-bound certificates extend the failure to "
         "all larger k1",
         step_certs=_inert_step_certs,
@@ -866,13 +860,12 @@ def verify_section4_inert(
     return run.report()
 
 
-def _split_step_certs(run: _Run, k1s: list[int]) -> list[Decision]:
-    cert = run.exact("pair_lhs_quadruples", 4, 1, ">")
+def _split_step_certs(run: _Run, k1s: list[int]) -> None:
+    run.exact("pair_lhs_quadruples", 4, 1, ">")
     run.note(
         "the pair bound right side does not depend on k2 while the left side "
         "quadruples per step, so the first failure is final"
     )
-    return [cert]
 
 
 def verify_section4_noninert(
@@ -888,7 +881,8 @@ def verify_section4_noninert(
     run = _Run(SECTION_NONINERT, base_precision, precision_ceiling, fixtures)
 
     # ratio per unit step is (2 pi)^2 / (k-1)^2 < 1 once k >= 8
-    g_ratio = run.check("g_ratio_tail_below_one", Pow(Rat(2) * PI, 2), 49, "<")
+    mark = run.mark()
+    run.check("g_ratio_tail_below_one", Pow(Rat(2) * PI, 2), 49, "<")
 
     triples = _cusp_factor_sweep(
         run,
@@ -898,7 +892,7 @@ def verify_section4_noninert(
         weight_gap=lambda k1: _pair_bound_split(k1) - Rat(2 * (2**k1 - 1)),
         pair_bound=lambda k1, k2: _pair_bound_split(k1),
         table="table3",
-        ratio_certs=(g_ratio,),
+        mark=mark,
         weight_note="the decreasing-bound certificate extends the failure upward",
         step_certs=_split_step_certs,
     )
@@ -986,16 +980,16 @@ def _degree_grid(
     gap: Fraction,
     center: Fraction,
     tail: Fraction,
-) -> list[Decision]:
+) -> None:
     """The weight grid of degree n over the minimal discriminant d.
 
     Certifies a distance of at least gap from 1 at every grid point
     2 <= k2 < 14, k2 < k1 < k1_stop, separates the closest point from the
     runner-up and pins it within 10^-5 of center, and certifies the base
     ratios and row tails (at least tail) that keep every off-grid point
-    away from 1.  Returns the decisions for the degree's candidate.
+    away from 1.  Returns nothing: the certificates open the span of the
+    degree's family, which the caller closes.
     """
-    decisions = []
     dist: dict[tuple[int, int], CertifiedReal] = {}
     rows = []
     for k2 in range(2, 14, 2):
@@ -1006,7 +1000,6 @@ def _degree_grid(
                 gap,
                 ">=",
             )
-            decisions.append(dec)
             dist[(k2, k1)] = dec.enclosure
             rows.append(
                 [
@@ -1023,37 +1016,22 @@ def _degree_grid(
     m = min(dist, key=lambda p: dist[p].hi)
     runner = min((p for p in dist if p != m), key=lambda p: dist[p].lo)
     sep = dist[runner].lo - dist[m].hi
-    decisions.append(run.exact(f"degree{n}_argmin_separation", sep, 0, ">"))
+    run.exact(f"degree{n}_argmin_separation", sep, 0, ">")
     run.note(
         f"the degree-{n} grid point closest to 1 is (k2, k1) = {m}; the "
         f"runner-up gap is {float(dist[runner].lo):.3f} at {runner}"
     )
     closest = _degree_point(n, d, m[0], m[1])
     window = Fraction(1, 10**5)
-    decisions.append(
-        run.check(f"degree{n}_min_window_low", closest, center - window, ">=")
-    )
-    decisions.append(
-        run.check(f"degree{n}_min_window_high", closest, center + window, "<=")
-    )
+    run.check(f"degree{n}_min_window_low", closest, center - window, ">=")
+    run.check(f"degree{n}_min_window_high", closest, center + window, "<=")
     for k2 in range(2, 16, 2):
-        decisions.append(
-            run.check(
-                f"degree{n}_base_k2_{k2}",
-                Rat(d * k2**n) / Pow(Rat(2) * PI, n),
-                1,
-                ">",
-            )
-        )
+        base = Rat(d * k2**n) / Pow(Rat(2) * PI, n)
+        run.check(f"degree{n}_base_k2_{k2}", base, 1, ">")
         # row 2 is bounded at its last grid entry, every later row at its
         # first entry k1 = k2 + 2
         k1 = k1_stop - 2 if k2 == 2 else k2 + 2
-        decisions.append(
-            run.check(
-                f"degree{n}_tail_k2_{k2}", _degree_point(n, d, k2, k1), tail, ">="
-            )
-        )
-    return decisions
+        run.check(f"degree{n}_tail_k2_{k2}", _degree_point(n, d, k2, k1), tail, ">=")
 
 
 def _takeuchi(
@@ -1096,22 +1074,19 @@ def verify_section5(
 
     # the paired discriminant bound: boundary at degree 6, ratio above 1,
     # numeric sweep as a safety net
-    high = [
-        run.check("disc_ratio_floor", Rat(a) / PI, 1, ">"),
-        run.check("degree6_single", _takeuchi(a, 1, 1, 6, b), 1, ">"),
-        run.check("degree6_paired", _takeuchi(a, 6, 3, 12, 2 * b), 2, ">="),
-        run.check("degree_pair_ratio", _takeuchi(a, 6, 3, 2), 1, ">"),
-    ]
+    mark = run.mark()
+    run.check("disc_ratio_floor", Rat(a) / PI, 1, ">")
+    run.check("degree6_single", _takeuchi(a, 1, 1, 6, b), 1, ">")
+    run.check("degree6_paired", _takeuchi(a, 6, 3, 12, 2 * b), 2, ">=")
+    run.check("degree_pair_ratio", _takeuchi(a, 6, 3, 2), 1, ">")
     for n in range(6, n_max + 1):
-        high.append(
-            run.check(f"delta_pair_n{n}", _takeuchi(a, 6, 3, 2 * n, 2 * b), 2, ">=")
-        )
+        run.check(f"delta_pair_n{n}", _takeuchi(a, 6, 3, 2 * n, 2 * b), 2, ">=")
     run.note(
         "the paired bound clears 2 at degree 6 and its ratio exceeds 1, so it "
         f"clears 2 for every larger degree; the sweep to {n_max} is a safety net"
     )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _all_certified(*high) else SURVIVOR,
+    run.family(
+        mark,
         "paired discriminant bound at least 2 from degree 6 on",
         label="degree n >= 6, all weights",
     )
@@ -1119,36 +1094,24 @@ def verify_section5(
     # degree 5: the Takeuchi pairing alone stays below 2 there, the
     # minimal-discriminant route is the one that certifies
     run.check("degree5_pairing_gap", _takeuchi(a, 6, 3, 10, 2 * b), 2, "<")
-    deg5 = [
-        run.check(
-            "degree5_disc_floor", Rat(d5 * 32) / Pow(Rat(2) * PI, 5), 1, ">"
-        ),
-        run.check(
-            "degree5_paired",
-            Pow(Rat(d5 * 32) / Pow(Rat(2) * PI, 5), 2) / Pow(Zeta(2), 10),
-            2,
-            ">=",
-        ),
-        run.check("degree5_base", _takeuchi(a, 2, 1, 5, b), 1, ">"),
-        run.check("degree5_ratio", _takeuchi(a, 180, 5, 2), 1, ">"),
-        run.check(
-            "degree5_contradiction", _takeuchi(a, 180, 5, 10, 2 * b), 128426, ">"
-        ),
-    ]
+    mark = run.mark()
+    disc_floor = Rat(d5 * 32) / Pow(Rat(2) * PI, 5)
+    run.check("degree5_disc_floor", disc_floor, 1, ">")
+    run.check("degree5_paired", Pow(disc_floor, 2) / Pow(Zeta(2), 10), 2, ">=")
+    run.check("degree5_base", _takeuchi(a, 2, 1, 5, b), 1, ">")
+    run.check("degree5_ratio", _takeuchi(a, 180, 5, 2), 1, ">")
+    run.check("degree5_contradiction", _takeuchi(a, 180, 5, 10, 2 * b), 128426, ">")
     for n in range(6, n_max + 1):
-        deg5.append(
-            run.check(
-                f"degree{n}_bound", _takeuchi(a, 180, 5, 2 * n, 2 * b), 128426, ">"
-            )
-        )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _all_certified(*deg5) else SURVIVOR,
+        run.check(f"degree{n}_bound", _takeuchi(a, 180, 5, 2 * n, 2 * b), 128426, ">")
+    run.family(
+        mark,
         "minimal discriminant 14641 forces a two-sided gap of at least 2 and "
         "the final bound exceeds 128426",
         label="degree n = 5, all weights",
     )
 
-    deg3 = _degree_grid(
+    mark = run.mark()
+    _degree_grid(
         run, 3, d3, 22, Fraction(1, 5), Fraction(786299, 10**6), Fraction(6, 5)
     )
     run.note(
@@ -1156,58 +1119,39 @@ def verify_section5(
         "points sit above their row's first entry, which clears 6/5 from "
         "k2 = 4 on and at the first off-grid row k2 = 14"
     )
-    deg3.append(
-        run.check(
-            "degree3_zeta_floor",
-            1 / (Pow(Zeta(6), 3) * Pow(Zeta(4), 3)),
-            Fraction(74, 100),
-            ">=",
-        )
+    zeta_product = Pow(Zeta(6), 3) * Pow(Zeta(4), 3)
+    run.check("degree3_zeta_floor", 1 / zeta_product, Fraction(74, 100), ">=")
+    run.check(
+        "degree3_margin", Rat(Fraction(1, 5)) / zeta_product, Fraction(7, 50), ">="
     )
-    deg3.append(
-        run.check(
-            "degree3_margin",
-            Rat(Fraction(1, 5)) / (Pow(Zeta(6), 3) * Pow(Zeta(4), 3)),
-            Fraction(7, 50),
-            ">=",
-        )
+    run.check(
+        "degree3_contradiction",
+        Rat(Fraction(7, 50)) * Pow(Rat(d3 * 64) / Pow(Rat(2) * PI, 3), 2),
+        Fraction(2237, 100),
+        ">",
     )
-    deg3.append(
-        run.check(
-            "degree3_contradiction",
-            Rat(Fraction(7, 50)) * Pow(Rat(d3 * 64) / Pow(Rat(2) * PI, 3), 2),
-            Fraction(2237, 100),
-            ">",
-        )
-    )
-    run.candidate(
-        ELIMINATED_BY_BOUND if _all_certified(*deg3) else SURVIVOR,
+    run.family(
+        mark,
         "grid gaps of at least 1/5 and a final constant above 22.37",
         label="degree n = 3, all weights",
     )
 
-    deg4 = _degree_grid(
+    mark = run.mark()
+    _degree_grid(
         run, 4, d4, 42, Fraction(3, 100), Fraction(1033449, 10**6), Fraction(103, 100)
     )
-    deg4.append(
-        run.check(
-            "degree4_zeta_floor",
-            Rat(Fraction(3, 100)) / (Pow(Zeta(6), 4) * Pow(Zeta(4), 4)),
-            Fraction(1, 50),
-            ">=",
-        )
+    run.check(
+        "degree4_zeta_floor",
+        Rat(Fraction(3, 100)) / (Pow(Zeta(6), 4) * Pow(Zeta(4), 4)),
+        Fraction(1, 50),
+        ">=",
     )
-    deg4.append(
-        run.check(
-            "degree4_power",
-            Pow(Rat(d4 * 256) / Pow(Rat(2) * PI, 4), 2),
-            14181,
-            ">=",
-        )
+    run.check(
+        "degree4_power", Pow(Rat(d4 * 256) / Pow(Rat(2) * PI, 4), 2), 14181, ">="
     )
-    deg4.append(run.exact("degree4_contradiction", Fraction(14181, 50), 1, ">"))
-    run.candidate(
-        ELIMINATED_BY_BOUND if _all_certified(*deg4) else SURVIVOR,
+    run.exact("degree4_contradiction", Fraction(14181, 50), 1, ">")
+    run.family(
+        mark,
         "grid gaps of at least 3/100 and a final constant 283.62 > 1",
         label="degree n = 4, all weights",
     )

@@ -283,6 +283,17 @@ def test_report_bytes_are_pinned(default_reports, section):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[section]
 
 
+# sha256 of s5 at an 8-bit ceiling, the only section that fails there: five
+# certificates stay undecided and three degree families turn into
+# survivors.  Pins the failure path as REPORT_DIGESTS pins the success path.
+S5_CEILING8_DIGEST = "4f32c6c2aae7e6d8e661f2164d71daff45af7e137b1cc01123cd46dd71525d7c"
+
+
+def test_failure_report_bytes_are_pinned():
+    text = verify_section5(base_precision=8, precision_ceiling=8).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == S5_CEILING8_DIGEST
+
+
 def test_reproduced_tables_match_golden(default_reports):
     for section in ("s3-equal", "s4-inert", "s4-noninert"):
         assert compare_to_golden(default_reports[section]) == [], section
@@ -513,6 +524,68 @@ def test_degree_families_degrade_to_survivors_at_low_ceiling():
         for rec in report.constants
         if rec.name == "degree5_contradiction"
     )
+
+
+# ---------------------------------------------------------------------------
+# The family rule: a family is the span of records since its mark, eliminated
+# exactly when every one of them is CertifiedTrue
+
+
+def _family_status(span, ceiling=128, before=None):
+    run = verifier._Run("unit", 8, ceiling)
+    if before is not None:
+        before(run)
+    mark = run.mark()
+    run.check("pi_above_3", PI, 3, ">")
+    span(run)
+    run.family(mark, "unit family", label="unit")
+    (family,) = run.candidates
+    return family.status, run.constants[-1]
+
+
+def test_family_survives_a_signed_check_decided_false():
+    status, record = _family_status(
+        lambda run: run.check_signed("three_at_most_one", Rat(3), 1, "<=")
+    )
+    # the decided-false sweep end is recorded as its true flipped certificate
+    assert (record.name, record.relation) == ("three_at_most_one_fails", ">")
+    assert record.decision.outcome is Outcome.CERTIFIED_TRUE
+    assert status == ELIMINATED_BY_BOUND
+
+
+@pytest.mark.parametrize(
+    "ceiling, span, outcome",
+    [
+        (
+            128,
+            lambda run: run.check("three_below_one", Rat(3), 1, "<"),
+            Outcome.CERTIFIED_FALSE,
+        ),
+        (
+            128,
+            lambda run: run.exact("three_below_one", 3, 1, "<"),
+            Outcome.CERTIFIED_FALSE,
+        ),
+        (
+            8,
+            lambda run: run.check("pi_above_3_14159", PI, Fraction(314159, 10**5), ">"),
+            Outcome.INCONCLUSIVE,
+        ),
+    ],
+    ids=["check-false", "exact-false", "inconclusive-at-8-bits"],
+)
+def test_family_falls_to_a_record_that_does_not_hold(ceiling, span, outcome):
+    status, record = _family_status(span, ceiling)
+    assert record.decision.outcome is outcome
+    assert status == SURVIVOR
+
+
+def test_family_ignores_records_before_its_mark():
+    status, _ = _family_status(
+        lambda run: None,
+        before=lambda run: run.exact("three_below_one", 3, 1, "<"),
+    )
+    assert status == ELIMINATED_BY_BOUND
 
 
 def test_takeuchi_trees_equal_their_inline_spellings():
