@@ -4,8 +4,9 @@ Runs section verifications and emits reports, plus thin query commands
 over the exact-arithmetic layers.  Parsing needs only the defaults and
 section names of the package itself; each command imports the layers it
 runs, so the query commands never load the certified layer, the
-fixtures, the reports or the verifier.  Exit codes are part of the
-contract:
+fixtures, the reports or the verifier.  ``RunConfig`` is a
+``NamedTuple`` subclass that validates in ``__new__``.  Exit codes are
+part of the contract:
 
     0   every requested section ends with "no identity exists"
     1   a section failed (a decided-false certificate or a survivor)
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import (
     DEFAULT_BASE_PRECISION,
@@ -51,8 +51,7 @@ EXIT_USAGE = 64
 _FIXTURE_SECTIONS = (SECTION_INERT, SECTION_NONINERT, SECTION_DEGREE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     base_precision: int = DEFAULT_BASE_PRECISION
     precision_ceiling: int = DEFAULT_PRECISION_CEILING
     d_limit: int = DEFAULT_D_LIMIT
@@ -61,7 +60,14 @@ class RunConfig:
     output_format: str = "json"
     out_dir: Optional[str] = None
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    """The options of one `verify` run, validated once at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.base_precision < 8:
             raise ValueError("base precision must be at least 8 bits")
         if self.base_precision > self.precision_ceiling:
@@ -72,6 +78,7 @@ class RunConfig:
             raise ValueError("n_max must be at least 6")
         if self.output_format not in ("json", "markdown", "csv"):
             raise ValueError(f"unknown output format: {self.output_format}")
+        return self
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,17 +21,18 @@ Conventions:
   ``dedekind_zeta_neg`` takes ``zeta_F(-1)`` (k = 2) from Zagier's divisor
   sum instead, and the tests check it against this product.
 * Discriminants passed to character or field constructors must be
-  fundamental; this is validated, not assumed.
+  fundamental; this is validated, not assumed.  ``KroneckerCharacter`` is
+  a ``NamedTuple`` subclass whose ``__new__`` validates it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +154,29 @@ def _is_prime(n: int) -> bool:
 _power_sum_rows: dict[int, tuple[int, ...]] = {}
 
 
-@dataclass(frozen=True)
-class KroneckerCharacter:
+class _KroneckerFields(NamedTuple):
+    discriminant: int
+    period: int
+
+
+class KroneckerCharacter(_KroneckerFields):
     """The quadratic character chi(n) = (discriminant / n).
 
     Periodic modulo ``period == abs(discriminant)``; primitive exactly when
     the discriminant is fundamental, which the constructor enforces.
     """
 
-    discriminant: int
-    period: int
+    __slots__ = ()
 
-    def __init__(self, discriminant: int):
+    def __new__(cls, discriminant: int):
         if not is_fundamental_discriminant(discriminant) or discriminant == 1:
             raise ValueError(
                 f"{discriminant} is not a fundamental discriminant"
             )
-        object.__setattr__(self, "discriminant", discriminant)
-        object.__setattr__(self, "period", abs(discriminant))
+        return tuple.__new__(cls, (discriminant, abs(discriminant)))
+
+    def __getnewargs__(self):
+        return (self.discriminant,)
 
     def __call__(self, n: int) -> int:
         return kronecker(self.discriminant, n)

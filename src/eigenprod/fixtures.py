@@ -4,14 +4,14 @@ A handful of verification steps rest on results that cannot be recomputed
 here: dimensions of particular cusp form spaces, minimal discriminants of
 totally real fields, and an analytic discriminant bound.  Those facts live
 in a versioned JSON document, each with a citation string, and every
-report that consumes one echoes it back so the run can be audited.
+report that consumes one echoes it back so the run can be audited.  A
+fact is a `Fixture`, a ``NamedTuple``.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 
 class MissingFixtureError(KeyError):
@@ -40,8 +40,7 @@ class MalformedFixtureError(MissingFixtureError, ValueError):
         return f"malformed {self.key} data: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     key: str
     statement: str
     source: str

@@ -29,17 +29,21 @@ The exact constant-term residuals of the product identities, and the scan
 over them, close the module: each residual is the constant-term side of a
 comparison between Eisenstein products, so it lives beside the
 coefficients it stands for.
+
+The records are ``NamedTuple``s; ``TotallyPositiveElement`` and
+``EisensteinDescriptor`` subclass one to validate (and derive the
+constant term) in ``__new__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from .exact import (
     _factorize,
@@ -87,19 +91,23 @@ def is_totally_nonnegative(D: int, x: int, y: int) -> bool:
     return element_trace(D, x, y) >= 0 and element_norm(D, x, y) >= 0
 
 
-@dataclass(frozen=True)
-class TotallyPositiveElement:
-    """x + y*omega, constrained to be totally positive or zero."""
-
+class _ElementFields(NamedTuple):
     discriminant: int
     x: int
     y: int
 
-    def __post_init__(self):
-        if not is_totally_nonnegative(self.discriminant, self.x, self.y):
+
+class TotallyPositiveElement(_ElementFields):
+    """x + y*omega, constrained to be totally positive or zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, discriminant: int, x: int, y: int):
+        if not is_totally_nonnegative(discriminant, x, y):
             raise ValueError(
-                f"({self.x}, {self.y}) is not totally nonnegative for D={self.discriminant}"
+                f"({x}, {y}) is not totally nonnegative for D={discriminant}"
             )
+        return tuple.__new__(cls, (discriminant, x, y))
 
     def trace(self) -> int:
         return element_trace(self.discriminant, self.x, self.y)
@@ -111,8 +119,7 @@ class TotallyPositiveElement:
         return self.x == 0 and self.y == 0
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
+class IdealFactorization(NamedTuple):
     """Integral ideal as (primeNorm, class, exponent) entries.
 
     primeNorm is the absolute norm of the prime ideal: p^2 for inert p,
@@ -274,23 +281,26 @@ def ideals_of_norm(D: int, n: int) -> list[IdealFactorization]:
 # Eisenstein series
 
 
-@dataclass(frozen=True)
-class EisensteinDescriptor:
-    """Parallel-weight Eisenstein series E_k over the field of
-    discriminant D, with constant term zeta_F(1 - k) / 4."""
-
+class _EisensteinFields(NamedTuple):
     discriminant: int
     weight: int
     constant_term: Fraction
 
-    def __init__(self, discriminant: int, weight: int):
+
+class EisensteinDescriptor(_EisensteinFields):
+    """Parallel-weight Eisenstein series E_k over the field of
+    discriminant D, with constant term zeta_F(1 - k) / 4."""
+
+    __slots__ = ()
+
+    def __new__(cls, discriminant: int, weight: int):
         if weight < 2 or weight % 2 != 0:
             raise ValueError("weight must be even and >= 2")
-        object.__setattr__(self, "discriminant", discriminant)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(
-            self, "constant_term", dedekind_zeta_neg(discriminant, weight) / 4
-        )
+        constant_term = dedekind_zeta_neg(discriminant, weight) / 4
+        return tuple.__new__(cls, (discriminant, weight, constant_term))
+
+    def __getnewargs__(self):
+        return (self.discriminant, self.weight)
 
 
 def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> int:
@@ -407,8 +417,7 @@ def product_coefficient(
     return _product_table(f, h, nu.trace())[nu.x, nu.y]
 
 
-@dataclass(frozen=True)
-class SqrtFiveIdentityReport:
+class SqrtFiveIdentityReport(NamedTuple):
     trace_bound: int
     scalar: Fraction
     constant_term_ok: bool

@@ -20,7 +20,8 @@ round outward, so the containment invariant
 holds unconditionally.  Comparisons against rational thresholds are
 three-valued (``CertifiedTrue`` / ``CertifiedFalse`` / ``Inconclusive``),
 decided by cross-multiplying against the threshold, and a comparison is
-only ever decided when the whole interval lies on one side of it.
+only ever decided when the whole interval lies on one side of it.  Its
+result is a ``Decision``, a ``NamedTuple``.
 
 Interior expression nodes (``Add`` ... ``Abs``) are enclosed through one
 bounded memo keyed by ``(node, precision)``.  A node is its kind and its
@@ -42,11 +43,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from . import DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CEILING
 from .exact import bernoulli
@@ -463,7 +463,10 @@ class Expr:
     hash is computed once, at construction, from its children's kept
     hashes; the enclosure memo hashes every node it is asked about, which
     would otherwise walk the whole subtree each time.  Equality is
-    structural: the same kind with equal arguments.
+    structural: the same kind with equal arguments.  The kept hash mixes
+    in ``hash(type(self))``, which differs from process to process, so a
+    node pickles as its kind and arguments and is rebuilt through its
+    constructor when loaded.
     """
 
     __slots__ = ("args", "_hash")
@@ -477,6 +480,9 @@ class Expr:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return type(self), self.args
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({', '.join(map(repr, self.args))})"
@@ -642,8 +648,7 @@ RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     outcome: Outcome
     enclosure: CertifiedReal
     note: str = ""

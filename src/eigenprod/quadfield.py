@@ -15,15 +15,16 @@ groups agree) and a form with a = l for every prime l < sqrt(D)/2 that
 does not stay inert (the primes of norm below Minkowski's bound, which
 generate the class group).  That is O(sqrt(D)) work per field, where the
 cycle count lists every reduced form; ``narrow_class_number`` stays for
-``field`` and as the test oracle.
+``field`` and as the test oracle.  A field is a ``FieldDescriptor``, a
+``NamedTuple``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import (
     _is_prime,
@@ -232,8 +233,7 @@ def fundamental_unit_norm(n: int) -> int:
     return -1 if period % 2 == 1 else 1
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(NamedTuple):
     """A real quadratic field pinned by its fundamental discriminant."""
 
     discriminant: int

@@ -8,14 +8,14 @@ identical files: a report is the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` (non-ASCII text as ``\\u``
 escapes) and one trailing newline, written by this module's own
 `canonical_json`, which rejects floats and non-string keys with
-``TypeError`` instead of coercing them.
+``TypeError`` instead of coercing them.  The records are ``NamedTuple``s;
+the mutable ``VerificationReport`` is a plain class.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fixtures import Fixture
 from .interval import Decision, Outcome
@@ -142,8 +142,7 @@ def _write(obj, append, newline: str, heads: dict) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One certified comparison: `name` states what the enclosure was
     compared against; the decision carries outcome and diagnostics."""
 
@@ -164,8 +163,7 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     """A (D, k1, k2) triple, or a symbolic family of them, with the
     elimination that disposed of it."""
 
@@ -187,15 +185,36 @@ class CandidateRecord:
         }
 
 
-@dataclass
 class VerificationReport:
-    section: str
-    verdict: str = VERDICT_FAILED
-    candidates: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
-    constants: list = field(default_factory=list)
-    fixtures_used: list = field(default_factory=list)
-    interpretations: list = field(default_factory=list)
+    """The mutable result of one section run; each list and dict
+    argument left out is a fresh empty one."""
+
+    def __init__(
+        self,
+        section: str,
+        verdict: str = VERDICT_FAILED,
+        candidates: Optional[list] = None,
+        tables: Optional[dict] = None,
+        constants: Optional[list] = None,
+        fixtures_used: Optional[list] = None,
+        interpretations: Optional[list] = None,
+    ):
+        self.section = section
+        self.verdict = verdict
+        self.candidates = [] if candidates is None else candidates
+        self.tables = {} if tables is None else tables
+        self.constants = [] if constants is None else constants
+        self.fixtures_used = [] if fixtures_used is None else fixtures_used
+        self.interpretations = [] if interpretations is None else interpretations
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"VerificationReport({fields})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def inconclusive(self) -> int:

@@ -378,8 +378,14 @@ def test_module_invocation_runs_main():
 
 
 # Each command imports only the layers it runs.  A fresh interpreter runs
-# one command and prints the package modules it loaded.
-_PRINT_LOADED = "print(*(m for m in sys.modules if m.startswith('eigenprod.')))\n"
+# one command and prints the package modules it loaded, and any of the
+# standard modules no command needs: importing `dataclasses` costs about
+# 12 ms, most of it in `inspect`, which it imports.
+_UNNEEDED = ("dataclasses", "inspect")
+_PRINT_LOADED = (
+    "print(*(m for m in sys.modules"
+    f" if m.startswith('eigenprod.') or m in {_UNNEEDED!r}))\n"
+)
 _LOADED_BY = (
     "import contextlib, io, sys\n"
     "from eigenprod.cli import main\n"
@@ -407,6 +413,7 @@ def _loaded_by(code, *argv):
 
 def test_package_import_loads_no_layer():
     assert _loaded_by("import eigenprod, sys\n" + _PRINT_LOADED) == set()
+    assert _loaded_by("import eigenprod.cli, sys\n" + _PRINT_LOADED) == {"eigenprod.cli"}
 
 
 @pytest.mark.parametrize(
@@ -426,4 +433,6 @@ def test_query_command_loads_only_its_layers(argv, layers):
 
 
 def test_verify_loads_the_certified_and_report_layers():
-    assert _VERIFY_LAYERS <= _loaded_by(_LOADED_BY, "verify", "s3-unequal")
+    loaded = _loaded_by(_LOADED_BY, "verify", "s3-unequal")
+    assert _VERIFY_LAYERS <= loaded
+    assert loaded.isdisjoint(_UNNEEDED)

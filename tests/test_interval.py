@@ -9,8 +9,13 @@ any enclosure width produced here.
 import dataclasses
 import inspect
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -418,7 +423,37 @@ def test_node_identity_is_structural():
     assert Rat(2) == Rat(Fraction(4, 2))
     assert Rat(2) != GammaInt(2) and Zeta(2) != GammaInt(2)
     classes = [obj for obj in vars(interval).values() if inspect.isclass(obj)]
-    assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == ["Decision"]
+    assert not [c.__name__ for c in classes if dataclasses.is_dataclass(c)]
+
+
+# one tree holding every node kind, built from this text in each process
+_EVERY_KIND = (
+    "Abs(Log(Exp(Sqrt(Pow(Div(Mul(Sub(Add(Rat(Fraction(3, 2)), Pi()), Zeta(4)),"
+    " GammaInt(5)), PI), 3)))))"
+)
+
+
+def test_node_unpickled_in_another_process_keeps_the_hash_contract():
+    # a kept hash mixes in hash(type), which differs between processes, so
+    # the loading process must rebuild the node rather than restore it
+    tree = eval(_EVERY_KIND, vars(interval))
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    child = (
+        "import pickle, sys\n"
+        "from eigenprod import interval\n"
+        "m = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+        "n = eval(sys.argv[2], vars(interval))\n"
+        "print(m == n, hash(m) == hash(n), m in {n}, {n: 1}.get(m))\n"
+    )
+    src = str(Path(interval.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, pickle.dumps(tree).hex(), _EVERY_KIND],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout.split() == ["True", "True", "True", "1"]
 
 
 @pytest.mark.parametrize(
