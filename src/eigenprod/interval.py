@@ -10,6 +10,9 @@ read an endpoint back as a ``Fraction``.  Rational operations (+, -, *,
 denominator fits in ``precision + GUARD_BITS`` bits; above that size cap
 each endpoint is rounded outward (``lo`` down, ``hi`` up) to a dyadic with
 that many significant bits, so endpoints stay small at every precision.
+A power of a dyadic endpoint is rounded from its top bits under a
+rounding test and falls back to the exact power, so every endpoint is
+what the exact power rounds to.
 The transcendental constructors (pi, zeta(s) at even s, exp, log, sqrt)
 compute with integer fixed-point arithmetic (zeta through Euler's closed
 form), account for every truncation and division loss explicitly, and
@@ -217,21 +220,26 @@ class CertifiedReal:
         return self * other.reciprocal()
 
     def pow_int(self, n: int) -> "CertifiedReal":
+        """A power of a dyadic endpoint is rounded from its top bits under a
+        rounding test and falls back to the exact power, so every endpoint
+        is what the exact power rounds to."""
         if n < 0:
             return self.pow_int(-n).reciprocal()
         precision = self._precision
         if n == 0:
             return _interval((1, 1), (1, 1), precision)
-        (ln, ld), (hn, hd) = self._lo, self._hi
-        # coprime numerator and denominator stay coprime under a power
-        lo, hi = (ln**n, ld**n), (hn**n, hd**n)
-        if ln >= 0 or n % 2 == 1:
+        bits = precision + GUARD_BITS
+        lo, hi = self._lo, self._hi
+        if lo[0] >= 0 or n % 2 == 1:
             # x^n is nondecreasing on the interval
-            return _capped(lo, hi, precision)
-        if hn <= 0:
-            return _capped(hi, lo, precision)
-        # even power of an interval straddling zero
-        return _capped((0, 1), hi if _lt(lo, hi) else lo, precision)
+            lo, hi = _pow_endpoint(lo, n, bits, False), _pow_endpoint(hi, n, bits, True)
+        elif hi[0] <= 0:
+            lo, hi = _pow_endpoint(hi, n, bits, False), _pow_endpoint(lo, n, bits, True)
+        else:
+            # even power of an interval straddling zero
+            lo, hi = _pow_endpoint(lo, n, bits, True), _pow_endpoint(hi, n, bits, True)
+            lo, hi = (0, 1), hi if _lt(lo, hi) else lo
+        return _interval(lo, hi, precision)
 
     def abs(self) -> "CertifiedReal":
         (ln, ld), hi = self._lo, self._hi
@@ -271,6 +279,43 @@ def _capped(lo: Pair, hi: Pair, precision: int) -> CertifiedReal:
         hn, hd = _floor_dyadic(-hn, hd, bits)
         hi = (-hn, hd)
     return _interval(lo, hi, precision)
+
+
+def _pow_endpoint(x: Pair, n: int, bits: int, up: bool) -> Pair:
+    """x^n rounded down, or up when ``up``, as ``_capped`` rounds it.
+
+    For x = a / 2^q with a odd and positive this is Ziv's rounding test, as
+    in MPFR and Arb: a^n is raised on integers cut to ``bits + 64`` bits,
+    between a lower and an upper bound with one shared binary exponent.
+    When both bounds have the same length and the same top ``bits + 1``
+    bits, those bits are the floor m of the rounded power, and since a^n is
+    odd its ceiling is m + 1.  Every other case takes the exact power.
+    """
+    a, d = x
+    if a > 0 and a & 1 and not d & (d - 1):
+        lo, hi, e = a, a, 0
+        for bit in bin(n)[3:]:
+            lo, hi, e = lo * lo, hi * hi, 2 * e
+            if bit == "1":
+                lo, hi = lo * a, hi * a
+            cut = hi.bit_length() - bits - 64
+            if cut > 0:
+                lo, hi, e = lo >> cut, (hi >> cut) + 1, e + cut
+        size = lo.bit_length()
+        drop = max(size - bits - 1, 0)
+        if size == hi.bit_length() and lo >> drop == hi >> drop:
+            m = lo >> drop
+            if up and drop + e:
+                # a^n is odd, so it lies strictly between m and m + 1 units
+                m += 1
+            shift = (d.bit_length() - 1) * n - drop - e
+            return (m << -shift, 1) if shift < 0 else _dyadic(m, shift)
+    # coprime numerator and denominator stay coprime under a power
+    num, den = a**n, d**n
+    if num.bit_length() <= bits and den.bit_length() <= bits:
+        return num, den
+    num, den = _floor_dyadic(-num if up else num, den, bits)
+    return (-num if up else num), den
 
 
 def from_rational(x: RationalLike, precision: int) -> CertifiedReal:

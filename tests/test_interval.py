@@ -9,11 +9,13 @@ any enclosure width produced here.
 import dataclasses
 import inspect
 import itertools
+import math
 import os
 import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +45,8 @@ from eigenprod import (
     enclose_zeta,
     evaluate_with_escalation,
     gamma_integer,
+    verify_section4_inert,
+    verify_section5,
 )
 from eigenprod import interval
 from eigenprod.interval import (
@@ -248,6 +252,95 @@ def test_pow_int_edge_cases():
     assert x.pow_int(0).lo == x.pow_int(0).hi == 1
     neg = CertifiedReal(Fraction(-3), Fraction(-2), 32)
     assert neg.pow_int(-2) == CertifiedReal(Fraction(1, 9), Fraction(1, 4), 32)
+
+
+# Powers of a dyadic endpoint a / 2^q are rounded from the top bits of a^n
+# (a rounding test in ``interval._pow_endpoint``) and fall back to the exact
+# power when those bits cannot be decided.  The small fractions above
+# rarely reach that route; the draws and cases below do.
+
+
+def _dyadic_draw(rng: random.Random) -> Fraction:
+    return Fraction(rng.getrandbits(rng.randrange(1, 251)) | 1, 2 ** rng.randrange(0, 301))
+
+
+def test_pow_int_of_dyadic_intervals_is_bit_for_bit():
+    rng = random.Random(1919)
+    for _ in range(150):
+        x = sorted([_dyadic_draw(rng), _dyadic_draw(rng)])
+        n = rng.randrange(2, 301)
+        precision = rng.randrange(8, 1025)
+        out = CertifiedReal(x[0], x[1], precision).pow_int(n)
+        assert (out.lo, out.hi) == _reference_op("pow_int", x, None, n, precision)
+
+
+def _count_fallbacks(monkeypatch) -> Counter:
+    # a fallback is a _floor_dyadic call made inside _pow_endpoint; counted
+    # for endpoints a / 2^q with q > 0, next to the calls made for them
+    counts, inside = Counter(), []
+    pow_endpoint, floor_dyadic = interval._pow_endpoint, interval._floor_dyadic
+
+    def counted_pow(x, n, bits, up):
+        d = x[1]
+        inside.append(d > 1 and not d & (d - 1))
+        counts["dyadic"] += inside[-1]
+        try:
+            return pow_endpoint(x, n, bits, up)
+        finally:
+            inside.pop()
+
+    def counted_floor(num, den, bits):
+        counts["fallback"] += bool(inside and inside[-1])
+        return floor_dyadic(num, den, bits)
+
+    monkeypatch.setattr(interval, "_pow_endpoint", counted_pow)
+    monkeypatch.setattr(interval, "_floor_dyadic", counted_floor)
+    return counts
+
+
+def _just_above(top: int, shift: int, n: int) -> int:
+    """An odd a whose a^n exceeds top * 2^shift by less than a power cut
+    to ``bits + 64`` bits can resolve, for n a power of two."""
+    a = top << shift
+    while n > 1:
+        a, n = math.isqrt(a), n // 2
+    return (a + 1) | 1
+
+
+def _undecidable_cases() -> list:
+    # (2^300 - 1)^2 = 2^600 - 2^301 + 1 lies so close below 2^600 that the
+    # cut upper bound reaches it: the bounds differ in length
+    cases = [(Fraction(2**300 - 1, 2**5), 2, p) for p in (8, 64, 128)]
+    # a^n just above m * 2^shift, m odd with bits + 1 bits: the bounds
+    # share their length but not their top bits m - 1 and m
+    rng = random.Random(1920)
+    for precision, n in [(8, 4), (128, 4), (128, 8), (1024, 4)]:
+        bits = precision + GUARD_BITS
+        top = rng.getrandbits(bits + 1) | 1 << bits | 1
+        shift = n * (bits + 96) - bits - 1
+        cases.append((Fraction(_just_above(top, shift, n), 2**7), n, precision))
+    return cases
+
+
+@pytest.mark.parametrize("x, n, precision", _undecidable_cases())
+def test_pow_int_falls_back_where_top_bits_are_undecided(monkeypatch, x, n, precision):
+    counts = _count_fallbacks(monkeypatch)
+    out = CertifiedReal(x, x, precision).pow_int(n)
+    assert counts == {"dyadic": 2, "fallback": 2}
+    assert (out.lo, out.hi) == _reference_op("pow_int", [x, x], None, n, precision)
+
+
+def test_verifier_powers_of_dyadics_never_fall_back(monkeypatch):
+    # every rounded power of an a / 2^q endpoint the two sections take is
+    # decided from its top bits (endpoints with other denominators take the
+    # exact power by design); cold enclosure caches make the run complete
+    counts = _count_fallbacks(monkeypatch)
+    _enclose_memo.cache_clear()
+    enclose_zeta.cache_clear()
+    verify_section5()
+    verify_section4_inert()
+    assert counts["fallback"] == 0
+    assert counts["dyadic"] > 500
 
 
 def test_abs_of_straddling_interval():

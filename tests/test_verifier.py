@@ -283,6 +283,23 @@ def test_report_bytes_are_pinned(default_reports, section):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[section]
 
 
+# sha256 of the two sections that raise enclosures to the highest powers,
+# at base precision 1024, where pow_int rounds most of its endpoints from
+# their top bits.  The digests are those of the exact power rounded once,
+# so the top-bits route keeps every digit or fails here.
+PRECISION1024_DIGESTS = {
+    "s4-inert": "7b22ef28bd19dbcfb7bb9bd784c195d952e392d0f42a607dff32b380b80e4ed2",
+    "s5": "c0e0ef4a1b7f19e240b7eeb83f9a06ff9ea5e82e3a1b8e6f12a08f5d55d15145",
+}
+
+
+@pytest.mark.parametrize("section", sorted(PRECISION1024_DIGESTS))
+def test_report_bytes_at_1024_bits_are_pinned(section):
+    run = {"s4-inert": verify_section4_inert, "s5": verify_section5}[section]
+    text = run(base_precision=1024).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PRECISION1024_DIGESTS[section]
+
+
 # sha256 of s5 at an 8-bit ceiling, the only section that fails there: five
 # certificates stay undecided and three degree families turn into
 # survivors.  Pins the failure path as REPORT_DIGESTS pins the success path.
