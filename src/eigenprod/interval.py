@@ -71,7 +71,10 @@ class Outcome(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _pair(x: RationalLike) -> Pair:
+def rational_pair(x: RationalLike) -> Pair:
+    """``x`` as a ``(numerator, denominator)`` pair.  Only an ``int`` or a
+    ``Fraction`` is taken: a float's binary value is not the decimal it was
+    written as, so a float raises ``TypeError``."""
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
     return x.numerator, x.denominator
@@ -134,7 +137,7 @@ class CertifiedReal:
     __slots__ = ("_lo", "_hi", "_precision")
 
     def __init__(self, lo: RationalLike, hi: RationalLike, precision: int):
-        lo, hi = _pair(lo), _pair(hi)
+        lo, hi = rational_pair(lo), rational_pair(hi)
         if _lt(hi, lo):
             raise ValueError("empty interval")
         self._lo, self._hi, self._precision = lo, hi, precision
@@ -161,11 +164,11 @@ class CertifiedReal:
         return self.hi - self.lo
 
     def contains(self, x: RationalLike) -> bool:
-        x = _pair(x)
+        x = rational_pair(x)
         return not _lt(x, self._lo) and not _lt(self._hi, x)
 
     def subset_of(self, lo: RationalLike, hi: RationalLike) -> bool:
-        return not _lt(self._lo, _pair(lo)) and not _lt(_pair(hi), self._hi)
+        return not _lt(self._lo, rational_pair(lo)) and not _lt(rational_pair(hi), self._hi)
 
     def __eq__(self, other) -> bool:
         if type(other) is not CertifiedReal:
@@ -273,9 +276,15 @@ def _capped(lo: Pair, hi: Pair, precision: int) -> CertifiedReal:
     ``precision + GUARD_BITS`` bits rounded outward: lo down, hi up."""
     bits = precision + GUARD_BITS
     (ln, ld), (hn, hd) = lo, hi
-    if ln.bit_length() > bits or ld.bit_length() > bits:
+    # a dyadic endpoint with at most bits + 1 significant bits is already
+    # what _floor_dyadic would round it to
+    if (ln.bit_length() > bits or ld.bit_length() > bits) and (
+        ld & (ld - 1) or ln.bit_length() > bits + 1
+    ):
         lo = _floor_dyadic(ln, ld, bits)
-    if hn.bit_length() > bits or hd.bit_length() > bits:
+    if (hn.bit_length() > bits or hd.bit_length() > bits) and (
+        hd & (hd - 1) or hn.bit_length() > bits + 1
+    ):
         hn, hd = _floor_dyadic(-hn, hd, bits)
         hi = (-hn, hd)
     return _interval(lo, hi, precision)
@@ -319,7 +328,7 @@ def _pow_endpoint(x: Pair, n: int, bits: int, up: bool) -> Pair:
 
 
 def from_rational(x: RationalLike, precision: int) -> CertifiedReal:
-    x = _pair(x)
+    x = rational_pair(x)
     return _interval(x, x, precision)
 
 
@@ -504,7 +513,8 @@ class Expr:
     """Closed real expression; ``enclose(precision)`` yields a CertifiedReal.
 
     A node is its kind (its class) and its argument tuple ``args``:
-    children, or a leaf's value.  A node never changes, so its structural
+    children, or a leaf's value, an ``int`` whenever the value is
+    integral (see ``Rat``).  A node never changes, so its structural
     hash is computed once, at construction, from its children's kept
     hashes; the enclosure memo hashes every node it is asked about, which
     would otherwise walk the whole subtree each time.  Equality is
@@ -572,10 +582,15 @@ def _coerce(x) -> Expr:
 
 
 class Rat(Expr):
+    """A rational leaf.  An integral value is kept as an ``int``, so
+    ``Rat(2)`` and ``Rat(Fraction(4, 2))`` hold the same argument and
+    building or comparing an integer leaf touches no ``Fraction``."""
+
     __slots__ = ()
 
     def __init__(self, value: RationalLike):
-        super().__init__(Fraction(*_pair(value)))
+        num, den = rational_pair(value)
+        super().__init__(num if den == 1 else value)
 
     def enclose(self, precision: int) -> CertifiedReal:
         return from_rational(self.args[0], precision)
@@ -720,7 +735,7 @@ def certified_compare(
     '=' is never certified true, not even from a zero-width interval: it
     is CertifiedFalse exactly when the threshold lies outside the interval.
     """
-    tn, td = _pair(threshold)
+    tn, td = rational_pair(threshold)
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     # the sign of (endpoint - threshold): every denominator is positive

@@ -66,6 +66,7 @@ def splitting_of_two(D: int) -> Splitting:
 # Imaginary quadratic class numbers
 
 
+@lru_cache(maxsize=None)
 def class_number_imaginary(delta: int) -> int:
     """h(delta) for a fundamental discriminant delta < 0.
 

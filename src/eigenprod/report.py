@@ -5,11 +5,16 @@ candidate triples with the reason each was eliminated, reproduced tables,
 every certified constant with its enclosure, and the external facts that
 were consumed.  Serialization is canonical so identical runs produce byte
 identical files: a report is the bytes of
-``json.dumps(data, sort_keys=True, indent=2)`` (non-ASCII text as ``\\u``
-escapes) and one trailing newline, written by this module's own
-`canonical_json`, which rejects floats and non-string keys with
-``TypeError`` instead of coercing them.  The records are ``NamedTuple``s;
-the mutable ``VerificationReport`` is a plain class.
+``json.dumps(data, sort_keys=True, indent=2)`` for ``data`` its
+``to_json_dict()`` (non-ASCII text as ``\\u`` escapes) and one trailing
+newline.  ``VerificationReport.to_json`` writes those bytes without
+building that dict: each check and candidate record from a fixed
+template, and only the free-form subtrees (tables, fixtures,
+interpretations) through this module's own writer, `canonical_json`, which
+rejects floats and non-string keys with ``TypeError`` instead of coercing
+them.  ``to_json_dict`` and `canonical_json` are the documented schema
+and the reference the tests hold ``to_json`` to.  The records are
+``NamedTuple``s; the mutable ``VerificationReport`` is a plain class.
 """
 
 import json
@@ -18,7 +23,7 @@ from importlib import resources
 from typing import NamedTuple, Optional
 
 from .fixtures import Fixture
-from .interval import Decision, Outcome
+from .interval import Decision, Outcome, rational_pair
 
 ENCLOSURE_DIGITS = 30
 
@@ -39,11 +44,11 @@ def format_decimal(value, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor
 
     rounding 'floor' rounds toward minus infinity and 'ceil' toward plus
     infinity, so a (floor, ceil) pair printed for an interval still
-    brackets it.
+    brackets it.  Only an ``int`` or a ``Fraction`` is taken; a float
+    raises ``TypeError``.
     """
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return pair_decimal(value.numerator, value.denominator, digits, rounding)
+    num, den = rational_pair(value)
+    return pair_decimal(num, den, digits, rounding)
 
 
 def pair_decimal(
@@ -64,10 +69,10 @@ def pair_decimal(
 
 
 def fraction_str(value) -> str:
-    fr = value if isinstance(value, Fraction) else Fraction(value)
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    """``"n"`` or ``"n/d"`` for an ``int`` or ``Fraction``; a float raises
+    ``TypeError``."""
+    num, den = rational_pair(value)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def certified_real_json(enclosure) -> dict:
@@ -82,15 +87,17 @@ def certified_real_json(enclosure) -> dict:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def canonical_json(data) -> str:
-    """The text ``json.dumps(data, sort_keys=True, indent=2)`` would give.
+def canonical_json(data, level: int = 0) -> str:
+    """The text ``json.dumps(data, sort_keys=True, indent=2)`` would give;
+    at ``level`` > 0, the text ``data`` has as a value nested that many
+    containers deep in such a document.
 
     Only ``str`` keys and ``str``, ``int``, ``bool``, ``None``, ``dict``,
     ``list`` and ``tuple`` values are accepted; anything else, a float
     included, raises ``TypeError``.
     """
     parts = []
-    _write(data, parts.append, "\n", {})
+    _write(data, parts.append, "\n" + "  " * level, {})
     return "".join(parts)
 
 
@@ -140,6 +147,73 @@ def _write(obj, append, newline: str, heads: dict) -> None:
         append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# A check record and a candidate record as `canonical_json` lays them out
+# inside a report's "constants" and "candidates" lists: keys sorted, the
+# record's own lines at depth 2.  The decimals of `pair_decimal` and the
+# fractions of `fraction_str` hold no character that JSON escapes, so they are
+# quoted directly; every other string goes through `_encode_str`.
+_CHECK_TEMPLATE = (
+    "\n    {{"
+    '\n      "enclosure": {{'
+    '\n        "hi": "{hi}",'
+    '\n        "lo": "{lo}",'
+    '\n        "precision": {precision}'
+    "\n      }},"
+    '\n      "name": {name},'
+    '\n      "note": {note},'
+    '\n      "outcome": {outcome},'
+    '\n      "precision": {precision},'
+    '\n      "relation": {relation},'
+    '\n      "threshold": "{threshold}"'
+    "\n    }}"
+)
+_CANDIDATE_TEMPLATE = (
+    "\n    {{"
+    '\n      "D": {d},'
+    '\n      "detail": {detail},'
+    '\n      "k1": {k1},'
+    '\n      "k2": {k2},'
+    '\n      "label": {label},'
+    '\n      "status": {status}'
+    "\n    }}"
+)
+
+
+def _int_or_null(value: Optional[int]) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+def _check_text(rec: "CheckRecord") -> str:
+    decision = rec.decision
+    enclosure = decision.enclosure
+    (lo_num, lo_den), (hi_num, hi_den) = enclosure.endpoint_pairs()
+    return _CHECK_TEMPLATE.format(
+        hi=pair_decimal(hi_num, hi_den, rounding="ceil"),
+        lo=pair_decimal(lo_num, lo_den, rounding="floor"),
+        precision=int.__repr__(enclosure.precision),
+        name=_encode_str(rec.name),
+        note=_encode_str(decision.note),
+        outcome=_encode_str(decision.outcome.value),
+        relation=_encode_str(rec.relation),
+        threshold=fraction_str(rec.threshold),
+    )
+
+
+def _candidate_text(rec: "CandidateRecord") -> str:
+    return _CANDIDATE_TEMPLATE.format(
+        d=_int_or_null(rec.d),
+        detail=_encode_str(rec.detail),
+        k1=_int_or_null(rec.k1),
+        k2=_int_or_null(rec.k2),
+        label=_encode_str(rec.label),
+        status=_encode_str(rec.status),
+    )
+
+
+def _records_text(texts: list) -> str:
+    return "[" + ",".join(texts) + "\n  ]" if texts else "[]"
 
 
 class CheckRecord(NamedTuple):
@@ -241,10 +315,38 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """The canonical report text.  Not ``json.dumps(..., indent=2)``:
-        any ``indent`` makes CPython use its pure-Python encoder, about
-        twice as slow as `canonical_json` on the default reports."""
-        return canonical_json(self.to_json_dict()) + "\n"
+        """The canonical report text, ``canonical_json(self.to_json_dict())``
+        and a newline, written without building that dict.
+
+        The top-level keys are written here in sorted order, each record
+        from its fixed template, and only the free-form subtrees (tables,
+        fixtures, interpretations) through `canonical_json`;
+        ``to_json_dict`` and `canonical_json` are the reference the tests
+        compare this text with.  Not ``json.dumps(..., indent=2)``: any
+        ``indent`` makes CPython use its pure-Python encoder, about twice
+        as slow as `canonical_json` on the default reports.
+        """
+        return "".join(
+            (
+                '{\n  "candidates": ',
+                _records_text([_candidate_text(c) for c in self.candidates]),
+                ',\n  "constants": ',
+                _records_text([_check_text(c) for c in self.constants]),
+                ',\n  "fixtures": ',
+                canonical_json(self.fixtures_used, 1),
+                ',\n  "inconclusive": ',
+                int.__repr__(self.inconclusive),
+                ',\n  "interpretations": ',
+                canonical_json(self.interpretations, 1),
+                ',\n  "section": ',
+                _encode_str(self.section),
+                ',\n  "tables": ',
+                canonical_json(self.tables, 1),
+                ',\n  "verdict": ',
+                _encode_str(self.verdict),
+                "\n}\n",
+            )
+        )
 
 
 def resolve_verdict(report: VerificationReport) -> str:

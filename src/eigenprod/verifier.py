@@ -69,6 +69,7 @@ from .interval import (
     Zeta,
     certified_compare,
     evaluate_with_escalation,
+    rational_pair,
 )
 from .quadfield import Splitting, narrow_one_fields
 from .report import (
@@ -193,10 +194,11 @@ class _Run:
     def exact(self, name: str, value, threshold, relation: str) -> Decision:
         """Record a comparison settled by exact rational arithmetic.
 
-        Unlike interval comparisons, '=' can be certified here.
+        Unlike interval comparisons, '=' can be certified here.  A float
+        value or threshold raises ``TypeError``, as in the certified layer.
         """
-        v = Fraction(value)
-        t = Fraction(threshold)
+        v = Fraction(*rational_pair(value))
+        t = Fraction(*rational_pair(threshold))
         holds = RELATIONS[relation](v, t)
         outcome = Outcome.CERTIFIED_TRUE if holds else Outcome.CERTIFIED_FALSE
         decision = Decision(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -57,7 +57,9 @@ from eigenprod.interval import (
     Mul,
     Pi,
     Sub,
+    _capped,
     _enclose_memo,
+    _floor_dyadic,
     _Node,
     from_rational,
 )
@@ -235,6 +237,56 @@ def test_rounded_operations(op, x, y, n, precision):
     reference = _reference_op(op, x, y, n, precision)
     assert (out.lo, out.hi) == reference
     assert out == CertifiedReal(*reference, precision)
+
+
+@st.composite
+def _reduced_dyadics(draw, bits: int) -> tuple[int, int]:
+    # num / 2^q with |num| within a few bits of the size cap and q > 0 only
+    # for odd num, so the pair is reduced, as every kernel pair is
+    size = draw(st.integers(bits - 2, bits + 3))
+    num = draw(st.integers(1 << (size - 1), (1 << size) - 1))
+    q = draw(st.integers(0, bits + 8))
+    if q:
+        num |= 1
+    return draw(st.sampled_from([num, -num])), 1 << q
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            _reduced_dyadics(p + GUARD_BITS),
+            _reduced_dyadics(p + GUARD_BITS),
+        )
+    )
+)
+# at precision 0, numerators of bits + 1 and bits + 2 bits over a
+# denominator longer than the cap: the first is its own rounding, the
+# second loses its last bit
+@example(
+    (
+        0,
+        ((1 << GUARD_BITS) | 1, 1 << (GUARD_BITS + 4)),
+        ((1 << (GUARD_BITS + 1)) | 1, 1 << (GUARD_BITS + 4)),
+    )
+)
+def test_capped_rounds_dyadic_endpoints_as_floor_dyadic_does(case):
+    # _capped skips _floor_dyadic for a dyadic endpoint whose numerator has
+    # at most bits + 1 bits; pair for pair, both endpoints must still be
+    # what _floor_dyadic gives for every endpoint above the size cap
+    precision, lo, hi = case
+    bits = precision + GUARD_BITS
+
+    def over(pair):
+        return pair[0].bit_length() > bits or pair[1].bit_length() > bits
+
+    expected_lo = _floor_dyadic(*lo, bits) if over(lo) else lo
+    expected_hi = hi
+    if over(hi):
+        num, den = _floor_dyadic(-hi[0], hi[1], bits)
+        expected_hi = -num, den
+    assert _capped(lo, hi, precision).endpoint_pairs() == (expected_lo, expected_hi)
 
 
 def test_reciprocal_through_zero_rejected():
@@ -519,10 +571,24 @@ def test_node_identity_is_structural():
     assert not [c.__name__ for c in classes if dataclasses.is_dataclass(c)]
 
 
+def test_integer_leaves_hold_ints():
+    # an integral leaf keeps an int, so building, hashing and comparing it
+    # touches no Fraction; any other leaf keeps the Fraction it was given
+    assert type(Rat(2).args[0]) is int
+    assert type(Rat(Fraction(4, 2)).args[0]) is int
+    assert Rat(Fraction(3, 2)).args[0] == Fraction(3, 2)
+    precision = 144  # a precision no other test encloses at
+    enc = Mul(Rat(3), PI).enclose(precision)
+    before = _enclose_memo.cache_info()
+    assert Mul(Rat(3), PI).enclose(precision) is enc
+    after = _enclose_memo.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 # one tree holding every node kind, built from this text in each process
 _EVERY_KIND = (
     "Abs(Log(Exp(Sqrt(Pow(Div(Mul(Sub(Add(Rat(Fraction(3, 2)), Pi()), Zeta(4)),"
-    " GammaInt(5)), PI), 3)))))"
+    " GammaInt(5)), Mul(Rat(2), PI)), 3)))))"
 )
 
 

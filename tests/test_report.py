@@ -17,6 +17,8 @@ from eigenprod import (
     compare_to_golden,
     golden_tables,
     resolve_verdict,
+    verify_section4_inert,
+    verify_section5,
 )
 from eigenprod.fixtures import Fixture
 from eigenprod.report import (
@@ -328,3 +330,104 @@ def test_canonical_json_matches_stdlib_indent(doc):
 def test_canonical_json_rejects_what_stdlib_would_coerce(doc):
     with pytest.raises(TypeError):
         canonical_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# Report writer against its reference: the documented dict, dumped by the
+# stdlib
+
+
+def _reference_text(report: VerificationReport) -> str:
+    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def test_to_json_matches_the_reference_on_verifier_reports(default_reports):
+    reports = list(default_reports.values()) + [
+        verify_section4_inert(base_precision=1024),
+        verify_section5(base_precision=1024),
+        # the failure path: undecided certificates and surviving families
+        verify_section5(base_precision=8, precision_ceiling=8),
+    ]
+    for report in reports:
+        assert report.to_json() == _reference_text(report), report.section
+
+
+def test_to_json_builds_no_record_dicts(monkeypatch, report_s5):
+    # the dicts are the schema and the tests' reference, not the write path
+    def refuse(*args):
+        raise AssertionError("to_json built a dict")
+
+    expected = _reference_text(report_s5)
+    monkeypatch.setattr(VerificationReport, "to_json_dict", refuse)
+    monkeypatch.setattr(CheckRecord, "to_json", refuse)
+    monkeypatch.setattr(CandidateRecord, "to_json", refuse)
+    assert report_s5.to_json() == expected
+
+
+_rationals = st.integers(-(2**200), 2**200) | st.fractions(
+    min_value=-(2**70), max_value=2**70, max_denominator=2**70
+)
+
+
+@st.composite
+def _enclosures(draw) -> CertifiedReal:
+    # negative, zero-width and precision-0 (exact) enclosures included
+    lo = draw(_rationals)
+    hi = draw(st.just(lo) | _rationals.filter(lambda x: x >= lo))
+    return CertifiedReal(lo, hi, draw(st.sampled_from([0, 8, 128, 4096])))
+
+
+_check_records = st.builds(
+    CheckRecord,
+    name=_texts,
+    relation=st.sampled_from([">", ">=", "<", "<=", "="]) | _texts,
+    threshold=_rationals,
+    decision=st.builds(
+        Decision, st.sampled_from(list(Outcome)), _enclosures(), note=_texts
+    ),
+)
+_optional_ints = st.none() | st.integers() | st.integers(-(2**80), 2**80)
+_candidate_records = st.builds(
+    CandidateRecord,
+    status=st.sampled_from([ELIMINATED_BY_BOUND, SURVIVOR]) | _texts,
+    detail=_texts,
+    d=_optional_ints,
+    k1=_optional_ints,
+    k2=_optional_ints,
+    label=_texts,
+)
+_reports = st.builds(
+    VerificationReport,
+    section=_texts,
+    verdict=st.sampled_from([VERDICT_NO_IDENTITY, VERDICT_FAILED]) | _texts,
+    candidates=st.lists(_candidate_records, max_size=3),
+    tables=st.dictionaries(_texts, _documents, max_size=3),
+    constants=st.lists(_check_records, max_size=3),
+    fixtures_used=st.lists(st.dictionaries(_texts, _documents, max_size=3), max_size=2),
+    interpretations=st.lists(_texts, max_size=3),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_reports)
+@example(VerificationReport(""))
+@example(
+    VerificationReport(
+        "\u00e9\"\\",
+        candidates=[CandidateRecord(SURVIVOR, "\x00", k2=0, label="\ud800")],
+        constants=[
+            CheckRecord(
+                "\n",
+                "=",
+                Fraction(-7, 3),
+                Decision(
+                    Outcome.INCONCLUSIVE,
+                    CertifiedReal(Fraction(-1, 3), Fraction(-1, 3), 0),
+                    '"\\\u2603',
+                ),
+            )
+        ],
+    )
+)
+def test_to_json_matches_the_reference_on_built_reports(report):
+    assert report.to_json() == _reference_text(report)

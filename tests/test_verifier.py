@@ -53,6 +53,7 @@ from eigenprod.report import (
     SURVIVOR,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_IDENTITY,
+    format_decimal,
     fraction_str,
 )
 from eigenprod import exact, verifier
@@ -541,6 +542,29 @@ def test_degree_families_degrade_to_survivors_at_low_ceiling():
         for rec in report.constants
         if rec.name == "degree5_contradiction"
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact records
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda run: run.exact("p", 0.1, 0, ">"),
+        lambda run: run.exact("p", 1, 0.1, ">"),
+        lambda run: fraction_str(0.1),
+        lambda run: format_decimal(0.1, 5),
+    ],
+    ids=["exact-value", "exact-threshold", "fraction-str", "format-decimal"],
+)
+def test_floats_rejected_at_the_exact_recording_boundary(call):
+    # 0.1 would be recorded as 3602879701896397/36028797018963968, a value
+    # no caller wrote; nothing is recorded
+    run = verifier._Run("x", 128, 1024)
+    with pytest.raises(TypeError):
+        call(run)
+    assert run.constants == []
 
 
 # ---------------------------------------------------------------------------
