@@ -102,7 +102,6 @@ _EXPORTS = {
         "factor_ideal",
         "ideal_from_prime_powers",
         "ideals_of_norm",
-        "product_coefficient",
         "residual_inert",
         "residual_noninert",
         "residual_unequal",

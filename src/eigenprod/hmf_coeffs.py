@@ -13,17 +13,13 @@ basis {1, omega} with omega = (t + sqrt(D)) / 2, t = D mod 2.
 
 Product coefficients are lattice convolutions over totally nonnegative
 decompositions; every comparison (total positivity, valuations) is an
-exact integer test.  A nonzero totally nonnegative integer is
-automatically totally positive (sqrt(D) is irrational), so the boundary
-terms of a convolution are exactly mu = 0 and mu = nu.  They carry the
-rational constant terms; every interior term is a product of two integer
-divisor sums, so the interior is summed in integers.  A product's
-coefficients up to a trace bound come from one convolution of two
-integer coefficient tables grouped by trace, a single pass over all
-pairs whose traces sum to at most the bound; ``product_coefficient``
-reads one entry of that table.  Each element's ideal factorization
-(``factor_ideal``) is memoised; its divisor sums are not, since a table
-reads each element once per weight.
+exact integer test.  A form's coefficients up to a trace bound are held
+in one table shape, integer rows grouped by trace over one denominator
+(the constant term's, for E_k), so a product's table is one integer
+convolution of two tables: a single pass over every pair of traces, zero
+included, whose sum is at most the bound.  Each element's ideal
+factorization (``factor_ideal``) is memoised; its divisor sums are not,
+since a table reads each element once per weight.
 
 The exact constant-term residuals of the product identities, and the scan
 over them, close the module: each residual is the constant-term side of a
@@ -352,69 +348,67 @@ def enumerate_totally_nonneg(D: int, trace_bound: int) -> list[TotallyPositiveEl
     ]
 
 
+class _Table(NamedTuple):
+    # a form's coefficients over the field of discriminant D up to one trace
+    # bound, as integer rows over one denominator: rows[s][i] = den * c(nu)
+    # for the i-th nu of trace s in _trace_rows order, and rows[0] =
+    # [den * c(0)]
+    discriminant: int
+    den: int
+    rows: list[list[int]]
+
+
+def _eisenstein_table(form: EisensteinDescriptor, trace_bound: int) -> _Table:
+    D = form.discriminant
+    t, _ = _omega_params(D)
+    c0 = form.constant_term
+    den = c0.denominator
+    rows = [[c0.numerator]]
+    rows += (
+        [den * eisenstein_coeff(form, factor_ideal(D, (s - t * y) // 2, y)) for y in ys]
+        for s, ys in enumerate(_trace_rows(D, trace_bound)[1:], 1)
+    )
+    return _Table(D, den, rows)
+
+
+def _convolve(a: _Table, b: _Table) -> _Table:
+    # the table of the product: c(nu) = sum of a(mu) b(mu') over mu + mu' =
+    # nu, both totally nonnegative, zero included.  Grouped by trace, the y
+    # of each trace form one progression of step 1 or 2, so each pair of
+    # traces (s1, s2) is a one-dimensional convolution of two integer rows
+    # into the row of trace s1 + s2.  The loop runs over the shorter row
+    # and slices along the longer, so the one-element row 0 costs one slice
+    D = a.discriminant
+    bound = len(a.rows) - 1
+    step = 2 if _omega_params(D)[0] else 1
+    ys = _trace_rows(D, bound)
+    out = [[0] * len(r) for r in ys]
+    for s1, left_row in enumerate(a.rows):
+        for s2 in range(bound - s1 + 1):
+            short, long = left_row, b.rows[s2]
+            if len(short) > len(long):
+                short, long = long, short
+            n, row = len(long), out[s1 + s2]
+            first = (ys[s1].start + ys[s2].start - ys[s1 + s2].start) // step
+            for i, left in enumerate(short, first):
+                row[i : i + n] = map(add, row[i : i + n], map(mul, repeat(left), long))
+    return _Table(D, a.den * b.den, out)
+
+
 def _product_table(
     f: EisensteinDescriptor, h: EisensteinDescriptor, trace_bound: int
 ) -> dict[tuple[int, int], Fraction]:
     # c_{f h}(nu) for every nonzero totally nonnegative nu = (x, y) of trace
-    # <= trace_bound, from one pass over the pairs (mu, mu') of nonzero
-    # totally nonnegative elements with trace sum <= trace_bound.  Grouped
-    # by trace, the y of each trace form one progression of step 1 or 2,
-    # so the pairs of traces (s1, s2) are a one-dimensional convolution of
-    # two integer rows into the row of trace s1 + s2.  The boundary terms
-    # mu = 0 and mu' = 0 carry the constant terms and join last, in one
-    # Fraction per nu, so the interior stays in integers.
-    D = f.discriminant
-    t, _ = _omega_params(D)
-    step = 2 if t else 1
-    rows = _trace_rows(D, trace_bound)
-
-    def divisor_sums(form: EisensteinDescriptor) -> list[list[int]]:
-        return [
-            [eisenstein_coeff(form, factor_ideal(D, (s - t * y) // 2, y)) for y in ys]
-            if s
-            else []
-            for s, ys in enumerate(rows)
-        ]
-
-    cf = divisor_sums(f)
-    ch = cf if h.weight == f.weight else divisor_sums(h)
-    interior = [[0] * len(ys) for ys in rows]
-    for s1 in range(1, trace_bound):
-        for s2 in range(1, trace_bound - s1 + 1):
-            right, out = ch[s2], interior[s1 + s2]
-            n = len(right)
-            first = (rows[s1].start + rows[s2].start - rows[s1 + s2].start) // step
-            for i, left in enumerate(cf[s1], first):
-                out[i : i + n] = map(add, out[i : i + n], map(mul, repeat(left), right))
-    f0, h0 = f.constant_term, h.constant_term
-    den = f0.denominator * h0.denominator
-    fw, hw = f0.numerator * h0.denominator, h0.numerator * f0.denominator
+    # <= trace_bound: a view of the convolution of the two forms' tables
+    table = _eisenstein_table(f, trace_bound)
+    product = _convolve(table, table if h == f else _eisenstein_table(h, trace_bound))
+    t, _ = _omega_params(f.discriminant)
+    ys = _trace_rows(f.discriminant, trace_bound)
     return {
-        ((s - t * y) // 2, y): Fraction(inner * den + fw * hv + hw * fv, den)
+        ((s - t * y) // 2, y): Fraction(value, product.den)
         for s in range(1, trace_bound + 1)
-        for y, fv, hv, inner in zip(rows[s], cf[s], ch[s], interior[s])
+        for y, value in zip(ys[s], product.rows[s])
     }
-
-
-def product_coefficient(
-    f: EisensteinDescriptor, h: EisensteinDescriptor, nu: TotallyPositiveElement
-) -> Fraction:
-    """Coefficient of q^nu in the product f * h: the convolution
-
-        sum_{mu + mu' = nu, both totally nonnegative} c_f(mu) c_h(mu'),
-
-    read from the product table up to the trace of nu.  The decompositions
-    mu = 0 and mu = nu contribute the constant-term cross terms; every
-    other term is an integer product of two divisor sums, so the interior
-    is summed in integers.
-    """
-    if f.discriminant != h.discriminant:
-        raise ValueError("forms live over different fields")
-    if nu.discriminant != f.discriminant:
-        raise ValueError("element and forms live over different fields")
-    if nu.is_zero():
-        return f.constant_term * h.constant_term
-    return _product_table(f, h, nu.trace())[nu.x, nu.y]
 
 
 class SqrtFiveIdentityReport(NamedTuple):

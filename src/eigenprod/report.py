@@ -97,14 +97,12 @@ def canonical_json(data, level: int = 0) -> str:
     included, raises ``TypeError``.
     """
     parts = []
-    _write(data, parts.append, "\n" + "  " * level, {})
+    _write(data, parts.append, "\n" + "  " * level)
     return "".join(parts)
 
 
-def _write(obj, append, newline: str, heads: dict) -> None:
-    # `newline` is "\n" plus the indentation of the line `obj` starts on;
-    # `heads` maps each key seen so far to its encoding plus ": ", so the
-    # few distinct report keys are encoded, and held in memory, once
+def _write(obj, append, newline: str) -> None:
+    # `newline` is "\n" plus the indentation of the line `obj` starts on
     if isinstance(obj, str):
         append(_encode_str(obj))
     elif obj is None:
@@ -123,14 +121,11 @@ def _write(obj, append, newline: str, heads: dict) -> None:
         comma = "," + inner
         sep = "{" + inner
         for key in sorted(obj):
-            head = heads.get(key)
-            if head is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                head = heads[key] = _encode_str(key) + ": "
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             append(sep)
-            append(head)
-            _write(obj[key], append, inner, heads)
+            append(_encode_str(key) + ": ")
+            _write(obj[key], append, inner)
             sep = comma
         append(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -142,7 +137,7 @@ def _write(obj, append, newline: str, heads: dict) -> None:
         sep = "[" + inner
         for item in obj:
             append(sep)
-            _write(item, append, inner, heads)
+            _write(item, append, inner)
             sep = comma
         append(newline + "]")
     else:

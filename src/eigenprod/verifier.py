@@ -1062,6 +1062,12 @@ def verify_section5(
     exterior; degree 5 runs through the minimal-discriminant fact; degrees
     6 and beyond through the paired discriminant bound, certified at the
     boundary and swept to n_max as a safety net.
+
+    The degree-3 and degree-4 grids certify the fixture's minimal
+    discriminant only (49 and 725).  At the totally real cubic
+    discriminant 148 the degree-3 point (k2, k1) = (2, 4) is about 1.150,
+    inside the 1/5 gap certified at 49, so no certificate yet covers
+    every cubic field that the degree-3 label names.
     """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")

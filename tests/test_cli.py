@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import eigenprod
+from eigenprod import TotallyPositiveElement, hmf_coeffs, verify_sqrt5_identity
 from eigenprod.cli import (
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
@@ -115,6 +116,64 @@ def test_demo_sqrt5_below_trace_2_full_output(capsys, bound):
         "only the constant term was checked: no totally positive element "
         "of Q(sqrt 5) has trace below 2\n"
     )
+
+
+def _demo_output(bound, compared):
+    return (
+        "scalar from constant terms: 60\n"
+        "constant term check: 60 * (1/120)^2 = 1/240: ok\n"
+        f"coefficients compared up to trace {bound}: {compared}\n"
+        "all coefficients verified: E4 = 60*E2^2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["demo-sqrt5", "50"], _demo_output(50, 571)),
+        (["demo-sqrt5", "80"], _demo_output(80, 1448)),
+        (["scan", "1000", "20"], "(5, 2, 2)\n"),
+    ],
+    ids=["demo-sqrt5-50", "demo-sqrt5-80", "scan-1000-20"],
+)
+def test_benchmark_reference_outputs(argv, expected, capsys):
+    # the full stdout of the exact-arith benchmark's commands, byte for byte
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_demo_sqrt5_reports_a_wrong_divisor_sum(monkeypatch, capsys):
+    # one E_4 divisor sum off by one: exactly that nu is listed, and the
+    # demo fails; (2 + omega) generates the ramified prime, sigma_3 = 126
+    target = TotallyPositiveElement(5, 2, 1)
+    coefficient = hmf_coeffs.coefficient
+    monkeypatch.setattr(
+        hmf_coeffs, "coefficient", lambda form, nu: coefficient(form, nu) + (nu == target)
+    )
+    report = verify_sqrt5_identity(10)
+    assert report.constant_term_ok
+    assert report.mismatches == ("nu=(2,1): 60*conv=126 vs sigma_3=127",)
+    assert main(["demo-sqrt5", "10"]) == EXIT_FAILURE
+    out = capsys.readouterr().out
+    assert "mismatch: nu=(2,1): 60*conv=126 vs sigma_3=127\n" in out
+    assert out.endswith("identity check FAILED\n")
+
+
+def test_demo_sqrt5_reports_a_wrong_constant_term(monkeypatch, capsys):
+    # zeta_F(-3) off by one moves c_0(E_4) alone: no coefficient differs,
+    # and the constant-term check fails the demo
+    zeta = hmf_coeffs.dedekind_zeta_neg
+    monkeypatch.setattr(
+        hmf_coeffs, "dedekind_zeta_neg", lambda D, k: zeta(D, k) + ((D, k) == (5, 4))
+    )
+    report = verify_sqrt5_identity(10)
+    assert not report.constant_term_ok and not report.passed
+    assert report.mismatches == ()
+    assert main(["demo-sqrt5", "10"]) == EXIT_FAILURE
+    out = capsys.readouterr().out
+    assert "constant term check: 60 * (1/120)^2 = 1/240: FAILED\n" in out
+    assert "mismatch" not in out
+    assert out.endswith("identity check FAILED\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,14 @@ from eigenprod import (
     ideals_of_norm,
     kronecker,
     narrow_one_fields,
-    product_coefficient,
     residual_inert,
     residual_noninert,
     residual_unequal,
     verify_sqrt5_identity,
 )
 from eigenprod.hmf_coeffs import (
+    _convolve,
+    _eisenstein_table,
     _product_table,
     element_norm,
     element_trace,
@@ -272,21 +273,43 @@ def test_coefficient_bound_pointwise(D, n, k):
 # Products
 
 
+def _product_at(f, h, nu):
+    # c_{f h}(nu) read from the product table up to the trace of nu, or
+    # from row 0 of the convolution at nu = 0
+    if nu.is_zero():
+        product = _convolve(_eisenstein_table(f, 0), _eisenstein_table(h, 0))
+        return Fraction(product.rows[0][0], product.den)
+    return _product_table(f, h, nu.trace())[nu.x, nu.y]
+
+
 def test_product_coefficient_hand_expanded():
     # nu = 1: only decompositions are 0 + 1 and 1 + 0, no trace 1
     # elements have nonnegative norm, so conv = 2 * (1/120) * 1
     e2 = EisensteinDescriptor(5, 2)
-    nu = TotallyPositiveElement(5, 1, 0)
-    assert product_coefficient(e2, e2, nu) == Fraction(1, 60)
+    assert _product_table(e2, e2, 2)[1, 0] == Fraction(1, 60)
 
 
 def test_product_coefficient_symmetric_and_constant():
     e2 = EisensteinDescriptor(5, 2)
     e4 = EisensteinDescriptor(5, 4)
     zero = TotallyPositiveElement(5, 0, 0)
-    assert product_coefficient(e2, e4, zero) == Fraction(1, 120) * Fraction(1, 240)
-    for nu in enumerate_totally_nonneg(5, 6):
-        assert product_coefficient(e2, e4, nu) == product_coefficient(e4, e2, nu)
+    assert _product_at(e2, e4, zero) == Fraction(1, 120) * Fraction(1, 240)
+    assert _product_table(e2, e4, 6) == _product_table(e4, e2, 6)
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13])
+def test_convolution_is_symmetric_and_starts_at_the_constant_terms(D):
+    # rows of unequal length meet in either order, so both orientations of
+    # the slice loop run; t = 1 for D = 5, 13 and t = 0 for D = 8, 12
+    for k1, k2 in ((2, 4), (4, 6)):
+        f = EisensteinDescriptor(D, k1)
+        h = EisensteinDescriptor(D, k2)
+        a, b = _eisenstein_table(f, 16), _eisenstein_table(h, 16)
+        product = _convolve(a, b)
+        assert product == _convolve(b, a), (D, k1, k2)
+        assert Fraction(product.rows[0][0], product.den) == (
+            f.constant_term * h.constant_term
+        ), (D, k1, k2)
 
 
 def _reference_product_coefficient(f, h, nu):
@@ -311,7 +334,7 @@ def test_product_coefficient_matches_reference_convolution(D):
         h = EisensteinDescriptor(D, k2)
         for nu in [TotallyPositiveElement(D, 0, 0)] + enumerate_totally_nonneg(D, 10):
             expected = _reference_product_coefficient(f, h, nu)
-            assert product_coefficient(f, h, nu) == expected, (D, k1, k2, nu)
+            assert _product_at(f, h, nu) == expected, (D, k1, k2, nu)
 
 
 @pytest.mark.parametrize("D", [5, 8, 12, 13])
@@ -358,16 +381,6 @@ def test_factor_ideal_still_rejects_after_cached_calls():
             factor_ideal(5, 0, 0)
         with pytest.raises(ValueError, match="not a real quadratic fundamental"):
             factor_ideal(45, 2, 1)
-
-
-def test_product_coefficient_rejects_mixed_fields():
-    e2 = EisensteinDescriptor(5, 2)
-    f2 = EisensteinDescriptor(8, 2)
-    nu = TotallyPositiveElement(5, 1, 0)
-    with pytest.raises(ValueError, match="different fields"):
-        product_coefficient(e2, f2, nu)
-    with pytest.raises(ValueError, match="different fields"):
-        product_coefficient(e2, e2, TotallyPositiveElement(8, 1, 0))
 
 
 def test_sqrt5_identity_report():
@@ -439,7 +452,7 @@ def test_unequal_residual_is_the_coefficient_gap_at_one():
             for k2 in range(2, k1, 2):
                 f, h, fh = forms[k1], forms[k2], forms[k1 + k2]
                 lam = f.constant_term * h.constant_term / fh.constant_term
-                gap = product_coefficient(f, h, one) - lam * coefficient(fh, one)
+                gap = _product_at(f, h, one) - lam * coefficient(fh, one)
                 expected = 4 * dedekind_zeta_neg(D, k1 + k2) * gap
                 assert residual_unequal(D, k1, k2) == expected, (D, k1, k2)
                 triples += 1
@@ -475,7 +488,7 @@ def test_inert_residual_is_the_coefficient_gap_at_one_and_two():
             f, f2 = EisensteinDescriptor(D, k), EisensteinDescriptor(D, 2 * k)
             lam = f.constant_term**2 / f2.constant_term
             gap1, gap2 = (
-                product_coefficient(f, f, nu) - lam * coefficient(f2, nu)
+                _product_at(f, f, nu) - lam * coefficient(f2, nu)
                 for nu in (one, two)
             )
             expected = -4 * dedekind_zeta_neg(D, 2 * k) * (gap2 - (1 + 4 ** (k - 1)) * gap1)
@@ -504,7 +517,7 @@ def test_noninert_residual_is_the_coefficient_gap_at_pi(prime_generator):
             f, f2 = EisensteinDescriptor(D, k), EisensteinDescriptor(D, 2 * k)
             lam = f.constant_term**2 / f2.constant_term
             gap1, gap_pi = (
-                product_coefficient(f, f, nu) - lam * coefficient(f2, nu)
+                _product_at(f, f, nu) - lam * coefficient(f2, nu)
                 for nu in (one, pi)
             )
             assert gap_pi - (1 + 2 ** (k - 1)) * gap1 == -lam * residual_noninert(k), (D, k)

@@ -182,9 +182,6 @@ LIBRARY_ENTRY_POINTS = {
     # every integral ideal of a given norm; the ideal counts are checked
     # against divisor character sums
     "hmf_coeffs.py:ideals_of_norm",
-    # one product coefficient read from the product table, for callers that
-    # want a single nu rather than the whole table
-    "hmf_coeffs.py:product_coefficient",
 }
 
 
