@@ -6,6 +6,11 @@ totally real fields, and an analytic discriminant bound.  Those facts live
 in a versioned JSON document, each with a citation string, and every
 report that consumes one echoes it back so the run can be audited.  A
 fact is a `Fixture`, a ``NamedTuple``.
+
+A verification run reads a fact only through ``_Run.use_fixture``, which
+looks it up once and records it for the echo.  The typed accessors below
+parse the `Fixture` they are handed and name its key in their errors; no
+accessor spells a key of its own.
 """
 
 import json
@@ -114,8 +119,8 @@ class Fixtures:
         return sorted(self._facts)
 
 
-# typed accessors; each raises MissingFixtureError if the fact is absent
-# and MalformedFixtureError if the document carries it in a mangled form
+# typed accessors; each parses the fact it is handed and raises
+# MalformedFixtureError if the document carries it in a mangled form
 
 _DATA_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
@@ -136,42 +141,38 @@ def _rational(value) -> Fraction:
     return Fraction(_exact(value, "an integer or a string"))
 
 
-def takeuchi_constants(fixtures: Fixtures) -> tuple[Fraction, Fraction]:
-    data = fixtures.get("takeuchi_disc_bound").data
+def takeuchi_constants(fact: Fixture) -> tuple[Fraction, Fraction]:
     try:
-        return _rational(data["a"]), _rational(data["b"])
+        return _rational(fact.data["a"]), _rational(fact.data["b"])
     except _DATA_ERRORS as exc:
-        raise MalformedFixtureError("takeuchi_disc_bound", str(exc)) from None
+        raise MalformedFixtureError(fact.key, str(exc)) from None
 
 
-def voight_min_disc(fixtures: Fixtures, degree: int) -> int:
-    data = fixtures.get("voight_min_totally_real_disc").data
-    key = f"voight_min_totally_real_disc[{degree}]"
+def voight_min_disc(fact: Fixture, degree: int) -> int:
+    key = f"{fact.key}[{degree}]"
     try:
-        return _integer(data[str(degree)])
+        return _integer(fact.data[str(degree)])
     except KeyError:
         raise MissingFixtureError(key) from None
     except (TypeError, ValueError) as exc:
         raise MalformedFixtureError(key, str(exc)) from None
 
 
-def magma_weight_range(fixtures: Fixtures) -> tuple[int, int, int]:
+def magma_weight_range(fact: Fixture) -> tuple[int, int, int]:
     """(discriminant, weight_min, weight_max) of the computed dim > 1 range."""
-    data = fixtures.get("magma_dim_d8").data
     try:
         return (
-            _integer(data["discriminant"]),
-            _integer(data["weight_min"]),
-            _integer(data["weight_max"]),
+            _integer(fact.data["discriminant"]),
+            _integer(fact.data["weight_min"]),
+            _integer(fact.data["weight_max"]),
         )
     except _DATA_ERRORS as exc:
-        raise MalformedFixtureError("magma_dim_d8", str(exc)) from None
+        raise MalformedFixtureError(fact.key, str(exc)) from None
 
 
-def ishikawa_zero_dim_fields(fixtures: Fixtures) -> frozenset[int]:
-    data = fixtures.get("ishikawa_weight2_dim").data
+def ishikawa_zero_dim_fields(fact: Fixture) -> frozenset[int]:
     try:
-        dims = data["dim_s2"]
+        dims = fact.data["dim_s2"]
         return frozenset(_integer(d) for d, dim in dims.items() if _integer(dim) == 0)
     except _DATA_ERRORS as exc:
-        raise MalformedFixtureError("ishikawa_weight2_dim", str(exc)) from None
+        raise MalformedFixtureError(fact.key, str(exc)) from None

@@ -262,8 +262,7 @@ def _interval(lo: Pair, hi: Pair, precision: int) -> CertifiedReal:
 
 
 def _floor_dyadic(num: int, den: int, bits: int) -> Pair:
-    """num/den rounded down to a dyadic with at most ``bits + 1``
-    significant bits."""
+    """num/den rounded down to a dyadic of at most bits + 1 significant bits."""
     # |num/den| lies in [2^(e-1), 2^(e+1)) for e = len(num) - len(den)
     shift = bits - num.bit_length() + den.bit_length()
     if shift < 0:
@@ -271,22 +270,24 @@ def _floor_dyadic(num: int, den: int, bits: int) -> Pair:
     return _dyadic((num << shift) // den, shift)
 
 
+def _round_out(num: int, den: int, bits: int, up: bool) -> Pair:
+    """num/den rounded down, or up when ``up``, to bits + 1 significant bits."""
+    # |num| past its trailing zeros: a dyadic that fits is already rounded
+    if den & (den - 1) or num.bit_length() - (num & -num).bit_length() > bits:
+        num, den = _floor_dyadic(-num if up else num, den, bits)
+        num = -num if up else num
+    return num, den
+
+
 def _capped(lo: Pair, hi: Pair, precision: int) -> CertifiedReal:
     """[lo, hi], with an endpoint whose numerator or denominator exceeds
     ``precision + GUARD_BITS`` bits rounded outward: lo down, hi up."""
     bits = precision + GUARD_BITS
     (ln, ld), (hn, hd) = lo, hi
-    # a dyadic endpoint with at most bits + 1 significant bits is already
-    # what _floor_dyadic would round it to
-    if (ln.bit_length() > bits or ld.bit_length() > bits) and (
-        ld & (ld - 1) or ln.bit_length() > bits + 1
-    ):
-        lo = _floor_dyadic(ln, ld, bits)
-    if (hn.bit_length() > bits or hd.bit_length() > bits) and (
-        hd & (hd - 1) or hn.bit_length() > bits + 1
-    ):
-        hn, hd = _floor_dyadic(-hn, hd, bits)
-        hi = (-hn, hd)
+    if ln.bit_length() > bits or ld.bit_length() > bits:
+        lo = _round_out(ln, ld, bits, False)
+    if hn.bit_length() > bits or hd.bit_length() > bits:
+        hi = _round_out(hn, hd, bits, True)
     return _interval(lo, hi, precision)
 
 
@@ -323,8 +324,7 @@ def _pow_endpoint(x: Pair, n: int, bits: int, up: bool) -> Pair:
     num, den = a**n, d**n
     if num.bit_length() <= bits and den.bit_length() <= bits:
         return num, den
-    num, den = _floor_dyadic(-num if up else num, den, bits)
-    return (-num if up else num), den
+    return _round_out(num, den, bits, up)
 
 
 def from_rational(x: RationalLike, precision: int) -> CertifiedReal:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple, Optional
 
-from .fixtures import Fixture
 from .interval import Decision, Outcome, rational_pair
 
 ENCLOSURE_DIGITS = 30
@@ -441,7 +440,3 @@ def compare_to_golden(
             ]
             mismatches.extend(rows or [f"{name}: row order differs from golden table"])
     return mismatches
-
-
-def echo_fixtures(fixtures: list[Fixture]) -> list[dict]:
-    return [f.echo() for f in sorted(fixtures, key=lambda f: f.key)]

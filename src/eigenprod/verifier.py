@@ -81,7 +81,6 @@ from .report import (
     CandidateRecord,
     CheckRecord,
     VerificationReport,
-    echo_fixtures,
     format_decimal,
     fraction_str,
     resolve_verdict,
@@ -208,6 +207,13 @@ class _Run:
         return decision
 
     def use_fixture(self, key: str):
+        """The fact on file under key, recorded for the report's echo.
+
+        The only place a run reads an external fact: the caller hands the
+        returned `Fixture` to its typed accessor.  Raises
+        ``MissingFixtureError`` when the run has no fixtures or the fact is
+        absent.
+        """
         if self.fixtures is None:
             raise MissingFixtureError(key)
         fix = self.fixtures.get(key)
@@ -248,7 +254,7 @@ class _Run:
             candidates=_ordered_candidates(self.candidates),
             tables=dict(sorted(self.tables.items())),
             constants=list(self.constants),
-            fixtures_used=echo_fixtures(list(self.fixtures_echo.values())),
+            fixtures_used=[fix.echo() for _, fix in sorted(self.fixtures_echo.items())],
             interpretations=list(self.interpretations),
         )
         rep.verdict = resolve_verdict(rep)
@@ -911,24 +917,20 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
     covers is reported as a survivor, which fails the run.
     """
     recorded_dims: set[tuple[int, int]] = set()
-    ishikawa = None
-    magma = None
     for D, k1, k2 in triples:
         w = k1 + k2
-        if w == 4:
-            if ishikawa is None:
-                run.use_fixture("ishikawa_weight2_dim")
-                ishikawa = ishikawa_zero_dim_fields(run.fixtures)
-            if D in ishikawa:
-                run.candidate(
-                    ELIMINATED_BY_FIXTURE,
-                    "no weight 2 cuspidal eigenform over this field, so the "
-                    "triple is vacuous",
-                    d=D,
-                    k1=k1,
-                    k2=k2,
-                )
-                continue
+        if w == 4 and D in ishikawa_zero_dim_fields(
+            run.use_fixture("ishikawa_weight2_dim")
+        ):
+            run.candidate(
+                ELIMINATED_BY_FIXTURE,
+                "no weight 2 cuspidal eigenform over this field, so the "
+                "triple is vacuous",
+                d=D,
+                k1=k1,
+                k2=k2,
+            )
+            continue
         if D > 12:
             bound = cusp_dim_lower_bound(D, w // 2)
             if bound > 1:
@@ -948,10 +950,8 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
         else:
             # the dimension formula needs D > 12; small fields live on the
             # recorded dimension table instead
-            if magma is None:
-                run.use_fixture("magma_dim_d8")
-                magma = magma_weight_range(run.fixtures)
-            if magma[0] == D and magma[1] <= w <= magma[2]:
+            magma_d, w_min, w_max = magma_weight_range(run.use_fixture("magma_dim_d8"))
+            if magma_d == D and w_min <= w <= w_max:
                 run.use_fixture("grh_eigenform_product_criterion")
                 run.candidate(
                     ELIMINATED_BY_FIXTURE,
@@ -970,8 +970,13 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
 # higher-degree base fields
 
 
+def _degree_base(n: int, d: int, k2: int) -> Expr:
+    # d k2^n / (2 pi)^n, the base every degree-n certificate raises
+    return Rat(d * k2**n) / Pow(Rat(2) * PI, n)
+
+
 def _degree_point(n: int, d: int, k2: int, k1: int) -> Expr:
-    return Pow(Rat(d * k2**n) / Pow(Rat(2) * PI, n), k1 - k2) / Pow(Zeta(2), 2 * n)
+    return Pow(_degree_base(n, d, k2), k1 - k2) / Pow(Zeta(2), 2 * n)
 
 
 def _degree_grid(
@@ -1028,8 +1033,7 @@ def _degree_grid(
     run.check(f"degree{n}_min_window_low", closest, center - window, ">=")
     run.check(f"degree{n}_min_window_high", closest, center + window, "<=")
     for k2 in range(2, 16, 2):
-        base = Rat(d * k2**n) / Pow(Rat(2) * PI, n)
-        run.check(f"degree{n}_base_k2_{k2}", base, 1, ">")
+        run.check(f"degree{n}_base_k2_{k2}", _degree_base(n, d, k2), 1, ">")
         # row 2 is bounded at its last grid entry, every later row at its
         # first entry k1 = k2 + 2
         k1 = k1_stop - 2 if k2 == 2 else k2 + 2
@@ -1073,12 +1077,9 @@ def verify_section5(
         raise ValueError("n_max must be at least 6")
     fixtures = fixtures if fixtures is not None else Fixtures.load()
     run = _Run(SECTION_DEGREE, base_precision, precision_ceiling, fixtures)
-    run.use_fixture("takeuchi_disc_bound")
-    a, b = takeuchi_constants(fixtures)
-    run.use_fixture("voight_min_totally_real_disc")
-    d3 = voight_min_disc(fixtures, 3)
-    d4 = voight_min_disc(fixtures, 4)
-    d5 = voight_min_disc(fixtures, 5)
+    a, b = takeuchi_constants(run.use_fixture("takeuchi_disc_bound"))
+    voight = run.use_fixture("voight_min_totally_real_disc")
+    d3, d4, d5 = (voight_min_disc(voight, n) for n in (3, 4, 5))
 
     # the paired discriminant bound: boundary at degree 6, ratio above 1,
     # numeric sweep as a safety net
@@ -1103,9 +1104,8 @@ def verify_section5(
     # minimal-discriminant route is the one that certifies
     run.check("degree5_pairing_gap", _takeuchi(a, 6, 3, 10, 2 * b), 2, "<")
     mark = run.mark()
-    disc_floor = Rat(d5 * 32) / Pow(Rat(2) * PI, 5)
-    run.check("degree5_disc_floor", disc_floor, 1, ">")
-    run.check("degree5_paired", Pow(disc_floor, 2) / Pow(Zeta(2), 10), 2, ">=")
+    run.check("degree5_disc_floor", _degree_base(5, d5, 2), 1, ">")
+    run.check("degree5_paired", _degree_point(5, d5, 2, 4), 2, ">=")
     run.check("degree5_base", _takeuchi(a, 2, 1, 5, b), 1, ">")
     run.check("degree5_ratio", _takeuchi(a, 180, 5, 2), 1, ">")
     run.check("degree5_contradiction", _takeuchi(a, 180, 5, 10, 2 * b), 128426, ">")
@@ -1134,7 +1134,7 @@ def verify_section5(
     )
     run.check(
         "degree3_contradiction",
-        Rat(Fraction(7, 50)) * Pow(Rat(d3 * 64) / Pow(Rat(2) * PI, 3), 2),
+        Rat(Fraction(7, 50)) * Pow(_degree_base(3, d3, 4), 2),
         Fraction(2237, 100),
         ">",
     )
@@ -1154,9 +1154,7 @@ def verify_section5(
         Fraction(1, 50),
         ">=",
     )
-    run.check(
-        "degree4_power", Pow(Rat(d4 * 256) / Pow(Rat(2) * PI, 4), 2), 14181, ">="
-    )
+    run.check("degree4_power", Pow(_degree_base(4, d4, 4), 2), 14181, ">=")
     run.exact("degree4_contradiction", Fraction(14181, 50), 1, ">")
     run.family(
         mark,

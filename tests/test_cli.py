@@ -347,6 +347,33 @@ def test_verify_malformed_fixture_data_exit(tmp_path, capsys, section, key, data
 
 
 @pytest.mark.parametrize(
+    "section, key, code",
+    [
+        ("s4-inert", "magma_dim_d8", EXIT_OK),
+        ("s4-noninert", "takeuchi_disc_bound", EXIT_OK),
+        ("s5", "ishikawa_weight2_dim", EXIT_OK),
+        ("s4-noninert", "magma_dim_d8", EXIT_MISSING_FIXTURE),
+    ],
+)
+def test_unread_fact_cannot_stop_a_section(tmp_path, capsys, section, key, code):
+    # each section parses only the facts it reads, when it reads them: a
+    # mangled fact elsewhere in the document goes unnoticed
+    doc = json.loads(
+        resources.files("eigenprod.data").joinpath("fixtures.json").read_text(encoding="utf-8")
+    )
+    doc["facts"][key]["data"] = "mangled"
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", section, "--fixtures", str(path)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith("malformed magma_dim_d8 data: string indices")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "doc", [[1, 2], {"facts": []}, {"facts": {"takeuchi_disc_bound": 5}}]
 )
 def test_verify_malformed_fixtures_document_exit(tmp_path, capsys, doc):

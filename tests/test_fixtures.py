@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from eigenprod import (
+    Fixture,
     Fixtures,
+    MalformedFixtureError,
     MissingFixtureError,
     ishikawa_zero_dim_fields,
     magma_weight_range,
@@ -52,26 +54,27 @@ def test_missing_fact_raises_typed_error():
 
 
 def test_takeuchi_constants():
-    a, b = takeuchi_constants(Fixtures.load())
+    a, b = takeuchi_constants(Fixtures.load().get("takeuchi_disc_bound"))
     assert a == Fraction(29099, 1000)
     assert b == Fraction(83185, 10000)
 
 
 def test_voight_minimal_discriminants():
-    fx = Fixtures.load()
-    assert voight_min_disc(fx, 3) == 49
-    assert voight_min_disc(fx, 4) == 725
-    assert voight_min_disc(fx, 5) == 14641
+    fact = Fixtures.load().get("voight_min_totally_real_disc")
+    assert voight_min_disc(fact, 3) == 49
+    assert voight_min_disc(fact, 4) == 725
+    assert voight_min_disc(fact, 5) == 14641
     with pytest.raises(MissingFixtureError):
-        voight_min_disc(fx, 7)
+        voight_min_disc(fact, 7)
 
 
 def test_magma_weight_range():
-    assert magma_weight_range(Fixtures.load()) == (8, 6, 18)
+    assert magma_weight_range(Fixtures.load().get("magma_dim_d8")) == (8, 6, 18)
 
 
 def test_ishikawa_zero_dimensional_fields():
-    assert ishikawa_zero_dim_fields(Fixtures.load()) == frozenset({8, 13})
+    fact = Fixtures.load().get("ishikawa_weight2_dim")
+    assert ishikawa_zero_dim_fields(fact) == frozenset({8, 13})
 
 
 def test_from_document_roundtrip():
@@ -107,7 +110,25 @@ def test_load_from_path(tmp_path):
 def test_accessor_rejects_mangled_data():
     doc = {"facts": {"takeuchi_disc_bound": {"statement": "s", "source": "c", "data": {"a": "x"}}}}
     with pytest.raises(ValueError, match="malformed takeuchi_disc_bound"):
-        takeuchi_constants(Fixtures.from_document(doc))
+        takeuchi_constants(Fixtures.from_document(doc).get("takeuchi_disc_bound"))
+
+
+@pytest.mark.parametrize(
+    "accessor",
+    [takeuchi_constants, magma_weight_range, ishikawa_zero_dim_fields],
+    ids=lambda f: f.__name__,
+)
+def test_accessor_names_the_fact_it_is_handed(accessor):
+    # an accessor reads no key of its own: its errors carry the record's key
+    with pytest.raises(MalformedFixtureError, match="^malformed renamed data: "):
+        accessor(Fixture("renamed", "s", "c", "", {}))
+
+
+def test_missing_degree_is_named_after_the_fact():
+    with pytest.raises(MissingFixtureError) as info:
+        voight_min_disc(Fixture("renamed", "s", "c", "", {"3": 49}), 7)
+    assert info.value.key == "renamed[7]"
+    assert not isinstance(info.value, MalformedFixtureError)
 
 
 def test_integer_strings_are_accepted():
@@ -118,8 +139,8 @@ def test_integer_strings_are_accepted():
         }
     }
     fx = Fixtures.from_document(doc)
-    assert voight_min_disc(fx, 3) == 49
-    assert takeuchi_constants(fx) == (29, Fraction(83185, 10000))
+    assert voight_min_disc(fx.get("voight_min_totally_real_disc"), 3) == 49
+    assert takeuchi_constants(fx.get("takeuchi_disc_bound")) == (29, Fraction(83185, 10000))
 
 
 def test_grh_fact_is_flagged_conditional():

@@ -273,7 +273,7 @@ def _reduced_dyadics(draw, bits: int) -> tuple[int, int]:
 )
 def test_capped_rounds_dyadic_endpoints_as_floor_dyadic_does(case):
     # _capped skips _floor_dyadic for a dyadic endpoint whose numerator has
-    # at most bits + 1 bits; pair for pair, both endpoints must still be
+    # at most bits + 1 significant bits; pair for pair, both endpoints must still be
     # what _floor_dyadic gives for every endpoint above the size cap
     precision, lo, hi = case
     bits = precision + GUARD_BITS
@@ -393,6 +393,23 @@ def test_verifier_powers_of_dyadics_never_fall_back(monkeypatch):
     verify_section4_inert()
     assert counts["fallback"] == 0
     assert counts["dyadic"] > 500
+
+
+@pytest.mark.parametrize("up", [False, True], ids=["down", "up"])
+def test_exact_power_that_fits_its_significant_bits_is_kept(monkeypatch, up):
+    # 6^25 = 3^25 * 2^25 has 65 bits but only 40 significant ones, at most
+    # bits + 1 = 41 of them: the exact power is its own rounding both ways,
+    # and no _floor_dyadic call is made to find that out
+    calls = []
+    floor_dyadic = interval._floor_dyadic
+
+    def counted_floor(num, den, bits):
+        calls.append((num, den, bits))
+        return floor_dyadic(num, den, bits)
+
+    monkeypatch.setattr(interval, "_floor_dyadic", counted_floor)
+    assert interval._pow_endpoint((6, 1), 25, 40, up) == (6**25, 1)
+    assert calls == []
 
 
 def test_abs_of_straddling_interval():

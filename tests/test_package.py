@@ -11,8 +11,9 @@ named library-only entry point.
 """
 
 import ast
+import json
 from collections import Counter
-from importlib import import_module
+from importlib import import_module, resources
 from pathlib import Path
 
 import pytest
@@ -204,3 +205,43 @@ def test_unread_public_name_is_caught():
     hmf = "from .exact import dedekind_zeta_neg\n\n\nVALUE = dedekind_zeta_neg(2)\n"
     sources = {"__init__.py": init, "exact.py": exact, "hmf_coeffs.py": hmf}
     assert _unread_definitions(sources, private=False) == ["exact.py:riemann_zeta_neg"]
+
+
+def _fixture_key_homes(sources: dict, keys) -> dict:
+    # the modules that write each key as a whole string literal
+    literals = {
+        name: {
+            node.value
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        for name, source in sources.items()
+    }
+    return {key: sorted(n for n, lits in literals.items() if key in lits) for key in keys}
+
+
+def test_every_fixture_key_is_spelled_in_one_module():
+    # a run reads a fact through _Run.use_fixture(key) and hands the record
+    # to its accessor, so each key of the fixtures document is written once
+    doc = resources.files("eigenprod.data").joinpath("fixtures.json")
+    keys = json.loads(doc.read_text(encoding="utf-8"))["facts"]
+    assert keys
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    homes = _fixture_key_homes(sources, keys)
+    assert {key: names for key, names in homes.items() if len(names) != 1} == {}
+
+
+def test_fixture_key_spelled_twice_is_caught():
+    # an accessor that looks its own key up again spells it a second time;
+    # a key inside a longer string or an f-string is not a spelling
+    fixtures = 'def takeuchi_constants(fx):\n    return fx.get("takeuchi_disc_bound")\n'
+    verifier = (
+        'a = takeuchi_constants(run.use_fixture("takeuchi_disc_bound"))\n'
+        'note = "takeuchi_disc_bound is cited"\n'
+        'key = f"{fact.key}[{degree}]"\n'
+    )
+    sources = {"fixtures.py": fixtures, "verifier.py": verifier}
+    assert _fixture_key_homes(sources, ["takeuchi_disc_bound", "magma_dim_d8"]) == {
+        "takeuchi_disc_bound": ["fixtures.py", "verifier.py"],
+        "magma_dim_d8": [],
+    }

@@ -20,7 +20,6 @@ from eigenprod import (
     verify_section4_inert,
     verify_section5,
 )
-from eigenprod.fixtures import Fixture
 from eigenprod.report import (
     ELIMINATED_BY_BOUND,
     SURVIVOR,
@@ -29,7 +28,6 @@ from eigenprod.report import (
     VERDICT_NO_IDENTITY,
     canonical_json,
     certified_real_json,
-    echo_fixtures,
     format_decimal,
     fraction_str,
     pair_decimal,
@@ -277,16 +275,6 @@ def test_compare_to_golden_ignores_unbaselined_tables():
     report = VerificationReport("s")
     report.tables["degree3_grid"] = {"columns": ["x"], "rows": [[1]]}
     assert compare_to_golden(report) == []
-
-
-def test_echo_fixtures_sorted():
-    fixtures = [
-        Fixture("b", "s2", "c2", "", {}),
-        Fixture("a", "s1", "c1", "grh", {}),
-    ]
-    echoed = echo_fixtures(fixtures)
-    assert [e["key"] for e in echoed] == ["a", "b"]
-    assert echoed[0]["conditional_on"] == "grh"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from eigenprod import (
     Outcome,
     Pow,
     Rat,
+    Zeta,
     c_equal_expr,
     c_unequal_expr,
     compare_to_golden,
@@ -43,6 +44,7 @@ from eigenprod import (
     verify_section4_noninert,
     verify_section5,
     verify_sqrt5_identity,
+    voight_min_disc,
 )
 from eigenprod.quadfield import Splitting
 from eigenprod.report import (
@@ -57,7 +59,7 @@ from eigenprod.report import (
     fraction_str,
 )
 from eigenprod import exact, verifier
-from eigenprod.verifier import _takeuchi
+from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
 
@@ -632,7 +634,7 @@ def test_family_ignores_records_before_its_mark():
 def test_takeuchi_trees_equal_their_inline_spellings():
     # equal trees share enclosure memo entries, so the helper must build
     # exactly the trees section 5 once spelled out by hand
-    a, b = takeuchi_constants(Fixtures.load())
+    a, b = takeuchi_constants(Fixtures.load().get("takeuchi_disc_bound"))
     assert _takeuchi(a, 1, 1, 6, b) == Pow(Rat(a) / PI, 6) * Exp(Rat(-b))
     assert _takeuchi(a, 2, 1, 5, b) == Pow(Rat(2 * a) / PI, 5) * Exp(Rat(-b))
     assert _takeuchi(a, 6, 3, 2) == Pow(Rat(6 * a) / Pow(PI, 3), 2)
@@ -640,6 +642,24 @@ def test_takeuchi_trees_equal_their_inline_spellings():
     for c, j, m in ((6, 3, 12), (180, 5, 10)):
         pairing = Pow(Rat(c * a) / Pow(PI, j), m) * Exp(Rat(-2 * b))
         assert _takeuchi(a, c, j, m, 2 * b) == pairing
+
+
+def test_degree_trees_equal_their_inline_spellings():
+    # the same memo-key argument for the s5 base d k2^n / (2 pi)^n, at the
+    # six places section 5 once spelled it out by hand
+    fact = Fixtures.load().get("voight_min_totally_real_disc")
+    d3, d4, d5 = (voight_min_disc(fact, n) for n in (3, 4, 5))
+    for n, d in ((3, d3), (4, d4)):
+        for k2 in range(2, 16, 2):
+            base = Rat(d * k2**n) / Pow(Rat(2) * PI, n)
+            assert _degree_base(n, d, k2) == base
+            point = Pow(base, 8) / Pow(Zeta(2), 2 * n)
+            assert _degree_point(n, d, k2, k2 + 8) == point
+    disc_floor = Rat(d5 * 32) / Pow(Rat(2) * PI, 5)
+    assert _degree_base(5, d5, 2) == disc_floor
+    assert _degree_point(5, d5, 2, 4) == Pow(disc_floor, 2) / Pow(Zeta(2), 10)
+    assert _degree_base(3, d3, 4) == Rat(d3 * 64) / Pow(Rat(2) * PI, 3)
+    assert _degree_base(4, d4, 4) == Rat(d4 * 256) / Pow(Rat(2) * PI, 4)
 
 
 def test_degree_rejects_small_n_max():
