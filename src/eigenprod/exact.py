@@ -45,18 +45,27 @@ _bernoulli_numbers: tuple[Fraction, ...] = (Fraction(1),)
 
 
 def _bernoulli_row(n: int) -> tuple[Fraction, ...]:
-    # The whole row B_0..B_N with N >= n, not a copy; it grows through the
-    # defining recurrence sum_{j<=m} C(m+1, j) B_j = 0.
+    # The whole row B_0..B_N with N >= n, not a copy.  A longer row is
+    # rebuilt from the tangent numbers T_1..T_{N/2}, integers from the
+    # recurrence of Brent and Harvey (2011), through
+    # B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)); B_1 = -1/2 and the
+    # other odd entries are 0.
     global _bernoulli_numbers
     row = _bernoulli_numbers
     if len(row) <= n:
-        grown = list(row)
-        for m in range(len(row), n + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * grown[j]
-            grown.append(-acc / (m + 1))
-        row = _bernoulli_numbers = tuple(grown)
+        m = n // 2
+        tangent = [0, 1] + [0] * (m - 1)  # tangent[j] = T_j
+        for j in range(2, m + 1):
+            tangent[j] = (j - 1) * tangent[j - 1]
+        for k in range(2, m + 1):
+            for j in range(k, m + 1):
+                tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+        grown = [Fraction(1), Fraction(-1, 2)]
+        for j in range(1, m + 1):
+            q = 4**j
+            b = Fraction(2 * j * tangent[j], q * (q - 1))
+            grown += [b if j % 2 else -b, Fraction(0)]
+        row = _bernoulli_numbers = tuple(grown[: n + 1])
     return row
 
 

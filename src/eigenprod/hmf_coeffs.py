@@ -15,11 +15,11 @@ Product coefficients are lattice convolutions over totally nonnegative
 decompositions; every comparison (total positivity, valuations) is an
 exact integer test.  A form's coefficients up to a trace bound are held
 in one table shape, integer rows grouped by trace over one denominator
-(the constant term's, for E_k), so a product's table is one integer
-convolution of two tables: a single pass over every pair of traces, zero
-included, whose sum is at most the bound.  Each element's ideal
-factorization (``factor_ideal``) is memoised; its divisor sums are not,
-since a table reads each element once per weight.
+(the constant term's, for E_k).  Products multiply packed rows (Kronecker
+substitution): a row is one integer sum c_i 2^(w i), a pair of traces one
+integer product; w is 2 bits over max|a| max|b| times the entry count,
+and each output slot, biased by 2^(w - 1), unpacks to a signed entry.
+Factorizations (``factor_ideal``) are memoised, divisor sums are not.
 
 The exact constant-term residuals of the product identities, and the scan
 over them, close the module: each residual is the constant-term side of a
@@ -37,8 +37,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul
 from typing import NamedTuple
 
 from .exact import (
@@ -373,26 +371,39 @@ def _eisenstein_table(form: EisensteinDescriptor, trace_bound: int) -> _Table:
 
 def _convolve(a: _Table, b: _Table) -> _Table:
     # the table of the product: c(nu) = sum of a(mu) b(mu') over mu + mu' =
-    # nu, both totally nonnegative, zero included.  Grouped by trace, the y
-    # of each trace form one progression of step 1 or 2, so each pair of
-    # traces (s1, s2) is a one-dimensional convolution of two integer rows
-    # into the row of trace s1 + s2.  The loop runs over the shorter row
-    # and slices along the longer, so the one-element row 0 costs one slice
+    # nu, both totally nonnegative, zero included.  By trace, the y form one
+    # progression of step 1 or 2, so each pair of traces (s1, s2) is one
+    # product of rows packed as sum c_i 2^(w i), shifted into packed row
+    # s1 + s2.  An output entry sums at most n products, n the entries of a,
+    # so |c| <= n max|a| max|b| < 2^(w - 2) for the width w below, and each
+    # slot plus the bias 2^(w - 1) lies in [0, 2^w) and decodes exactly
     D = a.discriminant
     bound = len(a.rows) - 1
     step = 2 if _omega_params(D)[0] else 1
     ys = _trace_rows(D, bound)
-    out = [[0] * len(r) for r in ys]
-    for s1, left_row in enumerate(a.rows):
-        for s2 in range(bound - s1 + 1):
-            short, long = left_row, b.rows[s2]
-            if len(short) > len(long):
-                short, long = long, short
-            n, row = len(long), out[s1 + s2]
-            first = (ys[s1].start + ys[s2].start - ys[s1 + s2].start) // step
-            for i, left in enumerate(short, first):
-                row[i : i + n] = map(add, row[i : i + n], map(mul, repeat(left), long))
-    return _Table(D, a.den * b.den, out)
+    bits = sum(max(abs(c) for row in t.rows for c in row).bit_length() for t in (a, b))
+    width = (bits + sum(map(len, a.rows)).bit_length() + 9) // 8  # w / 8 bytes
+    half = 1 << (8 * width - 1)
+    bias = half.to_bytes(width, "little")
+
+    def pack(row: list[int]) -> int:
+        biased = b"".join((c + half).to_bytes(width, "little") for c in row)
+        return int.from_bytes(biased, "little") - int.from_bytes(bias * len(row), "little")
+
+    def unpack(v: int, n: int) -> list[int]:
+        data = (v + int.from_bytes(bias * n, "little")).to_bytes(width * n, "little")
+        cut = range(0, width * n, width)
+        return [int.from_bytes(data[i : i + width], "little") - half for i in cut]
+
+    left = list(map(pack, a.rows))
+    right = left if b is a else list(map(pack, b.rows))
+    out = [0] * (bound + 1)
+    for s1, p in enumerate(left):
+        for s2, q in enumerate(right[: bound - s1 + 1] if p else ()):
+            if q:
+                first = (ys[s1].start + ys[s2].start - ys[s1 + s2].start) // step
+                out[s1 + s2] += p * q << 8 * width * first
+    return _Table(D, a.den * b.den, [unpack(v, len(y)) for v, y in zip(out, ys)])
 
 
 def _product_table(
@@ -491,6 +502,13 @@ def cusp_dim_lower_bound(D: int, k: int) -> Fraction:
 # Constant-term residuals and the exact residual scan
 
 
+def _inert_cross(k: int, a: Fraction, c: Fraction) -> tuple[int, int]:
+    # (numerator, denominator) of (4^(2k-1) - 4^(k-1)) a^2 - 4 c, unreduced
+    aq, cq = a.denominator, c.denominator
+    m = 4 ** (2 * k - 1) - 4 ** (k - 1)
+    return m * a.numerator**2 * cq - 4 * c.numerator * aq * aq, aq * aq * cq
+
+
 def residual_inert(D: int, k: int) -> Fraction:
     """Exact constant-term residual of the equal-weight identity, 2 inert.
 
@@ -499,12 +517,7 @@ def residual_inert(D: int, k: int) -> Fraction:
     is asked for first, so the character's power sums grow in one walk.
     """
     c = dedekind_zeta_neg(D, 2 * k)
-    a = dedekind_zeta_neg(D, k)
-    aq, cq = a.denominator, c.denominator
-    m = 4 ** (2 * k - 1) - 4 ** (k - 1)
-    return Fraction(
-        m * a.numerator**2 * cq - 4 * c.numerator * aq * aq, aq * aq * cq
-    )
+    return Fraction(*_inert_cross(k, dedekind_zeta_neg(D, k), c))
 
 
 def residual_noninert(k: int) -> int:
@@ -524,19 +537,20 @@ def residual_noninert(k: int) -> int:
     return 2 ** (2 * k - 1) - 2 ** (k - 1)
 
 
+def _unequal_cross(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int]:
+    # (numerator, denominator) of (a + b) c - a b, unreduced
+    aq, bq, cq = a.denominator, b.denominator, c.denominator
+    ab = a.numerator * bq + b.numerator * aq
+    return ab * c.numerator - a.numerator * b.numerator * cq, aq * bq * cq
+
+
 def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
     """Exact constant-term residual (A + B) C - A B of the unequal-weight
     identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
     as one ``Fraction`` from integer cross-products; C is asked for first,
     so the character's power sums grow in one walk."""
     c = dedekind_zeta_neg(D, k1 + k2)
-    a = dedekind_zeta_neg(D, k1)
-    b = dedekind_zeta_neg(D, k2)
-    aq, bq, cq = a.denominator, b.denominator, c.denominator
-    ab = a.numerator * bq + b.numerator * aq
-    return Fraction(
-        ab * c.numerator - a.numerator * b.numerator * cq, aq * bq * cq
-    )
+    return Fraction(*_unequal_cross(dedekind_zeta_neg(D, k1), dedekind_zeta_neg(D, k2), c))
 
 
 def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]]:
@@ -555,19 +569,20 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
     if k_limit < 2:
         raise ValueError("the weight limit must be at least 2")
     survivors = []
+    kmax = k_limit - k_limit % 2
     for f in narrow_one_fields(d_limit):
         D = f.discriminant
         inert = f.two_splitting is Splitting.INERT
-        # heaviest pair first, so each field's power sums grow in one walk
-        for k1 in range(k_limit - k_limit % 2, 0, -2):
+        # each zeta value once, heaviest first: the power sums grow in one walk
+        zeta = {j: dedekind_zeta_neg(D, j) for j in range(2 * kmax - 2 + 2 * inert, 0, -2)}
+        for k1 in range(kmax, 0, -2):
             for k2 in range(k1, 0, -2):
-                if k1 == k2:
-                    if inert:
-                        vanishes = residual_inert(D, k1) == 0
-                    else:
-                        vanishes = residual_noninert(k1) == 0
+                if k1 != k2:
+                    residual = _unequal_cross(zeta[k1], zeta[k2], zeta[k1 + k2])[0]
+                elif inert:
+                    residual = _inert_cross(k1, zeta[k1], zeta[2 * k1])[0]
                 else:
-                    vanishes = residual_unequal(D, k1, k2) == 0
-                if vanishes:
+                    residual = residual_noninert(k1)
+                if residual == 0:  # a numerator, never reduced
                     survivors.append((D, k1, k2))
     return sorted(survivors)

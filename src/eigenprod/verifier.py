@@ -1113,7 +1113,7 @@ def verify_section5(
         run.check(f"degree{n}_bound", _takeuchi(a, 180, 5, 2 * n, 2 * b), 128426, ">")
     run.family(
         mark,
-        "minimal discriminant 14641 forces a two-sided gap of at least 2 and "
+        f"minimal discriminant {d5} forces a two-sided gap of at least 2 and "
         "the final bound exceeds 128426",
         label="degree n = 5, all weights",
     )

@@ -132,12 +132,14 @@ def _demo_output(bound, compared):
     [
         (["demo-sqrt5", "50"], _demo_output(50, 571)),
         (["demo-sqrt5", "80"], _demo_output(80, 1448)),
+        (["demo-sqrt5", "120"], _demo_output(120, 3246)),
         (["scan", "1000", "20"], "(5, 2, 2)\n"),
     ],
-    ids=["demo-sqrt5-50", "demo-sqrt5-80", "scan-1000-20"],
+    ids=["demo-sqrt5-50", "demo-sqrt5-80", "demo-sqrt5-120", "scan-1000-20"],
 )
 def test_benchmark_reference_outputs(argv, expected, capsys):
-    # the full stdout of the exact-arith benchmark's commands, byte for byte
+    # the full stdout of the exact-arith benchmark's commands, byte for byte,
+    # and of a demo at a larger trace bound
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == expected
 
@@ -407,6 +409,25 @@ def test_verify_non_string_fixture_metadata_exit(tmp_path, capsys, field, value)
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_degree5_detail_names_the_fixture_discriminant(tmp_path, capsys):
+    # the degree-5 family is certified from the fixture's minimal
+    # discriminant, and its detail names that value, not the shipped 14641
+    doc = json.loads(
+        resources.files("eigenprod.data").joinpath("fixtures.json").read_text(encoding="utf-8")
+    )
+    doc["facts"]["voight_min_totally_real_disc"]["data"]["5"] = 5213
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "s5", "--fixtures", str(path)]) == EXIT_OK
+    (family,) = (
+        c
+        for c in json.loads(capsys.readouterr().out)["candidates"]
+        if c["label"] == "degree n = 5, all weights"
+    )
+    assert family["status"] == "EliminatedByBound"
+    assert family["detail"].startswith("minimal discriminant 5213 forces")
 
 
 def test_verify_unreadable_fixtures_exit(tmp_path, capsys):

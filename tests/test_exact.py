@@ -107,7 +107,7 @@ def test_bernoulli_known_values():
 
 
 def test_bernoulli_matches_akiyama_tanigawa():
-    for n in range(41):
+    for n in range(121):
         assert bernoulli(n) == _oracle_bernoulli(n), n
 
 

@@ -40,6 +40,8 @@ from eigenprod.hmf_coeffs import (
     _convolve,
     _eisenstein_table,
     _product_table,
+    _Table,
+    _trace_rows,
     element_norm,
     element_trace,
     is_totally_nonnegative,
@@ -299,8 +301,8 @@ def test_product_coefficient_symmetric_and_constant():
 
 @pytest.mark.parametrize("D", [5, 8, 12, 13])
 def test_convolution_is_symmetric_and_starts_at_the_constant_terms(D):
-    # rows of unequal length meet in either order, so both orientations of
-    # the slice loop run; t = 1 for D = 5, 13 and t = 0 for D = 8, 12
+    # rows of unequal length meet in either order, and both orders give one
+    # table; t = 1 for D = 5, 13 and t = 0 for D = 8, 12
     for k1, k2 in ((2, 4), (4, 6)):
         f = EisensteinDescriptor(D, k1)
         h = EisensteinDescriptor(D, k2)
@@ -310,6 +312,53 @@ def test_convolution_is_symmetric_and_starts_at_the_constant_terms(D):
         assert Fraction(product.rows[0][0], product.den) == (
             f.constant_term * h.constant_term
         ), (D, k1, k2)
+
+
+def _signed_table(D, bound, den, seed):
+    # a hand-built table with a negative constant term, mixed-sign rows,
+    # an all-zero row 4 and one entry of size 2^200 in the top row
+    rng = random.Random(seed)
+    ys = _trace_rows(D, bound)
+    rows = [[rng.randint(-(10**6), 10**6) for _ in y] for y in ys]
+    rows[0] = [-rng.randint(1, 10**6)]
+    rows[4] = [0] * len(ys[4])
+    rows[bound][len(ys[bound]) // 2] = rng.choice((-1, 1)) * 2**200
+    return _Table(D, den, rows)
+
+
+def _dict_convolution(a, b):
+    # c(s, y) = sum of a(s1, y1) b(s2, y2) over s1 + s2 = s, y1 + y2 = y,
+    # accumulated in a dict keyed by (trace, y) and read back row by row
+    bound = len(a.rows) - 1
+    ys = _trace_rows(a.discriminant, bound)
+    out = {}
+    for s1, row1 in enumerate(a.rows):
+        for s2, row2 in enumerate(b.rows[: bound - s1 + 1]):
+            for y1, c1 in zip(ys[s1], row1):
+                for y2, c2 in zip(ys[s2], row2):
+                    key = (s1 + s2, y1 + y2)
+                    out[key] = out.get(key, 0) + c1 * c2
+    assert all(y in ys[s] for s, y in out)
+    return [[out.get((s, y), 0) for y in ys[s]] for s in range(bound + 1)]
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13])
+def test_packed_convolution_matches_a_dict_convolution(D):
+    # signed entries, zero rows and a 2^200 entry all decode exactly from
+    # their packed slots, over two different denominators
+    a = _signed_table(D, 12, 7, seed=D)
+    b = _signed_table(D, 12, 11, seed=D + 100)
+    product = _convolve(a, b)
+    assert product == _convolve(b, a)
+    assert product.den == 77
+    assert product.rows == _dict_convolution(a, b)
+    assert any(c < 0 for row in product.rows for c in row)
+    assert max(abs(c) for row in product.rows for c in row) > 2**200
+    assert _convolve(a, a).rows == _dict_convolution(a, a)
+    # every entry 200 bits wide and of one sign: the sums come as close to
+    # the slot bound as entries of that size allow
+    full = _Table(D, 1, [[1 - 2**200] * len(row) for row in a.rows])
+    assert _convolve(full, full).rows == _dict_convolution(full, full)
 
 
 def _reference_product_coefficient(f, h, nu):

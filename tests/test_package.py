@@ -183,6 +183,9 @@ LIBRARY_ENTRY_POINTS = {
     # every integral ideal of a given norm; the ideal counts are checked
     # against divisor character sums
     "hmf_coeffs.py:ideals_of_norm",
+    # the unequal-weight residual as a Fraction; the scan decides on the
+    # numerator of the same cross-product, and the tests pin its values
+    "hmf_coeffs.py:residual_unequal",
 }
 
 

@@ -46,6 +46,7 @@ from eigenprod import (
     verify_sqrt5_identity,
     voight_min_disc,
 )
+from eigenprod import hmf_coeffs
 from eigenprod.quadfield import Splitting
 from eigenprod.report import (
     ELIMINATED_BY_BOUND,
@@ -207,6 +208,36 @@ def test_integer_residuals_match_fraction_formulas():
 def test_exact_identity_scan_finds_the_unique_identity():
     assert exact_identity_scan(100, 12) == [(5, 2, 2)]
     assert exact_identity_scan(41, 8) == [(5, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "patched, zero",
+    [
+        # C = AB / (A + B) zeroes (A + B) C - AB, with C at weight 6 + 4
+        ((13, 10), (13, 6, 4)),
+        # zeta(1 - 2k) = m A^2 / 4, m = 4^(2k-1) - 4^(k-1), at k = 4 (2 inert)
+        ((13, 8), (13, 4, 4)),
+    ],
+    ids=["unequal", "inert"],
+)
+def test_exact_identity_scan_lists_a_vanishing_residual(monkeypatch, patched, zero):
+    # every true residual is nonzero away from (5, 2, 2), so a sign slip in
+    # a cross-product would go unseen; one zeta value is moved to make a
+    # chosen residual vanish, and the scan must list exactly that triple
+    D, k1, k2 = zero
+    a, b = dedekind_zeta_neg(D, k1), dedekind_zeta_neg(D, k2)
+    if k1 != k2:
+        value = a * b / (a + b)
+    else:
+        value = (4 ** (2 * k1 - 1) - 4 ** (k1 - 1)) * a * a / 4
+    zeta = hmf_coeffs.dedekind_zeta_neg
+    monkeypatch.setattr(
+        hmf_coeffs,
+        "dedekind_zeta_neg",
+        lambda d, k: value if (d, k) == patched else zeta(d, k),
+    )
+    assert (residual_unequal(D, k1, k2) if k1 != k2 else residual_inert(D, k1)) == 0
+    assert exact_identity_scan(100, 8) == [(5, 2, 2), zero]
 
 
 # ---------------------------------------------------------------------------
