@@ -19,6 +19,8 @@ in one table shape, integer rows grouped by trace over one denominator
 substitution): a row is one integer sum c_i 2^(w i), a pair of traces one
 integer product; w is 2 bits over max|a| max|b| times the entry count,
 and each output slot, biased by 2^(w - 1), unpacks to a signed entry.
+Exact linear combinations put their terms over the lcm of the
+denominators, so the gap 60 E_2^2 - E_4 of an identity is one table.
 Factorizations (``factor_ideal``) are memoised, divisor sums are not.
 
 The exact constant-term residuals of the product identities, and the scan
@@ -37,6 +39,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .exact import (
@@ -133,6 +136,10 @@ class IdealFactorization(NamedTuple):
         return n
 
 
+def _canonical_order(entry: tuple[int, PrimeClass, int]) -> tuple[int, int, str]:
+    return entry[0], -entry[2], entry[1].value
+
+
 def ideal_from_prime_powers(
     D: int, entries: list[tuple[int, PrimeClass, int]]
 ) -> IdealFactorization:
@@ -173,8 +180,7 @@ def ideal_from_prime_powers(
     non_split = [(pn, cls) for pn, cls, _ in checked if cls is not PrimeClass.SPLIT_FACTOR]
     if len(set(non_split)) != len(non_split):
         raise ValueError("repeated non-split prime entry")
-    checked.sort(key=lambda t: (t[0], -t[2], t[1].value))
-    return IdealFactorization(tuple(checked))
+    return IdealFactorization(tuple(sorted(checked, key=_canonical_order)))
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +208,8 @@ def factor_ideal(D: int, x: int, y: int = 0) -> IdealFactorization:
     Split valuations: with r a root of the minimal polynomial mod
     p^(e+1), the valuation at the factor (p, omega - r) is
     min(v_p(x + y r), e) and the conjugate takes the rest, since the two
-    valuations sum to v_p(norm) = e.
+    valuations sum to v_p(norm) = e.  The loop knows each prime and its
+    class, so the entries are only put in canonical order, not re-checked.
     """
     _require_real_fundamental(D)
     n = element_norm(D, x, y)
@@ -225,11 +232,8 @@ def factor_ideal(D: int, x: int, y: int = 0) -> IdealFactorization:
             while v1 < e and z % p == 0:
                 z //= p
                 v1 += 1
-            v2 = e - v1
-            for v in sorted((v1, v2), reverse=True):
-                if v > 0:
-                    entries.append((p, PrimeClass.SPLIT_FACTOR, v))
-    return ideal_from_prime_powers(D, entries)
+            entries += [(p, PrimeClass.SPLIT_FACTOR, v) for v in (v1, e - v1) if v > 0]
+    return IdealFactorization(tuple(sorted(entries, key=_canonical_order)))
 
 
 def ideals_of_norm(D: int, n: int) -> list[IdealFactorization]:
@@ -406,20 +410,20 @@ def _convolve(a: _Table, b: _Table) -> _Table:
     return _Table(D, a.den * b.den, [unpack(v, len(y)) for v, y in zip(out, ys)])
 
 
-def _product_table(
-    f: EisensteinDescriptor, h: EisensteinDescriptor, trace_bound: int
-) -> dict[tuple[int, int], Fraction]:
-    # c_{f h}(nu) for every nonzero totally nonnegative nu = (x, y) of trace
-    # <= trace_bound: a view of the convolution of the two forms' tables
-    table = _eisenstein_table(f, trace_bound)
-    product = _convolve(table, table if h == f else _eisenstein_table(h, trace_bound))
-    t, _ = _omega_params(f.discriminant)
-    ys = _trace_rows(f.discriminant, trace_bound)
-    return {
-        ((s - t * y) // 2, y): Fraction(value, product.den)
-        for s in range(1, trace_bound + 1)
-        for y, value in zip(ys[s], product.rows[s])
-    }
+def _combine(terms: list[tuple[Fraction | int, _Table]]) -> _Table:
+    # sum c f over the (c, f) in terms, of one field and trace bound: rows
+    # brought over the lcm of the c.denominator * f.den, added entry by entry
+    D, size = terms[0][1].discriminant, len(terms[0][1].rows)
+    if any(f.discriminant != D or len(f.rows) != size for _, f in terms):
+        raise ValueError("tables over different fields or trace bounds")
+    pairs = [(Fraction(c), f) for c, f in terms]
+    den = math.lcm(*(c.denominator * f.den for c, f in pairs))
+    scales = [c.numerator * (den // (c.denominator * f.den)) for c, f in pairs]
+    rows = [
+        [sum(map(mul, scales, entries)) for entries in zip(*row_set)]
+        for row_set in zip(*(f.rows for _, f in pairs))
+    ]
+    return _Table(D, den, rows)
 
 
 class SqrtFiveIdentityReport(NamedTuple):
@@ -440,7 +444,9 @@ def verify_sqrt5_identity(trace_bound: int) -> SqrtFiveIdentityReport:
 
     The scalar is forced by the constant terms: 1 / (2 c_0(E_2)) = 60,
     and then 60 * c_0(E_2)^2 = 60 / 120^2 = 1/240 = zeta_F(-3)/4 must
-    equal c_0(E_4).
+    equal c_0(E_4).  The coefficients are compared as one exact table,
+    60 E_2^2 - E_4: each nonzero entry of trace >= 1 is a mismatch, listed
+    by trace, nu = ((s - y) / 2, y), both sides read from their tables.
     """
     if trace_bound < 0:
         raise ValueError("trace bound must be >= 0")
@@ -450,17 +456,17 @@ def verify_sqrt5_identity(trace_bound: int) -> SqrtFiveIdentityReport:
     constant_ok = (
         scalar == 60 and scalar * e2.constant_term**2 == e4.constant_term
     )
-    mismatches = []
-    checked = 0
-    e2_squared = _product_table(e2, e2, trace_bound)
-    for nu in enumerate_totally_nonneg(5, trace_bound):
-        lhs = scalar * e2_squared[nu.x, nu.y]
-        rhs = coefficient(e4, nu)
-        checked += 1
-        if lhs != rhs:
-            mismatches.append(
-                f"nu=({nu.x},{nu.y}): 60*conv={lhs} vs sigma_3={rhs}"
-            )
+    e2_table = _eisenstein_table(e2, trace_bound)
+    conv, e4_table = _convolve(e2_table, e2_table), _eisenstein_table(e4, trace_bound)
+    gap = _combine([(scalar, conv), (-1, e4_table)])
+    mismatches = [
+        f"nu=({(s - y) // 2},{y}): 60*conv={scalar * Fraction(conv.rows[s][i], conv.den)}"
+        f" vs sigma_3={Fraction(e4_table.rows[s][i], e4_table.den)}"
+        for s, ys in enumerate(_trace_rows(5, trace_bound)[1:], 1)
+        for i, y in enumerate(ys)
+        if gap.rows[s][i]
+    ]
+    checked = sum(map(len, gap.rows[1:]))
     return SqrtFiveIdentityReport(
         trace_bound, scalar, constant_ok, checked, tuple(mismatches)
     )
@@ -502,11 +508,11 @@ def cusp_dim_lower_bound(D: int, k: int) -> Fraction:
 # Constant-term residuals and the exact residual scan
 
 
-def _inert_cross(k: int, a: Fraction, c: Fraction) -> tuple[int, int]:
+def _inert_cross(k: int, a: tuple, c: tuple) -> tuple[int, int]:
     # (numerator, denominator) of (4^(2k-1) - 4^(k-1)) a^2 - 4 c, unreduced
-    aq, cq = a.denominator, c.denominator
+    (ap, aq), (cp, cq) = a, c
     m = 4 ** (2 * k - 1) - 4 ** (k - 1)
-    return m * a.numerator**2 * cq - 4 * c.numerator * aq * aq, aq * aq * cq
+    return m * ap * ap * cq - 4 * cp * aq * aq, aq * aq * cq
 
 
 def residual_inert(D: int, k: int) -> Fraction:
@@ -516,8 +522,8 @@ def residual_inert(D: int, k: int) -> Fraction:
     Built as one ``Fraction`` from integer cross-products; zeta_F(1-2k)
     is asked for first, so the character's power sums grow in one walk.
     """
-    c = dedekind_zeta_neg(D, 2 * k)
-    return Fraction(*_inert_cross(k, dedekind_zeta_neg(D, k), c))
+    c = dedekind_zeta_neg(D, 2 * k).as_integer_ratio()
+    return Fraction(*_inert_cross(k, dedekind_zeta_neg(D, k).as_integer_ratio(), c))
 
 
 def residual_noninert(k: int) -> int:
@@ -537,11 +543,10 @@ def residual_noninert(k: int) -> int:
     return 2 ** (2 * k - 1) - 2 ** (k - 1)
 
 
-def _unequal_cross(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int]:
+def _unequal_cross(a: tuple, b: tuple, c: tuple) -> tuple[int, int]:
     # (numerator, denominator) of (a + b) c - a b, unreduced
-    aq, bq, cq = a.denominator, b.denominator, c.denominator
-    ab = a.numerator * bq + b.numerator * aq
-    return ab * c.numerator - a.numerator * b.numerator * cq, aq * bq * cq
+    (ap, aq), (bp, bq), (cp, cq) = a, b, c
+    return (ap * bq + bp * aq) * cp - ap * bp * cq, aq * bq * cq
 
 
 def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
@@ -549,8 +554,9 @@ def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
     identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
     as one ``Fraction`` from integer cross-products; C is asked for first,
     so the character's power sums grow in one walk."""
-    c = dedekind_zeta_neg(D, k1 + k2)
-    return Fraction(*_unequal_cross(dedekind_zeta_neg(D, k1), dedekind_zeta_neg(D, k2), c))
+    c = dedekind_zeta_neg(D, k1 + k2).as_integer_ratio()
+    a, b = (dedekind_zeta_neg(D, k).as_integer_ratio() for k in (k1, k2))
+    return Fraction(*_unequal_cross(a, b, c))
 
 
 def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]]:
@@ -574,7 +580,8 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
         D = f.discriminant
         inert = f.two_splitting is Splitting.INERT
         # each zeta value once, heaviest first: the power sums grow in one walk
-        zeta = {j: dedekind_zeta_neg(D, j) for j in range(2 * kmax - 2 + 2 * inert, 0, -2)}
+        weights = range(2 * kmax - 2 + 2 * inert, 0, -2)
+        zeta = {j: dedekind_zeta_neg(D, j).as_integer_ratio() for j in weights}
         for k1 in range(kmax, 0, -2):
             for k2 in range(k1, 0, -2):
                 if k1 != k2:

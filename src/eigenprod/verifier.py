@@ -680,14 +680,15 @@ def _cusp_factor_sweep(
     field.  Each of the three families is eliminated when its span holds:
     the weight family from mark, the pair and discriminant families from
     their first sweep certificate.  Fills the table and its
-    interpretations twin; returns the sorted triples.
+    interpretations twin; returns the sorted triples.  With no k1 left,
+    the weight family fails from k1 = 2 and the windows are skipped.
     """
     surviving_k1 = []
     for k1 in range(2, k1_stop, 2):
         dec = run.check_signed(f"weight_bound_k1_{k1}", weight_gap(k1), 0, ">=")
         if dec.outcome is Outcome.CERTIFIED_TRUE:
             surviving_k1.append(k1)
-    max_k1 = max(surviving_k1)
+    max_k1 = max(surviving_k1, default=0)
     run.note(
         f"the weight-only bound holds for even k1 up to {max_k1} and fails "
         f"beyond; {weight_note}"
@@ -697,6 +698,8 @@ def _cusp_factor_sweep(
         f"weight-only bound fails from k1 = {max_k1 + 2} on and keeps decreasing",
         label=f"k1 > {max_k1}, every k2 and D",
     )
+    if not surviving_k1:
+        return []
 
     def pair_check(k1: int, k2: int) -> Decision:
         lhs = Rat(norm ** (k2 - 1) * (norm**k1 - 1))

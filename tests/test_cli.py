@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import eigenprod
-from eigenprod import TotallyPositiveElement, hmf_coeffs, verify_sqrt5_identity
+from eigenprod import hmf_coeffs, verify_sqrt5_identity
 from eigenprod.cli import (
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
@@ -146,11 +146,16 @@ def test_benchmark_reference_outputs(argv, expected, capsys):
 
 def test_demo_sqrt5_reports_a_wrong_divisor_sum(monkeypatch, capsys):
     # one E_4 divisor sum off by one: exactly that nu is listed, and the
-    # demo fails; (2 + omega) generates the ramified prime, sigma_3 = 126
-    target = TotallyPositiveElement(5, 2, 1)
-    coefficient = hmf_coeffs.coefficient
+    # demo fails; (2 + omega) generates the ramified prime, sigma_3 = 126.
+    # factor_ideal is memoised, so the table reads this very ideal object
+    # for 2 + omega alone; its associates factor to equal, distinct objects
+    target = hmf_coeffs.factor_ideal(5, 2, 1)
+    divisor_sum = hmf_coeffs.eisenstein_coeff
     monkeypatch.setattr(
-        hmf_coeffs, "coefficient", lambda form, nu: coefficient(form, nu) + (nu == target)
+        hmf_coeffs,
+        "eisenstein_coeff",
+        lambda form, ideal: divisor_sum(form, ideal)
+        + (form.weight == 4 and ideal is target),
     )
     report = verify_sqrt5_identity(10)
     assert report.constant_term_ok

@@ -1,13 +1,16 @@
 """Eisenstein coefficient combinatorics.
 
 Ideal counts are checked against the divisor-character sum, element
-enumeration against a plain box scan, product coefficients against a
-hand-expanded convolution, and the Hecke relations at one prime of each
-class on the package coefficients at powers of a prime generator.  The
-unequal-weight and both equal-weight constant-term residuals are tied
-to the coefficients they stand for.
+enumeration against a plain box scan, coefficient tables against the
+per-element ``coefficient``, product coefficients against a hand-expanded
+convolution, linear combinations of tables against a dict-based sum, and
+the Hecke relations at one prime of each class on the package
+coefficients at powers of a prime generator.  The unequal-weight and both
+equal-weight constant-term residuals are tied to the coefficients they
+stand for.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -36,10 +39,11 @@ from eigenprod import (
     residual_unequal,
     verify_sqrt5_identity,
 )
+from eigenprod import hmf_coeffs
 from eigenprod.hmf_coeffs import (
+    _combine,
     _convolve,
     _eisenstein_table,
-    _product_table,
     _Table,
     _trace_rows,
     element_norm,
@@ -161,6 +165,16 @@ def test_factor_ideal_preserves_norm(D, x, y):
     assert factor_ideal(D, x, y).norm() == abs(n)
 
 
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 17, 29])
+def test_factor_ideal_entries_pass_validation(D):
+    # factor_ideal builds its entries without ideal_from_prime_powers; they
+    # must be exactly what that validation and canonical order return
+    for nu in enumerate_totally_nonneg(D, 30):
+        ideal = factor_ideal(D, nu.x, nu.y)
+        assert ideal.norm() == abs(element_norm(D, nu.x, nu.y)), nu
+        assert ideal_from_prime_powers(D, list(ideal.entries)) == ideal, nu
+
+
 @pytest.mark.parametrize("D", [5, 8, 13, 17])
 def test_ideal_counts_match_character_sum(D):
     for n in range(1, 201):
@@ -275,6 +289,20 @@ def test_coefficient_bound_pointwise(D, n, k):
 # Products
 
 
+def _product_table(f, h, trace_bound):
+    # c_{f h}(nu) for every nonzero totally nonnegative nu = (x, y) of trace
+    # <= trace_bound: a Fraction view of the convolution of the two tables
+    D = f.discriminant
+    product = _convolve(_eisenstein_table(f, trace_bound), _eisenstein_table(h, trace_bound))
+    t = element_trace(D, 0, 1)  # the trace of omega: x = (s - t y) / 2
+    ys = _trace_rows(D, trace_bound)
+    return {
+        ((s - t * y) // 2, y): Fraction(value, product.den)
+        for s in range(1, trace_bound + 1)
+        for y, value in zip(ys[s], product.rows[s])
+    }
+
+
 def _product_at(f, h, nu):
     # c_{f h}(nu) read from the product table up to the trace of nu, or
     # from row 0 of the convolution at nu = 0
@@ -359,6 +387,71 @@ def test_packed_convolution_matches_a_dict_convolution(D):
     # the slot bound as entries of that size allow
     full = _Table(D, 1, [[1 - 2**200] * len(row) for row in a.rows])
     assert _convolve(full, full).rows == _dict_convolution(full, full)
+
+
+def _dict_combination(terms):
+    # sum of c * f(nu) / f.den over the terms, in a dict keyed by
+    # (trace, y), zero entries kept
+    out = {}
+    for c, f in terms:
+        ys = _trace_rows(f.discriminant, len(f.rows) - 1)
+        for s, (row, y_s) in enumerate(zip(f.rows, ys)):
+            for y, value in zip(y_s, row):
+                out[s, y] = out.get((s, y), 0) + Fraction(c) * Fraction(value, f.den)
+    return out
+
+
+def _as_dict(table):
+    ys = _trace_rows(table.discriminant, len(table.rows) - 1)
+    return {
+        (s, y): Fraction(value, table.den)
+        for s, (row, y_s) in enumerate(zip(table.rows, ys))
+        for y, value in zip(y_s, row)
+    }
+
+
+@pytest.mark.parametrize("D", [5, 8, 13])
+def test_combination_matches_a_dict_combination(D):
+    # signed tables over denominators 7 and 11; Fraction, integer, zero and
+    # negative coefficients; the result lies over the lcm of c.den * f.den
+    a = _signed_table(D, 12, 7, seed=D)
+    b = _signed_table(D, 12, 11, seed=D + 100)
+    cases = [
+        [(Fraction(3, 4), a), (-2, b)],
+        [(Fraction(-5, 6), a), (0, b), (Fraction(1, 14), a)],
+        [(0, a), (Fraction(0), b)],
+        [(1, a)],
+        [(Fraction(-1, 3), b)],
+    ]
+    for terms in cases:
+        combined = _combine(terms)
+        dens = [Fraction(c).denominator * f.den for c, f in terms]
+        assert combined.discriminant == D
+        assert combined.den == math.lcm(*dens), terms
+        assert [len(row) for row in combined.rows] == [len(row) for row in a.rows]
+        assert _as_dict(combined) == _dict_combination(terms)
+    assert _combine([(1, a)]) == a
+    assert _combine([(Fraction(3, 4), a), (-2, b)]).den == 308
+    assert all(c == 0 for row in _combine([(1, a), (-1, a)]).rows for c in row)
+
+
+def test_combination_rejects_mixed_fields_and_bounds():
+    a = _signed_table(5, 12, 7, seed=1)
+    with pytest.raises(ValueError, match="different fields or trace bounds"):
+        _combine([(1, a), (1, _signed_table(13, 12, 7, seed=1))])
+    with pytest.raises(ValueError, match="different fields or trace bounds"):
+        _combine([(1, a), (1, _signed_table(5, 10, 7, seed=1))])
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13])
+def test_eisenstein_table_matches_coefficient(D):
+    # the table of E_4 up to trace 30 against the per-element oracle, in
+    # enumerate_totally_nonneg order after the constant term
+    e4 = EisensteinDescriptor(D, 4)
+    table = _eisenstein_table(e4, 30)
+    entries = [Fraction(value, table.den) for row in table.rows for value in row]
+    points = [TotallyPositiveElement(D, 0, 0)] + enumerate_totally_nonneg(D, 30)
+    assert entries == [coefficient(e4, nu) for nu in points]
 
 
 def _reference_product_coefficient(f, h, nu):
@@ -446,6 +539,55 @@ def test_sqrt5_identity_constant_term_only():
     assert report.passed and report.coefficients_checked == 0
     with pytest.raises(ValueError):
         verify_sqrt5_identity(-1)
+
+
+def test_sqrt5_identity_checks_every_element():
+    for bound in range(41):
+        report = verify_sqrt5_identity(bound)
+        assert report.passed, bound
+        assert report.coefficients_checked == len(enumerate_totally_nonneg(5, bound))
+
+
+def test_sqrt5_identity_lists_two_wrong_divisor_sums_in_trace_order(monkeypatch):
+    # factor_ideal is memoised, so the E_4 table reads these very ideal
+    # objects for 2 + omega (trace 5) and 2 (trace 4) alone; associates such
+    # as 3 - omega factor to equal but distinct objects.  Listed by trace
+    targets = [factor_ideal(5, 2, 1), factor_ideal(5, 2, 0)]
+    divisor_sum = hmf_coeffs.eisenstein_coeff
+    monkeypatch.setattr(
+        hmf_coeffs,
+        "eisenstein_coeff",
+        lambda form, ideal: divisor_sum(form, ideal)
+        + (form.weight == 4 and any(ideal is t for t in targets)),
+    )
+    report = verify_sqrt5_identity(10)
+    assert report.constant_term_ok and not report.passed
+    assert report.coefficients_checked == 25
+    assert report.mismatches == (
+        "nu=(2,0): 60*conv=65 vs sigma_3=66",
+        "nu=(2,1): 60*conv=126 vs sigma_3=127",
+    )
+
+
+def test_warm_sqrt5_identity_builds_no_elements(monkeypatch):
+    # the demo is table work: once the factorizations are memoised it calls
+    # no per-element coefficient and constructs no TotallyPositiveElement
+    verify_sqrt5_identity(50)
+    seen = []
+    element_new = TotallyPositiveElement.__new__
+
+    def counting_new(cls, *args):
+        seen.append("element")
+        return element_new(cls, *args)
+
+    monkeypatch.setattr(hmf_coeffs, "coefficient", lambda *args: seen.append("coefficient"))
+    monkeypatch.setattr(TotallyPositiveElement, "__new__", counting_new)
+    report = verify_sqrt5_identity(50)
+    assert report.passed and report.coefficients_checked == 571
+    assert seen == []
+    # the counter is live: one construction is seen
+    TotallyPositiveElement(5, 1, 0)
+    assert seen == ["element"]
 
 
 # ---------------------------------------------------------------------------

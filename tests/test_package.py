@@ -186,6 +186,12 @@ LIBRARY_ENTRY_POINTS = {
     # the unequal-weight residual as a Fraction; the scan decides on the
     # numerator of the same cross-product, and the tests pin its values
     "hmf_coeffs.py:residual_unequal",
+    # one Eisenstein coefficient at one element: the per-element oracle the
+    # tests hold the coefficient tables to
+    "hmf_coeffs.py:coefficient",
+    # the totally nonnegative elements by trace, as records; the tables walk
+    # the same order as integer rows, and the tests check both against it
+    "hmf_coeffs.py:enumerate_totally_nonneg",
 }
 
 

@@ -506,6 +506,36 @@ def test_noninert_report_structure(report_s4n):
     assert set(report_s4n.tables) == {"table3", "table3_interpretations"}
 
 
+def test_cusp_factor_sweep_with_no_surviving_weight():
+    # a weight gap certified false at every k1: the weight family fails from
+    # k1 = 2, and no window, table or triple follows
+    def no_window(*args):
+        raise AssertionError("a k2 window was opened")
+
+    run = verifier._Run("unit", 32, 128)
+    triples = verifier._cusp_factor_sweep(
+        run,
+        [13, 17],
+        k1_stop=8,
+        norm=4,
+        weight_gap=lambda k1: Rat(-1),
+        pair_bound=no_window,
+        table="table2",
+        mark=run.mark(),
+        weight_note="no weight survives",
+        step_certs=no_window,
+    )
+    assert triples == []
+    assert [r.name for r in run.constants] == [
+        f"weight_bound_k1_{k1}_fails" for k1 in (2, 4, 6)
+    ]
+    (family,) = run.candidates
+    assert family.status == ELIMINATED_BY_BOUND
+    assert family.detail == "weight-only bound fails from k1 = 2 on and keeps decreasing"
+    assert family.label == "k1 > 0, every k2 and D"
+    assert run.tables == {}
+
+
 @pytest.mark.parametrize(
     "runner", [verify_section4_inert, verify_section4_noninert, verify_section5]
 )
