@@ -4,9 +4,10 @@ Runs section verifications and emits reports, plus thin query commands
 over the exact-arithmetic layers.  Parsing needs only the defaults and
 section names of the package itself; each command imports the layers it
 runs, so the query commands never load the certified layer, the
-fixtures, the reports or the verifier.  ``RunConfig`` is a
-``NamedTuple`` subclass that validates in ``__new__``.  Exit codes are
-part of the contract:
+fixtures, the reports or the verifier.  The parser is built once per
+process, on the first ``main`` call, and serves every later call.
+``RunConfig`` is a ``NamedTuple`` subclass that validates in
+``__new__``.  Exit codes are part of the contract:
 
     0   every requested section ends with "no identity exists"
     1   a section failed (a decided-false certificate or a survivor)
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import (
@@ -88,7 +90,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The ``eigenprod`` parser, built once per process; every ``main`` call
+    parses with this one object, which nothing modifies after it is built."""
     parser = _Parser(prog="eigenprod", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

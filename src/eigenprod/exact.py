@@ -343,8 +343,15 @@ def dedekind_zeta_neg(D: int, k: int) -> Fraction:
     return bernoulli(k) * generalized_bernoulli(k, KroneckerCharacter(D)) / (k * k)
 
 
+def _prime_power_divisor_sum(q: int, e: int) -> int:
+    """1 + q + ... + q^e for q >= 2, in closed form: sigma_{k-1} of a prime
+    power N^e is this sum at q = N^(k-1)."""
+    return (q ** (e + 1) - 1) // (q - 1)
+
+
 def _sigma1(n: int) -> int:
-    return math.prod(sum(p**i for i in range(e + 1)) for p, e in _factorize(n))
+    """The sum of the divisors of n >= 1, one closed-form sum per prime power."""
+    return math.prod(_prime_power_divisor_sum(p, e) for p, e in _factorize(n))
 
 
 def zagier_zeta_minus_one(D: int) -> Fraction:

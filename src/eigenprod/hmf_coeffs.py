@@ -21,7 +21,9 @@ integer product; w is 2 bits over max|a| max|b| times the entry count,
 and each output slot, biased by 2^(w - 1), unpacks to a signed entry.
 Exact linear combinations put their terms over the lcm of the
 denominators, so the gap 60 E_2^2 - E_4 of an identity is one table.
-Factorizations (``factor_ideal``) are memoised, divisor sums are not.
+Factorizations (``factor_ideal``) are memoised, divisor sums are not;
+each prime-power factor of a divisor sum is one closed form
+(``exact._prime_power_divisor_sum``).
 
 The exact constant-term residuals of the product identities, and the scan
 over them, close the module: each residual is the constant-term side of a
@@ -45,6 +47,7 @@ from typing import NamedTuple
 from .exact import (
     _factorize,
     _is_prime,
+    _prime_power_divisor_sum,
     _require_real_fundamental,
     dedekind_zeta_neg,
     is_fundamental_discriminant,
@@ -183,14 +186,39 @@ def ideal_from_prime_powers(
     return IdealFactorization(tuple(sorted(checked, key=_canonical_order)))
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a nonzero quadratic residue a modulo an odd prime p
+    (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, u, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while u != 1:
+        i, u2 = 1, u * u % p
+        while u2 != 1:
+            i, u2 = i + 1, u2 * u2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        u, r = u * c % p, r * b % p
+    return r
+
+
 @lru_cache(maxsize=None)
 def _split_root(D: int, p: int, k: int) -> int:
-    """Root of z^2 - t z + m modulo p^k, Newton-lifted from a brute-forced
-    base root; the derivative 2r - t is a unit mod p for split p (odd p
-    because the discriminant is a nonzero square mod p, p = 2 because t
-    is odd when 2 splits)."""
+    """Root of z^2 - t z + m modulo p^k, Newton-lifted from the smaller base
+    root mod p.  For odd p the base roots are (t +- sqrt(D)) / 2, since
+    t^2 - 4m = D; for p = 2, m is even when 2 splits, so 0 is one.  The
+    derivative 2r - t is a unit mod p for split p (odd p because the
+    discriminant is a nonzero square mod p, p = 2 because t is odd when 2
+    splits)."""
     t, m = _omega_params(D)
-    r = next(z for z in range(p) if (z * z - t * z + m) % p == 0)
+    r = 0
+    if p != 2:
+        root, half = _sqrt_mod(D % p, p), (p + 1) // 2
+        r = min((t + root) * half % p, (t - root) * half % p)
     target = p**k
     mod = p
     while mod < target:
@@ -302,12 +330,13 @@ class EisensteinDescriptor(_EisensteinFields):
 
 
 def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> int:
-    """sigma_{k-1}(ideal) = prod over prime powers of sum_i N^(i (k-1))."""
-    total = 1
-    for prime_norm, _, e in ideal.entries:
-        q = prime_norm ** (form.weight - 1)
-        total *= sum(q**i for i in range(e + 1))
-    return total
+    """sigma_{k-1}(ideal) = prod over prime powers P^e of sum_{i <= e}
+    N(P)^(i (k-1)), each factor in closed form (N(P)^((e+1)(k-1)) - 1) /
+    (N(P)^(k-1) - 1)."""
+    k1 = form.weight - 1
+    return math.prod(
+        _prime_power_divisor_sum(prime_norm**k1, e) for prime_norm, _, e in ideal.entries
+    )
 
 
 def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fraction:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import eigenprod
+import eigenprod.cli as cli
 from eigenprod import hmf_coeffs, verify_sqrt5_identity
 from eigenprod.cli import (
     EXIT_FAILURE,
@@ -487,6 +488,59 @@ def test_module_invocation_runs_main():
     assert bad.returncode == EXIT_USAGE
     assert bad.stdout == ""
     assert "eigenprod: error:" in bad.stderr
+
+
+def test_repeated_main_calls_build_one_parser(tmp_path, monkeypatch, capsys):
+    # one process runs a sequence of commands with the parser of its first
+    # call; each call must end as the same command does in a fresh process
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def alone(argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from eigenprod.cli import main_entry; main_entry()",
+             *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def calls(out_dir):
+        return [
+            ["zeta", "5"],
+            ["scan", "40", "20"],
+            ["demo-sqrt5", "10"],
+            ["verify", "--d-limit", "40"],
+            ["verify", "s3-unequal", "--out-dir", str(out_dir)],
+        ]
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        results = [in_process(argv) for argv in calls(tmp_path / "in-process")]
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("eigenprod") == 1
+    assert len(built) == len(set(built))
+    assert results == [alone(argv) for argv in calls(tmp_path / "alone")]
+    assert [code for code, _, _ in results] == [EXIT_USAGE, 0, 0, EXIT_USAGE, 0]
+    report = "report-s3-unequal.json"
+    assert (tmp_path / "in-process" / report).read_bytes() == (
+        tmp_path / "alone" / report
+    ).read_bytes()
 
 
 # Each command imports only the layers it runs.  A fresh interpreter runs

@@ -23,6 +23,7 @@ from eigenprod import (
     kronecker,
     zagier_zeta_minus_one,
 )
+from eigenprod.exact import _prime_power_divisor_sum, _sigma1
 
 
 # ---------------------------------------------------------------------------
@@ -407,3 +408,18 @@ def test_zagier_route_agrees_over_verify_default_range():
 def test_zagier_rejects_non_fundamental():
     with pytest.raises(ValueError):
         zagier_zeta_minus_one(15)
+
+
+def test_prime_power_divisor_sum_is_the_geometric_sum():
+    for q in range(2, 61):
+        for e in range(9):
+            assert _prime_power_divisor_sum(q, e) == sum(q**i for i in range(e + 1)), (q, e)
+
+
+def test_sigma1_matches_a_divisor_sieve():
+    limit = 3000
+    sieve = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for n in range(d, limit + 1, d):
+            sieve[n] += d
+    assert [_sigma1(n) for n in range(1, limit + 1)] == sieve[1:]

@@ -1,7 +1,8 @@
 """Eisenstein coefficient combinatorics.
 
-Ideal counts are checked against the divisor-character sum, element
-enumeration against a plain box scan, coefficient tables against the
+Ideal counts are checked against the divisor-character sum, the roots
+above split primes against a search over residues, element enumeration
+against a plain box scan, coefficient tables against the
 per-element ``coefficient``, product coefficients against a hand-expanded
 convolution, linear combinations of tables against a dict-based sum, and
 the Hecke relations at one prime of each class on the package
@@ -44,6 +45,8 @@ from eigenprod.hmf_coeffs import (
     _combine,
     _convolve,
     _eisenstein_table,
+    _omega_params,
+    _split_root,
     _Table,
     _trace_rows,
     element_norm,
@@ -173,6 +176,21 @@ def test_factor_ideal_entries_pass_validation(D):
         ideal = factor_ideal(D, nu.x, nu.y)
         assert ideal.norm() == abs(element_norm(D, nu.x, nu.y)), nu
         assert ideal_from_prime_powers(D, list(ideal.entries)) == ideal, nu
+
+
+def test_split_root_is_the_smallest_base_root():
+    # the base root comes from a modular square root; it must be the
+    # smallest root a search over 0..p-1 finds, at every split p < 3000
+    checked = 0
+    for field in narrow_one_fields(200):
+        D = field.discriminant
+        t, m = _omega_params(D)
+        for p in range(2, 3000):
+            if kronecker(D, p) == 1 and all(p % d for d in range(2, math.isqrt(p) + 1)):
+                smallest = next(z for z in range(p) if (z * z - t * z + m) % p == 0)
+                assert _split_root(D, p, 1) == smallest, (D, p)
+                checked += 1
+    assert checked == 4620
 
 
 @pytest.mark.parametrize("D", [5, 8, 13, 17])

@@ -7,7 +7,8 @@ module-level import in a package module must be read somewhere in that
 module; every name a function stores must be loaded in that function;
 every module-level function or class must be read somewhere in the
 package outside its own definition and ``__init__.py``, unless it is a
-named library-only entry point.
+named library-only entry point; the prime-power divisor sum is written
+once, in ``exact.py``.
 """
 
 import ast
@@ -214,6 +215,77 @@ def test_unread_public_name_is_caught():
     hmf = "from .exact import dedekind_zeta_neg\n\n\nVALUE = dedekind_zeta_neg(2)\n"
     sources = {"__init__.py": init, "exact.py": exact, "hmf_coeffs.py": hmf}
     assert _unread_definitions(sources, private=False) == ["exact.py:riemann_zeta_neg"]
+
+
+def _is_pow(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+
+
+def _minus_one(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+    )
+
+
+def _geometric_sum_sites(sources: dict[str, str]) -> list[str]:
+    # the modules that write 1 + q + ... + q^e, once per spelling: sum() over
+    # a comprehension of powers whose exponent reads a loop variable, or the
+    # closed form (q^(e+1) - 1) / (q - 1)
+    sites = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+                and node.args
+                and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+                and _is_pow(node.args[0].elt)
+            ):
+                targets = {
+                    n.id
+                    for gen in node.args[0].generators
+                    for n in ast.walk(gen.target)
+                    if isinstance(n, ast.Name)
+                }
+                exponent = {
+                    n.id for n in ast.walk(node.args[0].elt.right) if isinstance(n, ast.Name)
+                }
+                if targets & exponent:
+                    sites.append(module)
+            elif (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.FloorDiv, ast.Div))
+                and _minus_one(node.left)
+                and _is_pow(node.left.left)
+                and _minus_one(node.right)
+            ):
+                sites.append(module)
+    return sorted(sites)
+
+
+def test_prime_power_divisor_sum_is_written_once_in_exact():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert _geometric_sum_sites(sources) == ["exact.py"]
+
+
+def test_second_divisor_sum_is_caught():
+    # a generator sum of powers and a second closed form are each a copy; a
+    # sum of fixed powers, or a quotient of other shape, is not
+    exact = "def _sum(q, e):\n    return (q ** (e + 1) - 1) // (q - 1)\n"
+    hmf = (
+        "def coeff(q, e):\n    return sum(q**i for i in range(e + 1))\n\n\n"
+        "def norm2(xs):\n    return sum(x**2 for x in xs)\n"
+    )
+    verifier = (
+        "def sigma(n, e):\n    return (n ** (e + 1) - 1) / (n - 1)\n\n\n"
+        "def ratio(a, b):\n    return (a**2 - 1) // (b + 1)\n"
+    )
+    sources = {"exact.py": exact, "hmf_coeffs.py": hmf, "verifier.py": verifier}
+    assert _geometric_sum_sites(sources) == ["exact.py", "hmf_coeffs.py", "verifier.py"]
 
 
 def _fixture_key_homes(sources: dict, keys) -> dict:
