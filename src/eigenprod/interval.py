@@ -621,10 +621,11 @@ class GammaInt(Expr):
 
 
 # Bound on the structural memo below.  In a cold `verify all` at the
-# defaults, 2342 of the 5815 interior-node enclosures repeat an earlier
-# (node, precision) pair.  Kept unbounded, the memo holds 3473 entries and
-# raises peak RSS from 22.6 to 24.9 MB; 256 entries keep 2223 of the 2342
-# hits for +0.2 MB, while 512 add 57 hits for +0.35 MB and 64 lose 113.
+# defaults, 2177 of the 5403 interior-node enclosures repeat an earlier
+# (node, precision) pair.  Kept unbounded, the memo holds 3226 entries and
+# raises peak RSS from 19.7 to 21.4 MB; 256 entries keep 2057 of the 2177
+# hits at no measurable RSS cost, while 512 add 60 hits for +0.2 MB and 64
+# lose 113.
 _ENCLOSE_MEMO_SIZE = 256
 
 

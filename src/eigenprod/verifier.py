@@ -21,9 +21,32 @@ those gate their family too.
 Proof shapes the paper runs twice are written once: both cusp-factor
 branches run ``_cusp_factor_sweep`` with their own bounds and hooks, and
 degrees 3 and 4 run ``_degree_grid`` with their own constants.
+
+The builders of the trees the runs probe over and over are memoised
+(``lru_cache``): ``_four_pi_sq``, ``_weight_factor``, ``_front_constant``,
+``c_equal_expr``, ``_gamma_growth``, ``_weight_only_bound``, ``_pair_bound``,
+``_pair_bound_split``, ``_degree_base`` and ``_degree_point``.  A tree is a
+function of its builder's arguments, so equal certificates are the same
+node objects within a run and across runs, and a repeated run builds about
+a third of the nodes a cold one does.  A builder qualifies only when every
+input is a hashable argument and it reads no run state and no fixture, so
+a memo can never change a tree; a fixture constant enters as an argument
+(the minimal discriminant of ``_degree_base``).  Builders whose cached trees
+cost more memory than they save time are left unmemoised.  A memo changes
+no decision: every certificate is still enclosed and compared in every run.
+
+The wider reading of s3-equal's maximal-D column bisects its universe of
+fundamental inert discriminants instead of walking it.  The single-weight
+constant C(D, k) = (108/pi^6)^2 sqrt(D) k increases in D, so the fields it
+admits (C(D, k) <= 1) form a prefix of the sorted universe; bisection
+finds the first field whose probe is not CertifiedTrue, as the walk did,
+and the admits and exceeds certificates recorded at the two sides of that
+boundary are the same ones the walk recorded.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import (
@@ -276,15 +299,18 @@ def _ordered_candidates(cands: list[CandidateRecord]) -> list[CandidateRecord]:
 # comparison constants
 
 
+@lru_cache(maxsize=None)
 def _four_pi_sq() -> Expr:
     return Rat(4) * Pow(PI, 2)
 
 
+@lru_cache(maxsize=None)
 def _weight_factor(D: int) -> Expr:
     # D / (4 pi^2), the growth unit of every unequal-weight chain
     return Rat(D) / _four_pi_sq()
 
 
+@lru_cache(maxsize=None)
 def _front_constant() -> Expr:
     # 291600 / pi^12 = 1 / (zeta(4)^2 zeta(2)^2), the floor of the leading
     # zeta quotient once k1 >= 4 and k2 >= 2
@@ -313,6 +339,7 @@ def c_unequal_expr(D: int, k1: int, k2: int) -> Expr:
     )
 
 
+@lru_cache(maxsize=None)
 def c_equal_expr(D: int, k: int) -> Expr:
     """The single-weight comparison constant (108/pi^6)^2 sqrt(D) k."""
     if k < 2 or k % 2:
@@ -547,15 +574,16 @@ def verify_section3_equal(
     alt_universe = _fundamental_inert_fields(d_limit)
     alt_rows = []
     for k in range(2, 22, 2):
-        alt_max = None
-        reject = None
-        for D in alt_universe:
-            dec = run.probe(c_equal_expr(D, k), 1, "<=")
-            if dec.outcome is Outcome.CERTIFIED_TRUE:
-                alt_max = D
-                continue
-            reject = D
-            break
+        # C(D, k) increases in D, so the admitted fields are a prefix:
+        # bisect for the first field whose probe is not CertifiedTrue
+        i = bisect_left(
+            alt_universe,
+            True,
+            key=lambda D: run.probe(c_equal_expr(D, k), 1, "<=").outcome
+            is not Outcome.CERTIFIED_TRUE,
+        )
+        alt_max = alt_universe[i - 1] if i else None
+        reject = alt_universe[i] if i < len(alt_universe) else None
         alt_rows.append([k, alt_max])
         if alt_max is not None:
             run.check(
@@ -616,20 +644,24 @@ def _s2_factor(k1: int, k2: int) -> int:
     return 3 ** (k2 + 3) + 9 ** (k1 + 1) + (1 + 4 ** (k1 - 1)) * 2**k2
 
 
+@lru_cache(maxsize=None)
 def _gamma_growth(head: Expr, k1: int) -> Expr:
     # head * (2 pi)^(2 k1 - 1) / Gamma(k1)^2, the weight growth every
     # cusp-factor bound shares
     return head * Pow(Rat(2) * PI, 2 * k1 - 1) / Pow(GammaInt(k1), 2)
 
 
+@lru_cache(maxsize=None)
 def _weight_only_bound(k1: int) -> Expr:
     return _gamma_growth(Rat(2) * Pow(PI, 5) / 3, k1) * Rat(_s_factor(k1))
 
 
+@lru_cache(maxsize=None)
 def _pair_bound(k1: int, k2: int) -> Expr:
     return _gamma_growth(Pow(PI, 5) / 6, k1) * Rat(_s2_factor(k1, k2))
 
 
+@lru_cache(maxsize=None)
 def _pair_bound_split(k1: int) -> Expr:
     return _gamma_growth(Pow(PI, 5) / 18, k1)
 
@@ -973,11 +1005,13 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
 # higher-degree base fields
 
 
+@lru_cache(maxsize=None)
 def _degree_base(n: int, d: int, k2: int) -> Expr:
     # d k2^n / (2 pi)^n, the base every degree-n certificate raises
     return Rat(d * k2**n) / Pow(Rat(2) * PI, n)
 
 
+@lru_cache(maxsize=None)
 def _degree_point(n: int, d: int, k2: int, k1: int) -> Expr:
     return Pow(_degree_base(n, d, k2), k1 - k2) / Pow(Zeta(2), 2 * n)
 

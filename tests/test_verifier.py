@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -29,8 +30,10 @@ from eigenprod import (
     c_unequal_expr,
     compare_to_golden,
     dedekind_zeta_neg,
+    evaluate_with_escalation,
     exact_identity_scan,
     inert_one_fields,
+    is_fundamental_discriminant,
     narrow_one_fields,
     noninert_one_fields,
     residual_inert,
@@ -369,6 +372,27 @@ def test_doubling_precision_never_widens_an_enclosure(monkeypatch):
         assert widths == sorted(widths, reverse=True), expr
 
 
+def test_verify_all_probe_count_is_pinned(monkeypatch):
+    # counted as above, over the five sections at the defaults.  Walking
+    # the wider-reading universe of s3-equal instead of bisecting it took
+    # 1452 probes
+    probe = verifier.evaluate_with_escalation
+    calls = 0
+
+    def count(expr, *args):
+        nonlocal calls
+        calls += 1
+        return probe(expr, *args)
+
+    monkeypatch.setattr(verifier, "evaluate_with_escalation", count)
+    verify_section3_unequal()
+    verify_section3_equal()
+    verify_section4_inert()
+    verify_section4_noninert()
+    verify_section5()
+    assert calls == 1286
+
+
 # ---------------------------------------------------------------------------
 # Unequal weights
 
@@ -457,6 +481,40 @@ def test_equal_weight_table_interpretations(report_s3e):
     assert primary == {
         row[0]: row[1] for row in report_s3e.tables["table1"]["rows"]
     }
+
+
+@pytest.mark.parametrize("d_limit", [200, 4000, 20000])
+def test_wider_reading_boundary_matches_a_linear_scan(d_limit):
+    # the section bisects the fundamental inert universe for the first
+    # field C(D, k) does not certifiably admit; a walk from the smallest
+    # field must stop at the same place.  At d_limit 200 weight 2 admits
+    # every field, so its row has no rejected field
+    report = verify_section3_equal(d_limit=d_limit)
+    alt_column = {
+        row[0]: row[2] for row in report.tables["table1_interpretations"]["rows"]
+    }
+    universe = [D for D in range(13, d_limit + 1, 8) if is_fundamental_discriminant(D)]
+    for k in range(2, 22, 2):
+        alt_max = reject = None
+        for D in universe:
+            dec = evaluate_with_escalation(c_equal_expr(D, k), 1, "<=")
+            if dec.outcome is not Outcome.CERTIFIED_TRUE:
+                reject = D
+                break
+            alt_max = D
+        assert alt_column[k] == alt_max, k
+        expected = set()
+        if alt_max is not None:
+            expected.add(f"table1_alt_k{k}_d{alt_max}_admits")
+        if reject is not None:
+            expected.add(f"table1_alt_k{k}_d{reject}_exceeds")
+        recorded = {
+            rec.name
+            for rec in report.constants
+            if rec.name.startswith(f"table1_alt_k{k}_")
+        }
+        assert recorded == expected, k
+    assert (d_limit == 200) == (alt_column[2] == universe[-1])
 
 
 def test_equal_weight_smaller_universe_departs_from_golden():
@@ -741,6 +799,105 @@ def _eigenprod_caches():
     return list({id(c): c for c in caches}.values())
 
 
+# the memoised tree builders of the verifier, by name
+_BUILDERS = (
+    "_four_pi_sq",
+    "_weight_factor",
+    "_front_constant",
+    "c_equal_expr",
+    "_gamma_growth",
+    "_weight_only_bound",
+    "_pair_bound",
+    "_pair_bound_split",
+    "_degree_base",
+    "_degree_point",
+)
+
+
+def _builder_caches():
+    return {
+        name: obj
+        for name, obj in vars(verifier).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == verifier.__name__
+    }
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("_four_pi_sq", ()),
+        ("_weight_factor", (13,)),
+        ("_front_constant", ()),
+        ("c_equal_expr", (13, 20)),
+        ("_gamma_growth", (Rat(3), 6)),
+        ("_weight_only_bound", (6,)),
+        ("_pair_bound", (6, 4)),
+        ("_pair_bound_split", (6,)),
+        ("_degree_base", (3, 49, 4)),
+        ("_degree_point", (3, 49, 4, 10)),
+    ],
+)
+def test_builder_returns_the_same_tree_object(name, args):
+    builder = getattr(verifier, name)
+    first = builder(*args)
+    assert builder(*args) is first
+    # a tree built afresh is equal, so memoising changes no memo key
+    assert builder.__wrapped__(*args) == first
+
+
+def test_repeated_sections_build_no_new_trees():
+    assert set(_builder_caches()) == set(_BUILDERS)
+    verify_section4_inert()
+    verify_section5()
+    before = {name: f.cache_info().misses for name, f in _builder_caches().items()}
+    verify_section4_inert()
+    verify_section5()
+    after = {name: f.cache_info().misses for name, f in _builder_caches().items()}
+    assert after == before
+
+
+def test_builders_capture_no_fixture_data():
+    # s5 with other Takeuchi constants, after a default run has filled
+    # every builder memo: the report must be the one a cold process gives
+    doc = json.loads(
+        resources.files("eigenprod.data").joinpath("fixtures.json").read_text(encoding="utf-8")
+    )
+    doc["facts"]["takeuchi_disc_bound"]["data"] = {"a": "30", "b": "8"}
+    changed = Fixtures.from_document(doc)
+    default = verify_section5().to_json()
+    warm = verify_section5(fixtures=changed).to_json()
+    for cache in _eigenprod_caches():
+        cache.cache_clear()
+    cold = verify_section5(fixtures=changed)
+    assert warm == cold.to_json() != default
+    # a / pi at a = 30
+    floor = next(rec for rec in cold.constants if rec.name == "disc_ratio_floor")
+    assert floor.decision.enclosure.subset_of(Fraction(954, 100), Fraction(955, 100))
+
+
+def test_verify_memory_retained_from_cold_caches():
+    # what the caches keep after a cold run of the five sections, run on
+    # its own: 511 KiB without the builder memos, 868 KiB with them (less
+    # when earlier tests have allocated what the run shares).  Memoising
+    # six more builders (_disc_bound, _inert_middle, _equal_middle_expr,
+    # c_unequal_expr, _takeuchi, ramare_bound) kept 1422 KiB for no clear
+    # gain in a repeated run.  The bound leaves 30% headroom over 868 KiB
+    for cache in _eigenprod_caches():
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        fixtures = Fixtures.load()
+        verify_section3_unequal()
+        verify_section3_equal()
+        verify_section4_inert(fixtures=fixtures)
+        verify_section4_noninert(fixtures=fixtures)
+        verify_section5(fixtures=fixtures)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1.1 * 2**20, retained
+
+
 def test_scan_memory_peak_from_cold_caches():
     # the power-sum rows keep their sums, not the powers of the walk;
     # keeping the powers took the peak to about 2.8 MiB
@@ -796,6 +953,7 @@ def test_results_equal_from_cold_and_warm_caches():
         "dedekind_zeta_neg",
         "is_fundamental_discriminant",
         "_enclose_memo",
+        *_BUILDERS,
     } <= names
     for cache in caches:
         cache.cache_clear()
