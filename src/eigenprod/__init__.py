@@ -83,7 +83,6 @@ _EXPORTS = {
         "Splitting",
         "class_number_imaginary",
         "field_descriptor",
-        "fundamental_unit_norm",
         "narrow_class_number",
         "narrow_one_fields",
         "splitting_of_two",
@@ -93,18 +92,12 @@ _EXPORTS = {
         "IdealFactorization",
         "PrimeClass",
         "SqrtFiveIdentityReport",
-        "TotallyPositiveElement",
-        "coefficient",
         "cusp_dim_lower_bound",
         "eisenstein_coeff",
-        "enumerate_totally_nonneg",
         "exact_identity_scan",
         "factor_ideal",
-        "ideal_from_prime_powers",
-        "ideals_of_norm",
         "residual_inert",
         "residual_noninert",
-        "residual_unequal",
         "verify_sqrt5_identity",
     ),
     "fixtures": (

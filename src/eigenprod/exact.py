@@ -11,7 +11,7 @@ verification layer.
 One trial division, ``_factorize``, serves every integer factorization
 in the package: primality, squarefreeness, the prime-discriminant
 factors of a character table, divisor sums, and the rational primes
-below an ideal (``hmf_coeffs.factor_ideal``, ``hmf_coeffs.ideals_of_norm``).
+below an ideal (``hmf_coeffs.factor_ideal``).
 
 Conventions:
 

@@ -30,9 +30,9 @@ over them, close the module: each residual is the constant-term side of a
 comparison between Eisenstein products, so it lives beside the
 coefficients it stands for.
 
-The records are ``NamedTuple``s; ``TotallyPositiveElement`` and
-``EisensteinDescriptor`` subclass one to validate (and derive the
-constant term) in ``__new__``.
+The records are ``NamedTuple``s; ``EisensteinDescriptor`` subclasses one
+to validate the weight and derive the constant term in ``__new__``.
+Elements are integer pairs (x, y), never records.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import NamedTuple
 
 from .exact import (
     _factorize,
-    _is_prime,
     _prime_power_divisor_sum,
     _require_real_fundamental,
     dedekind_zeta_neg,
@@ -76,47 +75,9 @@ def _omega_params(D: int) -> tuple[int, int]:
     return 0, -(D // 4)
 
 
-def element_trace(D: int, x: int, y: int) -> int:
-    t, _ = _omega_params(D)
-    return 2 * x + t * y
-
-
 def element_norm(D: int, x: int, y: int) -> int:
     t, m = _omega_params(D)
     return x * x + t * x * y + m * y * y
-
-
-def is_totally_nonnegative(D: int, x: int, y: int) -> bool:
-    # both embeddings (trace +- y sqrt(D)) / 2 nonnegative
-    return element_trace(D, x, y) >= 0 and element_norm(D, x, y) >= 0
-
-
-class _ElementFields(NamedTuple):
-    discriminant: int
-    x: int
-    y: int
-
-
-class TotallyPositiveElement(_ElementFields):
-    """x + y*omega, constrained to be totally positive or zero."""
-
-    __slots__ = ()
-
-    def __new__(cls, discriminant: int, x: int, y: int):
-        if not is_totally_nonnegative(discriminant, x, y):
-            raise ValueError(
-                f"({x}, {y}) is not totally nonnegative for D={discriminant}"
-            )
-        return tuple.__new__(cls, (discriminant, x, y))
-
-    def trace(self) -> int:
-        return element_trace(self.discriminant, self.x, self.y)
-
-    def norm(self) -> int:
-        return element_norm(self.discriminant, self.x, self.y)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
 
 class IdealFactorization(NamedTuple):
@@ -141,49 +102,6 @@ class IdealFactorization(NamedTuple):
 
 def _canonical_order(entry: tuple[int, PrimeClass, int]) -> tuple[int, int, str]:
     return entry[0], -entry[2], entry[1].value
-
-
-def ideal_from_prime_powers(
-    D: int, entries: list[tuple[int, PrimeClass, int]]
-) -> IdealFactorization:
-    """Validate and canonicalize a list of prime-power entries.
-
-    Rejects exponents < 1, prime norms inconsistent with how the
-    underlying rational prime behaves in the field, and split
-    entries listing more than two factors above one prime.
-    """
-    _require_real_fundamental(D)
-    split_seen: dict[int, int] = {}
-    checked = []
-    for prime_norm, cls, e in entries:
-        if e < 1:
-            raise ValueError("exponents must be >= 1")
-        if cls is PrimeClass.INERT:
-            p = math.isqrt(prime_norm)
-            if p * p != prime_norm or not _is_prime(p):
-                raise ValueError(f"inert prime norm {prime_norm} is not p^2")
-            if kronecker(D, p) != -1:
-                raise ValueError(f"{p} is not inert for D={D}")
-        elif cls is PrimeClass.SPLIT_FACTOR:
-            if not _is_prime(prime_norm):
-                raise ValueError(f"split prime norm {prime_norm} is not prime")
-            if kronecker(D, prime_norm) != 1:
-                raise ValueError(f"{prime_norm} is not split for D={D}")
-            split_seen[prime_norm] = split_seen.get(prime_norm, 0) + 1
-            if split_seen[prime_norm] > 2:
-                raise ValueError(f"more than two factors above split prime {prime_norm}")
-        elif cls is PrimeClass.RAMIFIED:
-            if not _is_prime(prime_norm):
-                raise ValueError(f"ramified prime norm {prime_norm} is not prime")
-            if kronecker(D, prime_norm) != 0:
-                raise ValueError(f"{prime_norm} is not ramified for D={D}")
-        else:
-            raise ValueError(f"unknown prime class {cls!r}")
-        checked.append((prime_norm, cls, e))
-    non_split = [(pn, cls) for pn, cls, _ in checked if cls is not PrimeClass.SPLIT_FACTOR]
-    if len(set(non_split)) != len(non_split):
-        raise ValueError("repeated non-split prime entry")
-    return IdealFactorization(tuple(sorted(checked, key=_canonical_order)))
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -264,45 +182,6 @@ def factor_ideal(D: int, x: int, y: int = 0) -> IdealFactorization:
     return IdealFactorization(tuple(sorted(entries, key=_canonical_order)))
 
 
-def ideals_of_norm(D: int, n: int) -> list[IdealFactorization]:
-    """All integral ideals of absolute norm exactly n."""
-    _require_real_fundamental(D)
-    if n < 1:
-        raise ValueError("norm must be positive")
-    variants: list[list[list[tuple[int, PrimeClass, int]]]] = []
-    for p, e in _factorize(n):
-        chi = kronecker(D, p)
-        if chi == -1:
-            if e % 2 != 0:
-                return []
-            variants.append([[(p * p, PrimeClass.INERT, e // 2)]])
-        elif chi == 0:
-            variants.append([[(p, PrimeClass.RAMIFIED, e)]])
-        else:
-            opts = []
-            for i in range(e + 1):
-                entry = []
-                if i > 0:
-                    entry.append((p, PrimeClass.SPLIT_FACTOR, i))
-                if e - i > 0:
-                    entry.append((p, PrimeClass.SPLIT_FACTOR, e - i))
-                opts.append(entry)
-            variants.append(opts)
-    out = []
-    def assemble(idx: int, acc: list[tuple[int, PrimeClass, int]]):
-        if idx == len(variants):
-            out.append(ideal_from_prime_powers(D, list(acc)))
-            return
-        for opt in variants[idx]:
-            assemble(idx + 1, acc + opt)
-    assemble(0, [])
-    # conjugate split choices p^i pbar^(e-i) and p^(e-i) pbar^i are
-    # distinct ideals that canonicalize to equal entry tuples; they are
-    # kept as separate list items so |result| counts ideals correctly
-    # (sum over d | n of chi_D(d))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Eisenstein series
 
@@ -339,14 +218,6 @@ def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> i
     )
 
 
-def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fraction:
-    if nu.discriminant != form.discriminant:
-        raise ValueError("element and form live over different fields")
-    if nu.is_zero():
-        return form.constant_term
-    return Fraction(eisenstein_coeff(form, factor_ideal(form.discriminant, nu.x, nu.y)))
-
-
 # ---------------------------------------------------------------------------
 # Products
 
@@ -365,18 +236,6 @@ def _trace_rows(D: int, trace_bound: int) -> list[range]:
         else:
             rows.append(range(-y_max, y_max + 1) if s % 2 == 0 else range(0))
     return rows
-
-
-def enumerate_totally_nonneg(D: int, trace_bound: int) -> list[TotallyPositiveElement]:
-    """Nonzero totally nonnegative integers of trace <= trace_bound, by trace."""
-    _require_real_fundamental(D)
-    t, _ = _omega_params(D)
-    rows = _trace_rows(D, trace_bound)
-    return [
-        TotallyPositiveElement(D, (s - t * y) // 2, y)
-        for s in range(1, trace_bound + 1)
-        for y in rows[s]
-    ]
 
 
 class _Table(NamedTuple):
@@ -576,16 +435,6 @@ def _unequal_cross(a: tuple, b: tuple, c: tuple) -> tuple[int, int]:
     # (numerator, denominator) of (a + b) c - a b, unreduced
     (ap, aq), (bp, bq), (cp, cq) = a, b, c
     return (ap * bq + bp * aq) * cp - ap * bp * cq, aq * bq * cq
-
-
-def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
-    """Exact constant-term residual (A + B) C - A B of the unequal-weight
-    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
-    as one ``Fraction`` from integer cross-products; C is asked for first,
-    so the character's power sums grow in one walk."""
-    c = dedekind_zeta_neg(D, k1 + k2).as_integer_ratio()
-    a, b = (dedekind_zeta_neg(D, k).as_integer_ratio() for k in (k1, k2))
-    return Fraction(*_unequal_cross(a, b, c))
 
 
 def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]]:

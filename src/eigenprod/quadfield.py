@@ -2,9 +2,10 @@
 
 Class numbers are computed by counting reduced binary quadratic forms
 (imaginary case) or cycles of reduced indefinite forms under the rho
-operation (narrow class number, real case); fundamental unit norms come
-from the parity of the continued-fraction period.  Everything is integer
-arithmetic on exact inequalities, no floating point.
+operation (narrow class number, real case).  The unit norm is not
+computed on its own: a form with a = -1 on the principal cycle is a unit
+of norm -1.  Everything is integer arithmetic on exact inequalities, no
+floating point.
 
 The verification layer only ever runs over real quadratic fields of
 narrow class number one; ``narrow_one_fields`` enumerates those up to a
@@ -38,15 +39,6 @@ class Splitting(Enum):
     INERT = "Inert"
     SPLIT = "Split"
     RAMIFIED = "Ramified"
-
-
-def _to_discriminant(n: int) -> int:
-    # accept either a fundamental discriminant or a squarefree radicand
-    if n > 1 and is_fundamental_discriminant(n):
-        return n
-    if n > 1 and n % 4 in (2, 3) and is_fundamental_discriminant(4 * n):
-        return 4 * n
-    raise ValueError(f"{n} determines no real quadratic field")
 
 
 def radicand(D: int) -> int:
@@ -205,33 +197,6 @@ def _narrow_class_number_is_one(D: int) -> bool:
             return False
         ell += 1 if ell == 2 else 2
     return True
-
-
-def fundamental_unit_norm(n: int) -> int:
-    """Norm (+1 or -1) of the fundamental unit; -1 iff the continued
-    fraction of the standard generator has odd period.
-
-    Accepts a fundamental discriminant or a squarefree radicand.
-    """
-    D = _to_discriminant(n)
-    d = radicand(D)
-    s = math.isqrt(d)
-
-    def step(P: int, Q: int) -> tuple[int, int]:
-        a = (P + s) // Q
-        P2 = a * Q - P
-        return P2, (d - P2 * P2) // Q
-
-    state = (1, 2) if d % 4 == 1 else (0, 1)
-    first = step(*state)
-    cur = first
-    period = 0
-    while True:
-        cur = step(*cur)
-        period += 1
-        if cur == first:
-            break
-    return -1 if period % 2 == 1 else 1
 
 
 class FieldDescriptor(NamedTuple):

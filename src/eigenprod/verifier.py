@@ -175,9 +175,13 @@ class _Run:
 
     def check(self, name: str, expr: Expr, threshold, relation: str) -> Decision:
         decision = self.probe(expr, threshold, relation)
-        self.constants.append(
-            CheckRecord(name, relation, Fraction(threshold), decision)
-        )
+        return self.record(name, relation, threshold, decision)
+
+    def record(
+        self, name: str, relation: str, threshold, decision: Decision
+    ) -> Decision:
+        """Record a decision already taken, as ``check`` records its probe."""
+        self.constants.append(CheckRecord(name, relation, Fraction(threshold), decision))
         return decision
 
     def check_signed(
@@ -198,19 +202,10 @@ class _Run:
         """
         decision = self.probe(expr, threshold, relation)
         if decision.outcome is Outcome.CERTIFIED_FALSE:
-            flipped_rel = _FLIP[relation]
-            flipped = certified_compare(decision.enclosure, threshold, flipped_rel)
-            self.constants.append(
-                CheckRecord(
-                    f"{name}_{fail_suffix}", flipped_rel, Fraction(threshold), flipped
-                )
-            )
+            flipped = _flipped(decision, threshold, relation)
+            self.record(f"{name}_{fail_suffix}", _FLIP[relation], threshold, flipped)
         else:
-            self.constants.append(
-                CheckRecord(
-                    f"{name}_{hold_suffix}", relation, Fraction(threshold), decision
-                )
-            )
+            self.record(f"{name}_{hold_suffix}", relation, threshold, decision)
         return decision
 
     def exact(self, name: str, value, threshold, relation: str) -> Decision:
@@ -226,8 +221,7 @@ class _Run:
         decision = Decision(
             outcome, CertifiedReal(v, v, 0), "exact rational arithmetic"
         )
-        self.constants.append(CheckRecord(name, relation, t, decision))
-        return decision
+        return self.record(name, relation, t, decision)
 
     def use_fixture(self, key: str):
         """The fact on file under key, recorded for the report's echo.
@@ -282,6 +276,18 @@ class _Run:
         )
         rep.verdict = resolve_verdict(rep)
         return rep
+
+
+def _flipped(decision: Decision, threshold, relation: str) -> Decision:
+    """The decision of the flipped relation, from the same enclosure.
+
+    Escalation decides a relation and its flip at the same precision, so
+    this is what a fresh probe of the flip returns; an Inconclusive
+    decision is kept as it is, its note included.
+    """
+    if not decision.decided:
+        return decision
+    return certified_compare(decision.enclosure, threshold, _FLIP[relation])
 
 
 def _ordered_candidates(cands: list[CandidateRecord]) -> list[CandidateRecord]:
@@ -575,24 +581,25 @@ def verify_section3_equal(
     alt_rows = []
     for k in range(2, 22, 2):
         # C(D, k) increases in D, so the admitted fields are a prefix:
-        # bisect for the first field whose probe is not CertifiedTrue
-        i = bisect_left(
-            alt_universe,
-            True,
-            key=lambda D: run.probe(c_equal_expr(D, k), 1, "<=").outcome
-            is not Outcome.CERTIFIED_TRUE,
-        )
+        # bisect for the first field whose probe is not CertifiedTrue.  The
+        # last moves of the bisection probe both boundary fields, so their
+        # decisions are recorded, not probed again
+        decided = {}
+
+        def rejected(D: int) -> bool:
+            decided[D] = run.probe(c_equal_expr(D, k), 1, "<=")
+            return decided[D].outcome is not Outcome.CERTIFIED_TRUE
+
+        i = bisect_left(alt_universe, True, key=rejected)
         alt_max = alt_universe[i - 1] if i else None
         reject = alt_universe[i] if i < len(alt_universe) else None
         alt_rows.append([k, alt_max])
         if alt_max is not None:
-            run.check(
-                f"table1_alt_k{k}_d{alt_max}_admits", c_equal_expr(alt_max, k), 1, "<="
-            )
+            admits = decided[alt_max]
+            run.record(f"table1_alt_k{k}_d{alt_max}_admits", "<=", 1, admits)
         if reject is not None:
-            run.check(
-                f"table1_alt_k{k}_d{reject}_exceeds", c_equal_expr(reject, k), 1, ">"
-            )
+            exceeds = _flipped(decided[reject], 1, "<=")
+            run.record(f"table1_alt_k{k}_d{reject}_exceeds", ">", 1, exceeds)
     run.tables["table1_interpretations"] = {
         "columns": ["k", "narrow_one_max_d", "all_fundamental_max_d"],
         "rows": [

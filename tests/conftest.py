@@ -11,9 +11,6 @@ import pytest
 
 from eigenprod import (
     EisensteinDescriptor,
-    TotallyPositiveElement,
-    coefficient,
-    enumerate_totally_nonneg,
     factor_ideal,
     verify_section3_equal,
     verify_section3_unequal,
@@ -21,6 +18,7 @@ from eigenprod import (
     verify_section4_noninert,
     verify_section5,
 )
+from oracles import TotallyPositiveElement, coefficient, enumerate_totally_nonneg
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,253 @@
+"""Per-element oracles that the tests hold the package to.
+
+No command runs these.  The coefficient tables, the residual scan and the
+narrow-one predicate answer the paper's questions in bulk; the oracles
+below answer them one element, one ideal or one field at a time, by a
+different route, so the tests can compare the two:
+
+- ``fundamental_unit_norm``, the continued-fraction unit norm, against
+  ``narrow_class_number`` beyond the reach of a Pell search;
+- ``TotallyPositiveElement`` and ``enumerate_totally_nonneg``, the
+  totally nonnegative elements as records, against the tables' rows;
+- ``ideal_from_prime_powers`` and ``ideals_of_norm``, the integral ideals
+  of a norm, against divisor character sums and ``factor_ideal``;
+- ``coefficient``, one Eisenstein coefficient at one element, against
+  the coefficient tables;
+- ``residual_unequal``, the unequal-weight residual as a ``Fraction``,
+  against the scan's cross-product numerators.
+
+Every top-level definition here is imported by some test module
+(``tests/test_package.py`` checks it).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import NamedTuple
+
+from eigenprod import hmf_coeffs
+from eigenprod.exact import (
+    _factorize,
+    _is_prime,
+    _require_real_fundamental,
+    is_fundamental_discriminant,
+    kronecker,
+)
+from eigenprod.hmf_coeffs import (
+    EisensteinDescriptor,
+    IdealFactorization,
+    PrimeClass,
+    _canonical_order,
+    _omega_params,
+    _trace_rows,
+    eisenstein_coeff,
+    element_norm,
+    factor_ideal,
+)
+from eigenprod.quadfield import radicand
+
+# ---------------------------------------------------------------------------
+# Fields
+
+
+def _to_discriminant(n: int) -> int:
+    # accept either a fundamental discriminant or a squarefree radicand
+    if n > 1 and is_fundamental_discriminant(n):
+        return n
+    if n > 1 and n % 4 in (2, 3) and is_fundamental_discriminant(4 * n):
+        return 4 * n
+    raise ValueError(f"{n} determines no real quadratic field")
+
+
+def fundamental_unit_norm(n: int) -> int:
+    """Norm (+1 or -1) of the fundamental unit; -1 iff the continued
+    fraction of the standard generator has odd period.
+
+    Accepts a fundamental discriminant or a squarefree radicand.
+    """
+    D = _to_discriminant(n)
+    d = radicand(D)
+    s = math.isqrt(d)
+
+    def step(P: int, Q: int) -> tuple[int, int]:
+        a = (P + s) // Q
+        P2 = a * Q - P
+        return P2, (d - P2 * P2) // Q
+
+    state = (1, 2) if d % 4 == 1 else (0, 1)
+    first = step(*state)
+    cur = first
+    period = 0
+    while True:
+        cur = step(*cur)
+        period += 1
+        if cur == first:
+            break
+    return -1 if period % 2 == 1 else 1
+
+
+# ---------------------------------------------------------------------------
+# Elements
+
+
+def element_trace(D: int, x: int, y: int) -> int:
+    t, _ = _omega_params(D)
+    return 2 * x + t * y
+
+
+def is_totally_nonnegative(D: int, x: int, y: int) -> bool:
+    # both embeddings (trace +- y sqrt(D)) / 2 nonnegative
+    return element_trace(D, x, y) >= 0 and element_norm(D, x, y) >= 0
+
+
+class _ElementFields(NamedTuple):
+    discriminant: int
+    x: int
+    y: int
+
+
+class TotallyPositiveElement(_ElementFields):
+    """x + y*omega, constrained to be totally positive or zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, discriminant: int, x: int, y: int):
+        if not is_totally_nonnegative(discriminant, x, y):
+            raise ValueError(
+                f"({x}, {y}) is not totally nonnegative for D={discriminant}"
+            )
+        return tuple.__new__(cls, (discriminant, x, y))
+
+    def trace(self) -> int:
+        return element_trace(self.discriminant, self.x, self.y)
+
+    def norm(self) -> int:
+        return element_norm(self.discriminant, self.x, self.y)
+
+    def is_zero(self) -> bool:
+        return self.x == 0 and self.y == 0
+
+
+def enumerate_totally_nonneg(D: int, trace_bound: int) -> list[TotallyPositiveElement]:
+    """Nonzero totally nonnegative integers of trace <= trace_bound, by trace."""
+    _require_real_fundamental(D)
+    t, _ = _omega_params(D)
+    rows = _trace_rows(D, trace_bound)
+    return [
+        TotallyPositiveElement(D, (s - t * y) // 2, y)
+        for s in range(1, trace_bound + 1)
+        for y in rows[s]
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Ideals
+
+
+def ideal_from_prime_powers(
+    D: int, entries: list[tuple[int, PrimeClass, int]]
+) -> IdealFactorization:
+    """Validate and canonicalize a list of prime-power entries.
+
+    Rejects exponents < 1, prime norms inconsistent with how the
+    underlying rational prime behaves in the field, and split
+    entries listing more than two factors above one prime.
+    """
+    _require_real_fundamental(D)
+    split_seen: dict[int, int] = {}
+    checked = []
+    for prime_norm, cls, e in entries:
+        if e < 1:
+            raise ValueError("exponents must be >= 1")
+        if cls is PrimeClass.INERT:
+            p = math.isqrt(prime_norm)
+            if p * p != prime_norm or not _is_prime(p):
+                raise ValueError(f"inert prime norm {prime_norm} is not p^2")
+            if kronecker(D, p) != -1:
+                raise ValueError(f"{p} is not inert for D={D}")
+        elif cls is PrimeClass.SPLIT_FACTOR:
+            if not _is_prime(prime_norm):
+                raise ValueError(f"split prime norm {prime_norm} is not prime")
+            if kronecker(D, prime_norm) != 1:
+                raise ValueError(f"{prime_norm} is not split for D={D}")
+            split_seen[prime_norm] = split_seen.get(prime_norm, 0) + 1
+            if split_seen[prime_norm] > 2:
+                raise ValueError(f"more than two factors above split prime {prime_norm}")
+        elif cls is PrimeClass.RAMIFIED:
+            if not _is_prime(prime_norm):
+                raise ValueError(f"ramified prime norm {prime_norm} is not prime")
+            if kronecker(D, prime_norm) != 0:
+                raise ValueError(f"{prime_norm} is not ramified for D={D}")
+        else:
+            raise ValueError(f"unknown prime class {cls!r}")
+        checked.append((prime_norm, cls, e))
+    non_split = [(pn, cls) for pn, cls, _ in checked if cls is not PrimeClass.SPLIT_FACTOR]
+    if len(set(non_split)) != len(non_split):
+        raise ValueError("repeated non-split prime entry")
+    return IdealFactorization(tuple(sorted(checked, key=_canonical_order)))
+
+
+def ideals_of_norm(D: int, n: int) -> list[IdealFactorization]:
+    """All integral ideals of absolute norm exactly n."""
+    _require_real_fundamental(D)
+    if n < 1:
+        raise ValueError("norm must be positive")
+    variants: list[list[list[tuple[int, PrimeClass, int]]]] = []
+    for p, e in _factorize(n):
+        chi = kronecker(D, p)
+        if chi == -1:
+            if e % 2 != 0:
+                return []
+            variants.append([[(p * p, PrimeClass.INERT, e // 2)]])
+        elif chi == 0:
+            variants.append([[(p, PrimeClass.RAMIFIED, e)]])
+        else:
+            opts = []
+            for i in range(e + 1):
+                entry = []
+                if i > 0:
+                    entry.append((p, PrimeClass.SPLIT_FACTOR, i))
+                if e - i > 0:
+                    entry.append((p, PrimeClass.SPLIT_FACTOR, e - i))
+                opts.append(entry)
+            variants.append(opts)
+    out = []
+    def assemble(idx: int, acc: list[tuple[int, PrimeClass, int]]):
+        if idx == len(variants):
+            out.append(ideal_from_prime_powers(D, list(acc)))
+            return
+        for opt in variants[idx]:
+            assemble(idx + 1, acc + opt)
+    assemble(0, [])
+    # conjugate split choices p^i pbar^(e-i) and p^(e-i) pbar^i are
+    # distinct ideals that canonicalize to equal entry tuples; they are
+    # kept as separate list items so |result| counts ideals correctly
+    # (sum over d | n of chi_D(d))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Coefficients and residuals
+
+
+def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fraction:
+    if nu.discriminant != form.discriminant:
+        raise ValueError("element and form live over different fields")
+    if nu.is_zero():
+        return form.constant_term
+    return Fraction(eisenstein_coeff(form, factor_ideal(form.discriminant, nu.x, nu.y)))
+
+
+def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
+    """Exact constant-term residual (A + B) C - A B of the unequal-weight
+    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
+    as one ``Fraction`` from the scan's integer cross-product; C is asked
+    for first, so the character's power sums grow in one walk.  The zeta
+    values are read through ``hmf_coeffs`` at each call, so a test that
+    patches ``hmf_coeffs.dedekind_zeta_neg`` moves this residual and the
+    scan together."""
+    zeta = hmf_coeffs.dedekind_zeta_neg
+    c = zeta(D, k1 + k2).as_integer_ratio()
+    a, b = (zeta(D, k).as_integer_ratio() for k in (k1, k2))
+    return Fraction(*hmf_coeffs._unequal_cross(a, b, c))

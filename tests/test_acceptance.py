@@ -21,8 +21,6 @@ from eigenprod import (
     eisenstein_coeff,
     exact_identity_scan,
     generalized_bernoulli,
-    ideal_from_prime_powers,
-    ideals_of_norm,
     is_fundamental_discriminant,
     kronecker,
     narrow_one_fields,
@@ -34,6 +32,7 @@ from eigenprod import (
     verify_sqrt5_identity,
     zagier_zeta_minus_one,
 )
+from oracles import ideal_from_prime_powers, ideals_of_norm
 
 TABLE1_ROWS = [
     [2, 1549], [4, 389], [6, 173], [8, 61], [10, 61],

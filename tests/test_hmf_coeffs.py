@@ -24,20 +24,14 @@ from eigenprod import (
     IdealFactorization,
     PrimeClass,
     Splitting,
-    TotallyPositiveElement,
-    coefficient,
     cusp_dim_lower_bound,
     dedekind_zeta_neg,
     eisenstein_coeff,
-    enumerate_totally_nonneg,
     factor_ideal,
-    ideal_from_prime_powers,
-    ideals_of_norm,
     kronecker,
     narrow_one_fields,
     residual_inert,
     residual_noninert,
-    residual_unequal,
     verify_sqrt5_identity,
 )
 from eigenprod import hmf_coeffs
@@ -50,8 +44,17 @@ from eigenprod.hmf_coeffs import (
     _Table,
     _trace_rows,
     element_norm,
+)
+import oracles
+from oracles import (
+    TotallyPositiveElement,
+    coefficient,
     element_trace,
+    enumerate_totally_nonneg,
+    ideal_from_prime_powers,
+    ideals_of_norm,
     is_totally_nonnegative,
+    residual_unequal,
 )
 
 
@@ -598,7 +601,7 @@ def test_warm_sqrt5_identity_builds_no_elements(monkeypatch):
         seen.append("element")
         return element_new(cls, *args)
 
-    monkeypatch.setattr(hmf_coeffs, "coefficient", lambda *args: seen.append("coefficient"))
+    monkeypatch.setattr(oracles, "coefficient", lambda *args: seen.append("coefficient"))
     monkeypatch.setattr(TotallyPositiveElement, "__new__", counting_new)
     report = verify_sqrt5_identity(50)
     assert report.passed and report.coefficients_checked == 571

@@ -6,9 +6,9 @@ appear once, and be the very object its home module defines; every
 module-level import in a package module must be read somewhere in that
 module; every name a function stores must be loaded in that function;
 every module-level function or class must be read somewhere in the
-package outside its own definition and ``__init__.py``, unless it is a
-named library-only entry point; the prime-power divisor sum is written
-once, in ``exact.py``.
+package outside its own definition and ``__init__.py``; every top-level
+definition of the tests' oracle module must be imported by a test module;
+the prime-power divisor sum is written once, in ``exact.py``.
 """
 
 import ast
@@ -23,6 +23,7 @@ import eigenprod
 
 SOURCES = sorted(Path(eigenprod.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ORACLES = Path(__file__).with_name("oracles.py")
 
 
 def test_star_import_resolves_every_exported_name_once():
@@ -176,31 +177,9 @@ def test_unread_private_helper_is_caught():
     ]
 
 
-# Public names that no package code reads, each kept for a reason
-LIBRARY_ENTRY_POINTS = {
-    # the continued-fraction unit norm, checked against narrow_class_number
-    # beyond the reach of the tests' Pell search
-    "quadfield.py:fundamental_unit_norm",
-    # every integral ideal of a given norm; the ideal counts are checked
-    # against divisor character sums
-    "hmf_coeffs.py:ideals_of_norm",
-    # the unequal-weight residual as a Fraction; the scan decides on the
-    # numerator of the same cross-product, and the tests pin its values
-    "hmf_coeffs.py:residual_unequal",
-    # one Eisenstein coefficient at one element: the per-element oracle the
-    # tests hold the coefficient tables to
-    "hmf_coeffs.py:coefficient",
-    # the totally nonnegative elements by trace, as records; the tables walk
-    # the same order as integer rows, and the tests check both against it
-    "hmf_coeffs.py:enumerate_totally_nonneg",
-}
-
-
 def test_every_public_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
-    assert sorted(_unread_definitions(sources, private=False)) == sorted(
-        LIBRARY_ENTRY_POINTS
-    )
+    assert _unread_definitions(sources, private=False) == []
 
 
 def test_unread_public_name_is_caught():
@@ -215,6 +194,81 @@ def test_unread_public_name_is_caught():
     hmf = "from .exact import dedekind_zeta_neg\n\n\nVALUE = dedekind_zeta_neg(2)\n"
     sources = {"__init__.py": init, "exact.py": exact, "hmf_coeffs.py": hmf}
     assert _unread_definitions(sources, private=False) == ["exact.py:riemann_zeta_neg"]
+
+
+# The public names that only the tests read; they live in tests/oracles.py
+TEST_ONLY_NAMES = (
+    "TotallyPositiveElement",
+    "coefficient",
+    "enumerate_totally_nonneg",
+    "fundamental_unit_norm",
+    "ideal_from_prime_powers",
+    "ideals_of_norm",
+    "residual_unequal",
+)
+
+
+@pytest.mark.parametrize("name", TEST_ONLY_NAMES)
+def test_test_only_name_is_not_exported(name):
+    assert name not in eigenprod.__all__
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(eigenprod, name)
+    for home in ("quadfield", "hmf_coeffs"):
+        assert not hasattr(import_module(f"eigenprod.{home}"), name), home
+
+
+def _unimported_oracles(oracles: str, tests: dict[str, str]) -> list[str]:
+    # a public oracle counts as read when a test module imports it from
+    # oracles; a private helper when another statement of oracles.py reads it
+    imported = {
+        alias.name
+        for source in tests.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    tree = ast.parse(oracles)
+    reads = [
+        {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} for stmt in tree.body
+    ]
+    unread = []
+    for i, stmt in enumerate(tree.body):
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name.startswith("_"):
+            read = any(stmt.name in r for j, r in enumerate(reads) if j != i)
+        else:
+            read = stmt.name in imported
+        if not read:
+            unread.append(stmt.name)
+    return unread
+
+
+def test_every_oracle_is_imported_by_a_test():
+    oracles = ORACLES.read_text(encoding="utf-8")
+    tests = {
+        p.name: p.read_text(encoding="utf-8")
+        for p in sorted(ORACLES.parent.glob("*.py"))
+        if p != ORACLES
+    }
+    assert "test_hmf_coeffs.py" in tests
+    assert _unimported_oracles(oracles, tests) == []
+
+
+def test_unimported_oracle_is_caught():
+    # an oracle only its own module reads is unimported, and so is a private
+    # helper that only reads itself; a helper another oracle reads is not
+    oracles = (
+        "def _parity(n):\n    return n % 2\n\n\n"
+        "def _loop(n):\n    return _loop(n - 1)\n\n\n"
+        "def coefficient(n):\n    return _parity(n)\n\n\n"
+        "def residual(n):\n    return coefficient(n)\n"
+    )
+    tests = {
+        "test_a.py": "from oracles import coefficient\n",
+        "test_b.py": "from eigenprod import residual\nimport oracles\n",
+    }
+    assert _unimported_oracles(oracles, tests) == ["_loop", "residual"]
 
 
 def _is_pow(node) -> bool:

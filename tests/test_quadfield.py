@@ -16,7 +16,6 @@ from eigenprod import (
     Splitting,
     class_number_imaginary,
     field_descriptor,
-    fundamental_unit_norm,
     is_fundamental_discriminant,
     kronecker,
     narrow_class_number,
@@ -26,6 +25,7 @@ from eigenprod import (
 )
 from eigenprod.exact import _factorize
 from eigenprod.quadfield import _narrow_class_number_is_one, radicand
+from oracles import fundamental_unit_norm
 
 
 def _oracle_h_imaginary(delta: int) -> int:

@@ -19,7 +19,6 @@ from eigenprod.hmf_coeffs import (
     IdealFactorization,
     PrimeClass,
     SqrtFiveIdentityReport,
-    TotallyPositiveElement,
 )
 from eigenprod.interval import Decision, Outcome, from_rational
 from eigenprod.quadfield import FieldDescriptor, Splitting
@@ -29,6 +28,7 @@ from eigenprod.report import (
     CheckRecord,
     VerificationReport,
 )
+from oracles import TotallyPositiveElement
 
 _ENC = from_rational(Fraction(1, 3), 16)
 _DECISION = Decision(Outcome.CERTIFIED_TRUE, _ENC, "n")

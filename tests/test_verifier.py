@@ -38,7 +38,6 @@ from eigenprod import (
     noninert_one_fields,
     residual_inert,
     residual_noninert,
-    residual_unequal,
     splitting_of_two,
     takeuchi_constants,
     verify_section3_equal,
@@ -64,6 +63,7 @@ from eigenprod.report import (
 )
 from eigenprod import exact, verifier
 from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
+from oracles import residual_unequal
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
 
@@ -375,7 +375,8 @@ def test_doubling_precision_never_widens_an_enclosure(monkeypatch):
 def test_verify_all_probe_count_is_pinned(monkeypatch):
     # counted as above, over the five sections at the defaults.  Walking
     # the wider-reading universe of s3-equal instead of bisecting it took
-    # 1452 probes
+    # 1452 probes, and probing its boundary fields again after the
+    # bisection 1286
     probe = verifier.evaluate_with_escalation
     calls = 0
 
@@ -390,7 +391,54 @@ def test_verify_all_probe_count_is_pinned(monkeypatch):
     verify_section4_inert()
     verify_section4_noninert()
     verify_section5()
-    assert calls == 1286
+    assert calls == 1266
+
+
+@pytest.mark.parametrize(
+    "precision",
+    [{}, {"base_precision": 8, "precision_ceiling": 8}],
+    ids=["defaults", "ceiling8"],
+)
+def test_wider_reading_records_the_bisections_decisions(monkeypatch, precision):
+    # the boundary fields of each wider-reading row are recorded from the
+    # bisection's own probes: 205 probes at the defaults, 225 when they were
+    # probed again.  Each record is still what a fresh probe of its tree
+    # decides, the exceeds side flipped to '>'
+    probe = verifier.evaluate_with_escalation
+    calls = 0
+
+    def count(expr, *args):
+        nonlocal calls
+        calls += 1
+        return probe(expr, *args)
+
+    monkeypatch.setattr(verifier, "evaluate_with_escalation", count)
+    report = verify_section3_equal(**precision)
+    if not precision:
+        assert calls == 205
+    alt = [rec for rec in report.constants if rec.name.startswith("table1_alt_")]
+    assert len(alt) == 20
+    for rec in alt:
+        k, d, side = rec.name.removeprefix("table1_alt_k").split("_")
+        tree = c_equal_expr(int(d.removeprefix("d")), int(k))
+        assert rec.relation == {"admits": "<=", "exceeds": ">"}[side], rec.name
+        fresh = probe(tree, rec.threshold, rec.relation, **precision)
+        assert rec.decision == fresh, rec.name
+
+
+def test_flipped_decision_keeps_an_undecided_one():
+    # a decided '<=' becomes the opposite answer to '>' on the same
+    # enclosure; an undecided one is kept, note and all, which is also what
+    # escalation gives the flip at the same ceiling
+    refuted = evaluate_with_escalation(Rat(Fraction(5, 4)), 1, "<=")
+    assert refuted.outcome is Outcome.CERTIFIED_FALSE
+    flipped = verifier._flipped(refuted, 1, "<=")
+    assert flipped.outcome is Outcome.CERTIFIED_TRUE
+    assert flipped == evaluate_with_escalation(Rat(Fraction(5, 4)), 1, ">")
+    undecided = evaluate_with_escalation(PI - PI, 0, "<=", 8, 8)
+    assert undecided.outcome is Outcome.INCONCLUSIVE and undecided.note
+    assert verifier._flipped(undecided, 0, "<=") is undecided
+    assert evaluate_with_escalation(PI - PI, 0, ">", 8, 8) == undecided
 
 
 # ---------------------------------------------------------------------------
