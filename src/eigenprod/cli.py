@@ -51,6 +51,7 @@ EXIT_MISSING_FIXTURE = 4
 EXIT_USAGE = 64
 
 _FIXTURE_SECTIONS = (SECTION_INERT, SECTION_NONINERT, SECTION_DEGREE)
+OUTPUT_FORMATS = ("json", "markdown", "csv")
 
 
 class _RunConfigFields(NamedTuple):
@@ -78,7 +79,7 @@ class RunConfig(_RunConfigFields):
             raise ValueError("the discriminant limit must be at least 41")
         if self.n_max < 6:
             raise ValueError("n_max must be at least 6")
-        if self.output_format not in ("json", "markdown", "csv"):
+        if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format: {self.output_format}")
         return self
 
@@ -121,7 +122,7 @@ def build_parser() -> _Parser:
         "--format",
         dest="output_format",
         default="json",
-        choices=("json", "markdown", "csv"),
+        choices=OUTPUT_FORMATS,
     )
     verify.add_argument("--out-dir", default=None, metavar="DIR")
 

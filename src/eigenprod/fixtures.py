@@ -104,7 +104,11 @@ class Fixtures:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
             origin = str(path)
-        return cls.from_document(json.loads(text), origin=origin)
+        try:
+            document = json.loads(text)
+        except RecursionError:
+            raise ValueError("malformed fixtures document: nested too deeply") from None
+        return cls.from_document(document, origin=origin)
 
     def get(self, key: str) -> Fixture:
         try:

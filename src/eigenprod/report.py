@@ -4,17 +4,14 @@ A report collects everything one verification run established: the
 candidate triples with the reason each was eliminated, reproduced tables,
 every certified constant with its enclosure, and the external facts that
 were consumed.  Serialization is canonical so identical runs produce byte
-identical files: a report is the bytes of
-``json.dumps(data, sort_keys=True, indent=2)`` for ``data`` its
-``to_json_dict()`` (non-ASCII text as ``\\u`` escapes) and one trailing
-newline.  ``VerificationReport.to_json`` writes those bytes without
-building that dict: each check and candidate record from a fixed
-template, and only the free-form subtrees (tables, fixtures,
-interpretations) through this module's own writer, `canonical_json`, which
-rejects floats and non-string keys with ``TypeError`` instead of coercing
-them.  ``to_json_dict`` and `canonical_json` are the documented schema
-and the reference the tests hold ``to_json`` to.  The records are
-``NamedTuple``s; the mutable ``VerificationReport`` is a plain class.
+identical files: a report is the text ``json.dumps(data, sort_keys=True,
+indent=2)`` would give for the report as a dict (non-ASCII text as ``\\u``
+escapes) and one trailing newline.  ``VerificationReport.to_json`` writes
+it without building that dict: each check and candidate record from a
+fixed template, and the free-form subtrees (tables, fixtures,
+interpretations) through ``json.dumps``.  The tests build that dict by
+their own route and compare.  The records are ``NamedTuple``s; the
+mutable ``VerificationReport`` is a plain class.
 """
 
 import json
@@ -74,80 +71,15 @@ def fraction_str(value) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def certified_real_json(enclosure) -> dict:
-    (lo_num, lo_den), (hi_num, hi_den) = enclosure.endpoint_pairs()
-    return {
-        "lo": pair_decimal(lo_num, lo_den, rounding="floor"),
-        "hi": pair_decimal(hi_num, hi_den, rounding="ceil"),
-        "precision": enclosure.precision,
-    }
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def canonical_json(data, level: int = 0) -> str:
-    """The text ``json.dumps(data, sort_keys=True, indent=2)`` would give;
-    at ``level`` > 0, the text ``data`` has as a value nested that many
-    containers deep in such a document.
-
-    Only ``str`` keys and ``str``, ``int``, ``bool``, ``None``, ``dict``,
-    ``list`` and ``tuple`` values are accepted; anything else, a float
-    included, raises ``TypeError``.
-    """
-    parts = []
-    _write(data, parts.append, "\n" + "  " * level)
-    return "".join(parts)
-
-
-def _write(obj, append, newline: str) -> None:
-    # `newline` is "\n" plus the indentation of the line `obj` starts on
-    if isinstance(obj, str):
-        append(_encode_str(obj))
-    elif obj is None:
-        append("null")
-    elif obj is True:
-        append("true")
-    elif obj is False:
-        append("false")
-    elif isinstance(obj, int):
-        append(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            append("{}")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            append(sep)
-            append(_encode_str(key) + ": ")
-            _write(obj[key], append, inner)
-            sep = comma
-        append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            append("[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "[" + inner
-        for item in obj:
-            append(sep)
-            _write(item, append, inner)
-            sep = comma
-        append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# A check record and a candidate record as `canonical_json` lays them out
-# inside a report's "constants" and "candidates" lists: keys sorted, the
-# record's own lines at depth 2.  The decimals of `pair_decimal` and the
-# fractions of `fraction_str` hold no character that JSON escapes, so they are
-# quoted directly; every other string goes through `_encode_str`.
+# A check record and a candidate record as ``json.dumps(..., sort_keys=True,
+# indent=2)`` lays them out inside a report's "constants" and "candidates"
+# lists: keys sorted, the record's own lines at depth 2.  The decimals of
+# `pair_decimal` and the fractions of `fraction_str` hold no character that
+# JSON escapes, so they are quoted directly; every other string goes through
+# `_encode_str`.
 _CHECK_TEMPLATE = (
     "\n    {{"
     '\n      "enclosure": {{'
@@ -210,6 +142,10 @@ def _records_text(texts: list) -> str:
     return "[" + ",".join(texts) + "\n  ]" if texts else "[]"
 
 
+def _subtree_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
 class CheckRecord(NamedTuple):
     """One certified comparison: `name` states what the enclosure was
     compared against; the decision carries outcome and diagnostics."""
@@ -218,17 +154,6 @@ class CheckRecord(NamedTuple):
     relation: str
     threshold: Fraction
     decision: Decision
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "relation": self.relation,
-            "threshold": fraction_str(self.threshold),
-            "outcome": self.decision.outcome.value,
-            "precision": self.decision.precision_used,
-            "enclosure": certified_real_json(self.decision.enclosure),
-            "note": self.decision.note,
-        }
 
 
 class CandidateRecord(NamedTuple):
@@ -241,16 +166,6 @@ class CandidateRecord(NamedTuple):
     k1: Optional[int] = None
     k2: Optional[int] = None
     label: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "D": self.d,
-            "k1": self.k1,
-            "k2": self.k2,
-            "label": self.label,
-            "status": self.status,
-            "detail": self.detail,
-        }
 
 
 class VerificationReport:
@@ -296,29 +211,14 @@ class VerificationReport:
     def survivors(self) -> list:
         return [c for c in self.candidates if c.status == SURVIVOR]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "section": self.section,
-            "verdict": self.verdict,
-            "candidates": [c.to_json() for c in self.candidates],
-            "tables": self.tables,
-            "constants": [c.to_json() for c in self.constants],
-            "fixtures": self.fixtures_used,
-            "interpretations": list(self.interpretations),
-            "inconclusive": self.inconclusive,
-        }
-
     def to_json(self) -> str:
-        """The canonical report text, ``canonical_json(self.to_json_dict())``
-        and a newline, written without building that dict.
+        """The canonical report text and a newline.
 
-        The top-level keys are written here in sorted order, each record
-        from its fixed template, and only the free-form subtrees (tables,
-        fixtures, interpretations) through `canonical_json`;
-        ``to_json_dict`` and `canonical_json` are the reference the tests
-        compare this text with.  Not ``json.dumps(..., indent=2)``: any
-        ``indent`` makes CPython use its pure-Python encoder, about twice
-        as slow as `canonical_json` on the default reports.
+        The top-level keys are written here in sorted order and each record
+        from its fixed template.  The free-form subtrees (tables, fixtures,
+        interpretations) are ``json.dumps`` text, each line after the first
+        indented one more level: JSON text holds no raw newline inside a
+        string, so replacing every newline is exact.
         """
         return "".join(
             (
@@ -327,15 +227,15 @@ class VerificationReport:
                 ',\n  "constants": ',
                 _records_text([_check_text(c) for c in self.constants]),
                 ',\n  "fixtures": ',
-                canonical_json(self.fixtures_used, 1),
+                _subtree_text(self.fixtures_used),
                 ',\n  "inconclusive": ',
                 int.__repr__(self.inconclusive),
                 ',\n  "interpretations": ',
-                canonical_json(self.interpretations, 1),
+                _subtree_text(self.interpretations),
                 ',\n  "section": ',
                 _encode_str(self.section),
                 ',\n  "tables": ',
-                canonical_json(self.tables, 1),
+                _subtree_text(self.tables),
                 ',\n  "verdict": ',
                 _encode_str(self.verdict),
                 "\n}\n",

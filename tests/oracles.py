@@ -1,9 +1,10 @@
-"""Per-element oracles that the tests hold the package to.
+"""Oracles that the tests hold the package to.
 
 No command runs these.  The coefficient tables, the residual scan and the
 narrow-one predicate answer the paper's questions in bulk; the oracles
 below answer them one element, one ideal or one field at a time, by a
-different route, so the tests can compare the two:
+different route, and the report reference builds a report's document
+without the writer's formatting code, so the tests can compare the two:
 
 - ``fundamental_unit_norm``, the continued-fraction unit norm, against
   ``narrow_class_number`` beyond the reach of a Pell search;
@@ -14,7 +15,10 @@ different route, so the tests can compare the two:
 - ``coefficient``, one Eisenstein coefficient at one element, against
   the coefficient tables;
 - ``residual_unequal``, the unequal-weight residual as a ``Fraction``,
-  against the scan's cross-product numerators.
+  against the scan's cross-product numerators;
+- ``report_reference``, a report as the dict its JSON text encodes, its
+  decimals from ``Fraction`` floor and ceiling, against the report
+  writer's templates and integer-pair decimals.
 
 Every top-level definition here is imported by some test module
 (``tests/test_package.py`` checks it).
@@ -45,7 +49,9 @@ from eigenprod.hmf_coeffs import (
     element_norm,
     factor_ideal,
 )
+from eigenprod.interval import Outcome
 from eigenprod.quadfield import radicand
+from eigenprod.report import ENCLOSURE_DIGITS, VerificationReport
 
 # ---------------------------------------------------------------------------
 # Fields
@@ -251,3 +257,64 @@ def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
     c = zeta(D, k1 + k2).as_integer_ratio()
     a, b = (zeta(D, k).as_integer_ratio() for k in (k1, k2))
     return Fraction(*hmf_coeffs._unequal_cross(a, b, c))
+
+
+# ---------------------------------------------------------------------------
+# Reports
+
+
+def _directed_decimal(value: Fraction, rounding) -> str:
+    # `rounding` is math.floor or math.ceil, applied to the Fraction itself
+    scale = 10**ENCLOSURE_DIGITS
+    units = rounding(value * scale)
+    whole, frac = divmod(abs(units), scale)
+    return f"{'-' if units < 0 else ''}{whole}.{frac:0{ENCLOSURE_DIGITS}d}"
+
+
+def report_reference(report: VerificationReport) -> dict:
+    """The dict a report's JSON text encodes: ``json.dumps`` of it with
+    ``sort_keys=True, indent=2`` and a newline is ``report.to_json()``.
+    Enclosure endpoints are rounded outward by ``Fraction`` floor and
+    ceiling and thresholds written by ``str(Fraction)``, so nothing here
+    shares formatting code with the writer."""
+    constants = []
+    for rec in report.constants:
+        enclosure = rec.decision.enclosure
+        constants.append(
+            {
+                "name": rec.name,
+                "relation": rec.relation,
+                "threshold": str(Fraction(rec.threshold)),
+                "outcome": rec.decision.outcome.value,
+                "precision": rec.decision.precision_used,
+                "enclosure": {
+                    "lo": _directed_decimal(enclosure.lo, math.floor),
+                    "hi": _directed_decimal(enclosure.hi, math.ceil),
+                    "precision": enclosure.precision,
+                },
+                "note": rec.decision.note,
+            }
+        )
+    candidates = [
+        {
+            "D": rec.d,
+            "k1": rec.k1,
+            "k2": rec.k2,
+            "label": rec.label,
+            "status": rec.status,
+            "detail": rec.detail,
+        }
+        for rec in report.candidates
+    ]
+    return {
+        "section": report.section,
+        "verdict": report.verdict,
+        "candidates": candidates,
+        "tables": report.tables,
+        "constants": constants,
+        "fixtures": report.fixtures_used,
+        "interpretations": list(report.interpretations),
+        "inconclusive": sum(
+            1 for c in constants if c["outcome"] == Outcome.INCONCLUSIVE.value
+        ),
+    }

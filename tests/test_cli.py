@@ -382,14 +382,25 @@ def test_unread_fact_cannot_stop_a_section(tmp_path, capsys, section, key, code)
 
 
 @pytest.mark.parametrize(
-    "doc", [[1, 2], {"facts": []}, {"facts": {"takeuchi_disc_bound": 5}}]
+    "text",
+    [
+        json.dumps([1, 2]),
+        json.dumps({"facts": []}),
+        json.dumps({"facts": {"takeuchi_disc_bound": 5}}),
+        # deeper than the decoder's recursion limit, too deep for json.dumps
+        '{"facts": {"x": {"data": ' + "[" * 200_000 + "]" * 200_000 + "}}}",
+    ],
+    ids=["doc0", "doc1", "doc2", "deep"],
 )
-def test_verify_malformed_fixtures_document_exit(tmp_path, capsys, doc):
+def test_verify_malformed_fixtures_document_exit(tmp_path, capsys, text):
     path = tmp_path / "facts.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code = main(["verify", "s5", "--fixtures", str(path)])
     assert code == EXIT_MISSING_FIXTURE
-    assert capsys.readouterr().err.startswith("fixtures error: malformed fixtures document")
+    err = capsys.readouterr().err
+    assert err.startswith("fixtures error: malformed fixtures document")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
