@@ -107,7 +107,11 @@ def build_parser() -> _Parser:
         help="which branch of the case analysis to run",
     )
     verify.add_argument(
-        "--precision", type=int, default=DEFAULT_BASE_PRECISION, metavar="BITS"
+        "--precision",
+        dest="base_precision",
+        type=int,
+        default=DEFAULT_BASE_PRECISION,
+        metavar="BITS",
     )
     verify.add_argument(
         "--precision-ceiling",
@@ -117,7 +121,7 @@ def build_parser() -> _Parser:
     )
     verify.add_argument("--d-limit", type=int, default=DEFAULT_D_LIMIT, metavar="D")
     verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, metavar="N")
-    verify.add_argument("--fixtures", default=None, metavar="PATH")
+    verify.add_argument("--fixtures", dest="fixtures_path", metavar="PATH")
     verify.add_argument(
         "--format",
         dest="output_format",
@@ -311,15 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            cfg = RunConfig(
-                base_precision=args.precision,
-                precision_ceiling=args.precision_ceiling,
-                d_limit=args.d_limit,
-                n_max=args.n_max,
-                fixtures_path=args.fixtures,
-                output_format=args.output_format,
-                out_dir=args.out_dir,
-            )
+            cfg = RunConfig(**{f: getattr(args, f) for f in RunConfig._fields})
             return cmd_verify(args.section, cfg)
         if args.command == "zeta":
             return cmd_zeta(args.D, args.k)

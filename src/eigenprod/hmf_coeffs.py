@@ -104,64 +104,26 @@ def _canonical_order(entry: tuple[int, PrimeClass, int]) -> tuple[int, int, str]
     return entry[0], -entry[2], entry[1].value
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of a nonzero quadratic residue a modulo an odd prime p
-    (Tonelli-Shanks)."""
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, u, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while u != 1:
-        i, u2 = 1, u * u % p
-        while u2 != 1:
-            i, u2 = i + 1, u2 * u2 % p
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        u, r = u * c % p, r * b % p
-    return r
-
-
-@lru_cache(maxsize=None)
-def _split_root(D: int, p: int, k: int) -> int:
-    """Root of z^2 - t z + m modulo p^k, Newton-lifted from the smaller base
-    root mod p.  For odd p the base roots are (t +- sqrt(D)) / 2, since
-    t^2 - 4m = D; for p = 2, m is even when 2 splits, so 0 is one.  The
-    derivative 2r - t is a unit mod p for split p (odd p because the
-    discriminant is a nonzero square mod p, p = 2 because t is odd when 2
-    splits)."""
-    t, m = _omega_params(D)
-    r = 0
-    if p != 2:
-        root, half = _sqrt_mod(D % p, p), (p + 1) // 2
-        r = min((t + root) * half % p, (t - root) * half % p)
-    target = p**k
-    mod = p
-    while mod < target:
-        mod = min(mod * mod, target)
-        deriv_inv = pow(2 * r - t, -1, mod)
-        r = (r - (r * r - t * r + m) * deriv_inv) % mod
-    return r
-
-
 @lru_cache(maxsize=None)
 def factor_ideal(D: int, x: int, y: int = 0) -> IdealFactorization:
     """Factorization of the principal ideal (x + y*omega), computed once
     per element.
 
-    Split valuations: with r a root of the minimal polynomial mod
-    p^(e+1), the valuation at the factor (p, omega - r) is
-    min(v_p(x + y r), e) and the conjugate takes the rest, since the two
-    valuations sum to v_p(norm) = e.  The loop knows each prime and its
-    class, so the entries are only put in canonical order, not re-checked.
+    Split valuations come from the content c = gcd(x, y), with no root
+    of the minimal polynomial: they are v_p(c) and e - v_p(c), where
+    e = v_p(norm).  Write nu = c nu'.  Since {1, omega} is a Z-basis of
+    O_F, no rational prime divides nu', so at most one of the factors P,
+    P' above a split p divides nu' (both would put (p) = P P' under it).
+    Hence one of them takes exactly v_p(c) and the other the rest of e.
+    (For inert p, likewise e = 2 v_p(c); ramified p keeps (p, e).)  The
+    loop knows each prime and its class, so the entries are only put in
+    canonical order, not re-checked.
     """
     _require_real_fundamental(D)
     n = element_norm(D, x, y)
     if n == 0:
         raise ValueError("the zero element generates no ideal")
-    n = abs(n)
+    n, c = abs(n), math.gcd(x, y)
     entries: list[tuple[int, PrimeClass, int]] = []
     for p, e in _factorize(n):
         chi = kronecker(D, p)
@@ -172,11 +134,9 @@ def factor_ideal(D: int, x: int, y: int = 0) -> IdealFactorization:
         elif chi == 0:
             entries.append((p, PrimeClass.RAMIFIED, e))
         else:
-            r = _split_root(D, p, e + 1)
-            z = x + y * r
             v1 = 0
-            while v1 < e and z % p == 0:
-                z //= p
+            while c % p == 0:
+                c //= p
                 v1 += 1
             entries += [(p, PrimeClass.SPLIT_FACTOR, v) for v in (v1, e - v1) if v > 0]
     return IdealFactorization(tuple(sorted(entries, key=_canonical_order)))

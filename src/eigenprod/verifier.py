@@ -63,7 +63,6 @@ from . import (
 from .exact import is_fundamental_discriminant
 from .fixtures import (
     Fixtures,
-    MissingFixtureError,
     ishikawa_zero_dim_fields,
     magma_weight_range,
     takeuchi_constants,
@@ -227,12 +226,12 @@ class _Run:
         """The fact on file under key, recorded for the report's echo.
 
         The only place a run reads an external fact: the caller hands the
-        returned `Fixture` to its typed accessor.  Raises
-        ``MissingFixtureError`` when the run has no fixtures or the fact is
-        absent.
+        returned `Fixture` to its typed accessor.  A run given no fixtures
+        loads the built-in ones here, on first use.  Raises
+        ``MissingFixtureError`` when the fact is absent.
         """
         if self.fixtures is None:
-            raise MissingFixtureError(key)
+            self.fixtures = Fixtures.load()
         fix = self.fixtures.get(key)
         self.fixtures_echo[key] = fix
         return fix
@@ -427,26 +426,22 @@ def verify_section3_unequal(
             # the two printed growth floors of the worked small field
             run.check("f4_floor_d8", Pow(w, 2) * 36, Fraction(1478, 1000), ">=")
             run.check("f6_floor_d8", f6, Fraction(24281, 1000), ">=")
-        if run.holds_since(mark):
-            run.candidate(
-                ELIMINATED_BY_BOUND,
-                "growth chain certified down to the direct constant C(D, 4, 2)",
-                d=D,
-                label=f"D = {D}, all even k1 > k2 >= 2",
-            )
+        held = run.holds_since(mark)
+        run.candidate(
+            ELIMINATED_BY_BOUND if held else SURVIVOR,
+            "growth chain certified down to the direct constant C(D, 4, 2)"
+            if held
+            else "a chain certificate failed or was undecided",
+            d=D,
+            label=f"D = {D}, all even k1 > k2 >= 2",
+        )
+        if held:
             run.candidate(
                 ELIMINATED_BY_BOUND,
                 "direct enclosure of the comparison constant exceeds 1",
                 d=D,
                 k1=4,
                 k2=2,
-            )
-        else:
-            run.candidate(
-                SURVIVOR,
-                "a chain certificate failed or was undecided",
-                d=D,
-                label=f"D = {D}, all even k1 > k2 >= 2",
             )
 
     # exact residual cross-check, independent of every enclosure above: the
@@ -619,19 +614,15 @@ def verify_section3_equal(
     # field's power-sum row grows in one walk; the report sorts candidates
     zero_count = 0
     for D, k in reversed(admissible):
-        if residual_inert(D, k) == 0:
-            zero_count += 1
-            run.candidate(
-                SURVIVOR, "equal-weight residual vanishes (exact)", d=D, k1=k, k2=k
-            )
-        else:
-            run.candidate(
-                ELIMINATED_BY_EXACT_IDENTITY,
-                "equal-weight residual nonzero (exact)",
-                d=D,
-                k1=k,
-                k2=k,
-            )
+        vanishes = residual_inert(D, k) == 0
+        zero_count += vanishes
+        run.candidate(
+            SURVIVOR if vanishes else ELIMINATED_BY_EXACT_IDENTITY,
+            f"equal-weight residual {'vanishes' if vanishes else 'nonzero'} (exact)",
+            d=D,
+            k1=k,
+            k2=k,
+        )
     run.exact("equal_residual_zero_count", zero_count, 0, "=")
     run.note(
         f"{len(admissible)} admissible (D, k) pairs were checked by exact residual"
@@ -864,7 +855,6 @@ def verify_section4_inert(
     cusp-dimension count or, at the single boundary field, by the recorded
     weight-2 nonexistence fact.
     """
-    fixtures = fixtures if fixtures is not None else Fixtures.load()
     run = _Run(SECTION_INERT, base_precision, precision_ceiling, fixtures)
 
     # bound ratio per unit weight step: (2 pi)^2 S(k) / ((k-1)^2 S(k-1))
@@ -927,7 +917,6 @@ def verify_section4_noninert(
     """Products with a cuspidal factor over fields where 2 splits or
     ramifies.  Same shape as the inert branch with a bound independent of
     k2 on the right, which makes the k2 windows immediate."""
-    fixtures = fixtures if fixtures is not None else Fixtures.load()
     run = _Run(SECTION_NONINERT, base_precision, precision_ceiling, fixtures)
 
     # ratio per unit step is (2 pi)^2 / (k-1)^2 < 1 once k >= 8
@@ -1119,7 +1108,6 @@ def verify_section5(
     """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
-    fixtures = fixtures if fixtures is not None else Fixtures.load()
     run = _Run(SECTION_DEGREE, base_precision, precision_ceiling, fixtures)
     a, b = takeuchi_constants(run.use_fixture("takeuchi_disc_bound"))
     voight = run.use_fixture("voight_min_totally_real_disc")

@@ -1,9 +1,9 @@
 """Eisenstein coefficient combinatorics.
 
-Ideal counts are checked against the divisor-character sum, the roots
-above split primes against a search over residues, element enumeration
-against a plain box scan, coefficient tables against the
-per-element ``coefficient``, product coefficients against a hand-expanded
+Ideal counts are checked against the divisor-character sum, the
+valuations above split primes against a root search over residues,
+element enumeration against a plain box scan, coefficient tables against
+the per-element ``coefficient``, product coefficients against a hand-expanded
 convolution, linear combinations of tables against a dict-based sum, and
 the Hecke relations at one prime of each class on the package
 coefficients at powers of a prime generator.  The unequal-weight and both
@@ -40,7 +40,6 @@ from eigenprod.hmf_coeffs import (
     _convolve,
     _eisenstein_table,
     _omega_params,
-    _split_root,
     _Table,
     _trace_rows,
     element_norm,
@@ -181,19 +180,75 @@ def test_factor_ideal_entries_pass_validation(D):
         assert ideal_from_prime_powers(D, list(ideal.entries)) == ideal, nu
 
 
-def test_split_root_is_the_smallest_base_root():
-    # the base root comes from a modular square root; it must be the
-    # smallest root a search over 0..p-1 finds, at every split p < 3000
-    checked = 0
-    for field in narrow_one_fields(200):
-        D = field.discriminant
+def _split_valuation_mismatches(factor, fields, grid):
+    # an oracle sharing no code with factor_ideal: for each small p, the
+    # roots of z^2 - t z + m mod p^j come from a search over range(p^j),
+    # p^j <= 3000, grouped by their residue mod p.  p splits exactly when
+    # there are two residues; the root r_j of a residue is unique mod p^j,
+    # and v_P(x + y omega) at P = (p, omega - r_1) is the largest j with
+    # p^j | x + y r_j.  An element whose valuation reaches the search's
+    # last j is skipped: its true valuation may be larger.  Counts the
+    # comparisons where both factors above p divide the element
+    mismatches, compared = [], 0
+    primes = [p for p in range(2, 54) if all(p % d for d in range(2, p))]
+    for D in fields:
         t, m = _omega_params(D)
-        for p in range(2, 3000):
-            if kronecker(D, p) == 1 and all(p % d for d in range(2, math.isqrt(p) + 1)):
-                smallest = next(z for z in range(p) if (z * z - t * z + m) % p == 0)
-                assert _split_root(D, p, 1) == smallest, (D, p)
-                checked += 1
-    assert checked == 4620
+        lifts = {}
+        for p in primes:
+            depth = max(j for j in range(1, 12) if p**j <= 3000)
+            by_residue = [{} for _ in range(depth + 1)]
+            for j in range(1, depth + 1):
+                for z in range(p**j):
+                    if (z * z - t * z + m) % p**j == 0:
+                        assert z % p not in by_residue[j], (D, p, j)
+                        by_residue[j][z % p] = z
+            if len(by_residue[1]) == 2:
+                lifts[p] = [
+                    [by_residue[j][r] for j in range(1, depth + 1)]
+                    for r in by_residue[1]
+                ]
+        for x, y in grid:
+            if element_norm(D, x, y) == 0:
+                continue
+            entries = factor(D, x, y).entries
+            for p, roots in lifts.items():
+                vals = [
+                    max((j for j, r in enumerate(rs, 1) if (x + y * r) % p**j == 0),
+                        default=0)
+                    for rs in roots
+                ]
+                if max(vals) == len(roots[0]):
+                    continue
+                expected = sorted((v for v in vals if v), reverse=True)
+                split = (p, PrimeClass.SPLIT_FACTOR)
+                got = [e for q, c, e in entries if (q, c) == split]
+                compared += len(expected) == 2
+                if got != expected:
+                    mismatches.append((D, x, y, p, got, expected))
+    return mismatches, compared
+
+
+def test_split_valuations_match_a_root_search_oracle():
+    fields = [f.discriminant for f in narrow_one_fields(60)]
+    grid = [(x, y) for x in range(-15, 16) for y in range(-15, 16)]
+    mismatches, compared = _split_valuation_mismatches(factor_ideal, fields, grid)
+    assert mismatches == []
+    assert compared == 928
+
+    def collapsed(D, x, y):
+        # a wrong factor_ideal that gives the whole v_p(norm) to one factor
+        # above each split p: the oracle must catch it
+        entries = factor_ideal(D, x, y).entries
+        split = {}
+        for p, cls, e in entries:
+            if cls is PrimeClass.SPLIT_FACTOR:
+                split[p] = split.get(p, 0) + e
+        kept = [a for a in entries if a[1] is not PrimeClass.SPLIT_FACTOR]
+        kept += [(p, PrimeClass.SPLIT_FACTOR, e) for p, e in split.items()]
+        return IdealFactorization(tuple(kept))
+
+    mutant, _ = _split_valuation_mismatches(collapsed, fields, grid)
+    assert (5, 11, 0, 11, [2], [1, 1]) in mutant
 
 
 @pytest.mark.parametrize("D", [5, 8, 13, 17])
