@@ -13,6 +13,13 @@ in the package: primality, squarefreeness, the prime-discriminant
 factors of a character table, divisor sums, and the rational primes
 below an ideal (``hmf_coeffs.factor_ideal``).
 
+The negative zeta values of many fields come from one kernel,
+``_fill_power_sum_rows``: it builds the centered power-sum rows of many
+characters in one pass over a shared table of odd offset powers, each
+character reading only its prefix sum, its zeros and its non-residues
+(``S_j = A_j - Z_j - 2 N_j``), and ``exact_identity_scan`` and the
+equal-weight section call it once for all their fields.
+
 Conventions:
 
 * ``bernoulli(1) == -1/2`` (the "first" convention).
@@ -31,7 +38,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 
@@ -225,46 +232,37 @@ class KroneckerCharacter(_KroneckerFields):
 
         The reflection a -> period - a fixes T_j up to the sign
         chi(-1) (-1)^j, so T_j = 0 unless (-1)^j = chi(-1), and the row
-        holds only the other parity.  There the two halves agree and T_j
-        is twice the sum over a < period / 2, where
-        (2a - period)^j = chi(-1) (period - 2a)^j.  The row is memoised per
-        discriminant and grows from its last power: one ``pow`` per offset
-        period - 2a, then one multiplication by the offset's square per
-        further sum.  Only the sums are kept, not the powers.
+        holds only the other parity.  The row is memoised per
+        discriminant and built by ``_fill_power_sum_rows``, the kernel
+        that builds the rows of many characters in one pass; a call with
+        one discriminant builds this row alone, and only when it is
+        shorter than asked for.
         """
-        p = 1 if self.is_odd() else 0
-        row = _power_sum_rows.get(self.discriminant, ())
-        j = p + 2 * len(row)  # the first index the row lacks
-        if j <= i:
-            # where chi(a) = +1 and where chi(a) = -1, for 0 <= a < period / 2
-            half = self.value_table()[: (self.period + 1) // 2]
-            plus, minus = bytes(map((1).__eq__, half)), bytes(map((-1).__eq__, half))
-            offsets = range(self.period, 0, -2)  # period - 2a for a = 0, 1, ...
-            # chi(a) = +1 offsets, then chi(a) = -1 offsets
-            signed = [*compress(offsets, plus), *compress(offsets, minus)]
-            cut = sum(plus)
-            squares = [o * o for o in signed]
-            powers = list(map(pow, signed, repeat(j)))
-            grown = list(row)
-            while True:
-                s = sum(powers[:cut]) - sum(powers[cut:])
-                grown.append(-2 * s if p else 2 * s)
-                j += 2
-                if j > i:
-                    break
-                powers = list(map(operator.mul, powers, squares))
-            # rebound, never mutated, like _bernoulli_numbers
-            row = _power_sum_rows[self.discriminant] = tuple(grown)
-        return row
+        _fill_power_sum_rows({self.discriminant: i})
+        return _power_sum_rows.get(self.discriminant, ())
 
     power_sums.cache_clear = _power_sum_rows.clear
 
     def power_sum(self, i: int) -> int:
         """T_i = sum_{a=1}^{period} chi(a) (2a - period)^i, read from
-        ``power_sums``; zero, with no walk, unless (-1)^i = chi(-1)."""
+        ``power_sums``; zero, with no row built, unless (-1)^i = chi(-1)."""
         if i % 2 != self.is_odd():
             return 0
         return self.power_sums(i)[i // 2]
+
+
+class _PendingRow(NamedTuple):
+    # a power-sum row that _fill_power_sum_rows builds: its first length
+    # sums, over the first n offsets of the shared table, with the masks of
+    # the offsets where chi(a) = 0 (empty when there are none) and where
+    # chi(a) = -1; even for an even period, whose terms carry 2^j
+    discriminant: int
+    length: int
+    even: bool
+    n: int
+    zeros: bytes
+    minus: bytes
+    sums: list[int]
 
 
 # chi_{-4}, chi_8 and chi_{-8} on one period
@@ -273,6 +271,85 @@ _TWO_PART_TABLES = {
     8: [0, 1, 0, -1, 0, -1, 0, 1],
     -8: [0, 1, 0, 1, 0, -1, 0, -1],
 }
+
+
+def _fill_power_sum_rows(targets: dict[int, int]) -> None:
+    """Memoise the power-sum row of each discriminant through its target
+    index, for all of them in one pass.
+
+    For (-1)^j = chi(-1), T_j = 2 chi(-1) S_j with
+    S_j = sum_{0 < a < f/2} chi(a) (f - 2a)^j over half the period f.
+    Both kinds of period read one shared table of odd offsets o^j:
+
+    * odd f: f - 2a runs over the odd o = 1, 3, ..., f - 2;
+    * even f (4 divides f): chi(a) = 0 at even a, and at odd a
+      f - 2a = 2o with o = f/2 - a odd in 1 .. f/2 - 1, so the term is
+      2^j o^j.
+
+    chi takes only the values 1, 0 and -1, so chi = 1 - [chi = 0] -
+    2 [chi = -1], and over the first n offsets of the table
+    S_j = A_j - Z_j - 2 N_j (before the factor 2^j of even f): A_j is the
+    prefix sum of o^j, shared by every field; Z_j sums o^j where chi(a) = 0,
+    which for a prime f is no term at all; N_j sums o^j where
+    chi(a) = -1, about a quarter of the period.  One list of o^j per
+    parity of j advances for all fields at once, by one multiplication
+    with o^2 per step, so no field multiplies anything of its own.
+
+    A row already as long as its target is left alone; a shorter one is
+    rebuilt from T_p in the same pass and written once, as a new tuple.
+    """
+    rows = _power_sum_rows
+    pending: tuple[list, list] = ([], [])  # by the parity p of the indices
+    for delta, i in targets.items():
+        p = 1 if delta < 0 else 0  # chi(-1) = -1 exactly for delta < 0
+        length = (i - p) // 2 + 1  # T_p, T_{p+2}, ..., T_i
+        if len(rows.get(delta, ())) >= length:
+            continue
+        f = abs(delta)
+        table = KroneckerCharacter(delta).value_table()
+        # chi(a) at the offsets o = 1, 3, 5, ...
+        values = table[(f - 1) // 2 : 0 : -1] if f % 2 else table[f // 2 - 1 : 0 : -2]
+        pending[p].append(
+            _PendingRow(
+                delta,
+                length,
+                f % 2 == 0,
+                len(values),
+                bytes(map((0).__eq__, values)) if 0 in values else b"",
+                bytes(map((-1).__eq__, values)),
+                [],
+            )
+        )
+    for p, fields in enumerate(pending):
+        if not fields:
+            continue
+        # longest rows first, so the finished ones leave from the end
+        fields.sort(key=operator.attrgetter("length"), reverse=True)
+        width = max(field.n for field in fields)
+        squares = [o * o for o in range(1, 2 * width, 2)]
+        powers = list(range(1, 2 * width, 2)) if p else [1] * width
+        j = p
+        while True:
+            prefix = list(accumulate(powers))  # A_j at n is prefix[n - 1]
+            for field in fields:
+                s = (
+                    prefix[field.n - 1]
+                    - sum(compress(powers, field.zeros))
+                    - 2 * sum(compress(powers, field.minus))
+                )
+                if field.even:
+                    s <<= j
+                field.sums.append(-2 * s if p else 2 * s)
+            while fields and len(fields[-1].sums) == fields[-1].length:
+                field = fields.pop()
+                # rebound, never mutated, like _bernoulli_numbers
+                rows[field.discriminant] = tuple(field.sums)
+            if not fields:
+                break
+            width = max(field.n for field in fields)
+            del powers[width:], squares[width:]
+            powers = list(map(operator.mul, powers, squares))
+            j += 2
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +379,13 @@ def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
 
     with the centered integer power sums T_i = sum_{a=1}^{f} chi(a) (2a - f)^i.
     T_i vanishes unless (-1)^i = chi(-1), so B_{k, chi} = 0 without a
-    walk when chi(-1) != (-1)^k.  Otherwise every T_{k-j} comes from one
-    read of the character's memoised row (``KroneckerCharacter.power_sums``),
-    which walks half the period only when it must grow, and the weights
-    C(k, j) B_j (2 - 2^j) over the common denominator of the B_j are
-    memoised per k.  The terms are summed as integers, by Horner's rule
-    in f^2, over that denominator times f 2^k.
+    row when chi(-1) != (-1)^k.  Otherwise every T_{k-j} comes from one
+    read of the character's memoised row (``KroneckerCharacter.power_sums``,
+    built by the shared-table kernel ``_fill_power_sum_rows`` when it is
+    too short), and the weights C(k, j) B_j (2 - 2^j) over the common
+    denominator of the B_j are memoised per k.  The terms are summed as
+    integers, by Horner's rule in f^2, over that denominator times f 2^k,
+    and reduced once, into the returned ``Fraction``.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
@@ -331,16 +409,20 @@ def dedekind_zeta_neg(D: int, k: int) -> Fraction:
     be even and >= 2 (odd k give 0 and are rejected as misuse), D must be a
     fundamental discriminant > 1.  zeta_F(-1) (k = 2) comes from Zagier's
     divisor sum (``zagier_zeta_minus_one``), O(sqrt(D)) small
-    factorisations instead of a walk over the character's period; every
-    other k takes the Bernoulli route, and the tests check the k = 2
-    values against that route too.
+    factorisations instead of a row of power sums; every other k takes
+    the Bernoulli route, as one ``Fraction`` built from the integer
+    numerators and denominators of B_k, B_{k, chi_D} and k^2, so the
+    product is reduced once, not once per operation.  The tests check the
+    k = 2 values against that route too.
     """
     _require_real_fundamental(D)
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be even and >= 2")
     if k == 2:
         return zagier_zeta_minus_one(D)
-    return bernoulli(k) * generalized_bernoulli(k, KroneckerCharacter(D)) / (k * k)
+    b = bernoulli(k)
+    g = generalized_bernoulli(k, KroneckerCharacter(D))
+    return Fraction(b.numerator * g.numerator, b.denominator * g.denominator * k * k)
 
 
 def _prime_power_divisor_sum(q: int, e: int) -> int:
@@ -361,7 +443,7 @@ def zagier_zeta_minus_one(D: int) -> Fraction:
 
     b running over all integers (negative b included).  This is the route
     ``dedekind_zeta_neg(D, 2)`` takes: about sqrt(D)/2 small divisor sums,
-    where the L-value route walks a whole period of the character.  The
+    where the L-value route reads a row of power sums over the period.  The
     test suite checks it exactly against the L-value route
     B_2 B_{2, chi_D} / 4.
     """

@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 from .exact import (
     _factorize,
+    _fill_power_sum_rows,
     _prime_power_divisor_sum,
     _require_real_fundamental,
     dedekind_zeta_neg,
@@ -368,7 +369,8 @@ def residual_inert(D: int, k: int) -> Fraction:
 
     Zero exactly when (4^(2k-1) - 4^(k-1)) zeta_F(1-k)^2 = 4 zeta_F(1-2k).
     Built as one ``Fraction`` from integer cross-products; zeta_F(1-2k)
-    is asked for first, so the character's power sums grow in one walk.
+    is asked for first, so a character's power-sum row that is not yet
+    there is built once, through T_2k, by ``_fill_power_sum_rows``.
     """
     c = dedekind_zeta_neg(D, 2 * k).as_integer_ratio()
     return Fraction(*_inert_cross(k, dedekind_zeta_neg(D, k).as_integer_ratio(), c))
@@ -414,11 +416,19 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
         raise ValueError("the weight limit must be at least 2")
     survivors = []
     kmax = k_limit - k_limit % 2
-    for f in narrow_one_fields(d_limit):
+    fields = narrow_one_fields(d_limit)
+    # every field's power-sum row through its heaviest weight, in one pass
+    # of the shared-table kernel; zeta_F(-1) takes the divisor sum instead
+    heaviest = {
+        f.discriminant: 2 * kmax - 2 + 2 * (f.two_splitting is Splitting.INERT)
+        for f in fields
+    }
+    _fill_power_sum_rows({D: j for D, j in heaviest.items() if j > 2})
+    for f in fields:
         D = f.discriminant
         inert = f.two_splitting is Splitting.INERT
-        # each zeta value once, heaviest first: the power sums grow in one walk
-        weights = range(2 * kmax - 2 + 2 * inert, 0, -2)
+        # each zeta value once, read from the rows filled above
+        weights = range(heaviest[D], 0, -2)
         zeta = {j: dedekind_zeta_neg(D, j).as_integer_ratio() for j in weights}
         for k1 in range(kmax, 0, -2):
             for k2 in range(k1, 0, -2):

@@ -60,7 +60,7 @@ from . import (
     SECTION_NONINERT,
     SECTION_UNEQUAL,
 )
-from .exact import is_fundamental_discriminant
+from .exact import _fill_power_sum_rows, is_fundamental_discriminant
 from .fixtures import (
     Fixtures,
     ishikawa_zero_dim_fields,
@@ -610,10 +610,13 @@ def verify_section3_equal(
     else:
         run.note("both readings of the maximal-D column agree on every row")
 
-    # exact residual on every admissible pair, heaviest weight first so each
-    # field's power-sum row grows in one walk; the report sorts candidates
+    # exact residual on every admissible pair; every field's power-sum row
+    # is built first, through its largest 2k, in one pass of the
+    # shared-table kernel (admissible runs k upwards, so the last 2k of a
+    # field is its largest); the report sorts candidates
+    _fill_power_sum_rows({D: 2 * k for D, k in admissible})
     zero_count = 0
-    for D, k in reversed(admissible):
+    for D, k in admissible:
         vanishes = residual_inert(D, k) == 0
         zero_count += vanishes
         run.candidate(

@@ -6,6 +6,9 @@ below answer them one element, one ideal or one field at a time, by a
 different route, and the report reference builds a report's document
 without the writer's formatting code, so the tests can compare the two:
 
+- ``power_sums_reference``, the centered power sums of a character over
+  its whole period through ``kronecker``, against the shared-table
+  kernel's half-period rows;
 - ``fundamental_unit_norm``, the continued-fraction unit norm, against
   ``narrow_class_number`` beyond the reach of a Pell search;
 - ``TotallyPositiveElement`` and ``enumerate_totally_nonneg``, the
@@ -52,6 +55,19 @@ from eigenprod.hmf_coeffs import (
 from eigenprod.interval import Outcome
 from eigenprod.quadfield import radicand
 from eigenprod.report import ENCLOSURE_DIGITS, VerificationReport
+
+# ---------------------------------------------------------------------------
+# Characters
+
+
+def power_sums_reference(delta: int, i: int) -> tuple[int, ...]:
+    """T_0, T_1, ..., T_i with T_j = sum_{a=1}^{f} chi(a) (2a - f)^j, f =
+    |delta|: every index, the parity zeros included, summed over the whole
+    period of the Kronecker symbol (delta / a)."""
+    f = abs(delta)
+    terms = [(c, 2 * a - f) for a in range(1, f + 1) if (c := kronecker(delta, a))]
+    return tuple(sum(c * t**j for c, t in terms) for j in range(i + 1))
+
 
 # ---------------------------------------------------------------------------
 # Fields
@@ -249,7 +265,8 @@ def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
     """Exact constant-term residual (A + B) C - A B of the unequal-weight
     identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
     as one ``Fraction`` from the scan's integer cross-product; C is asked
-    for first, so the character's power sums grow in one walk.  The zeta
+    for first, so a missing power-sum row is built once, through
+    T_{k1+k2}.  The zeta
     values are read through ``hmf_coeffs`` at each call, so a test that
     patches ``hmf_coeffs.dedekind_zeta_neg`` moves this residual and the
     scan together."""

@@ -23,7 +23,9 @@ from eigenprod import (
     kronecker,
     zagier_zeta_minus_one,
 )
-from eigenprod.exact import _prime_power_divisor_sum, _sigma1
+from eigenprod import exact
+from eigenprod.exact import _fill_power_sum_rows, _prime_power_divisor_sum, _sigma1
+from oracles import power_sums_reference
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +257,9 @@ def test_power_sum_matches_full_period_definition(sign):
         if not is_fundamental_discriminant(delta):
             continue
         chi = KroneckerCharacter(delta)
-        terms = [(c, 2 * a - f) for a in range(1, f + 1) if (c := kronecker(delta, a))]
+        reference = power_sums_reference(delta, 12)
         for i in range(13):
-            assert chi.power_sum(i) == sum(c * t**i for c, t in terms), (delta, i)
+            assert chi.power_sum(i) == reference[i], (delta, i)
         checked += 1
     assert checked == (182 if sign == 1 else 184)
 
@@ -265,23 +267,56 @@ def test_power_sum_matches_full_period_definition(sign):
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 @pytest.mark.parametrize("delta", [-3, -4, -8, -15, -24, 5, 8, 12, 13, 997])
 def test_power_sums_row_independent_of_request_order(delta, order):
-    # the memoised row grows from its last power; whichever order the
-    # indices arrive in, and on a new character object each time, every
-    # T_i must equal the full-period definition
+    # the memoised row is rebuilt from T_p whenever a later index needs it
+    # longer; whichever order the indices arrive in, and on a new character
+    # object each time, every T_i must equal the full-period definition
     KroneckerCharacter.power_sums.cache_clear()
     f = abs(delta)
-    terms = [(c, 2 * a - f) for a in range(1, f + 1) if (c := kronecker(delta, a))]
+    reference = power_sums_reference(delta, 40)
     indices = list(range(41))
     if order == "descending":
         indices.reverse()
     elif order == "shuffled":
         random.Random(f).shuffle(indices)
     for i in indices:
-        expected = sum(c * t**i for c, t in terms)
+        expected = reference[i]
         assert KroneckerCharacter(delta).power_sum(i) == expected, (delta, i)
     row = KroneckerCharacter(delta).power_sums(40)
     p = 1 if delta < 0 else 0
-    assert row == tuple(sum(c * t**i for c, t in terms) for i in range(p, 41, 2))
+    assert row == reference[p::2]
+
+
+# odd and even parity, prime and composite, odd and even period
+_BATCH = (-3, -4, -8, -15, -24, 5, 8, 12, 13, 21, 24, 997)
+
+
+def test_power_sum_batch_at_mixed_targets_matches_full_period_definition():
+    # one pass of the shared-table kernel over rows of different lengths:
+    # each row through its own target, and no further
+    KroneckerCharacter.power_sums.cache_clear()
+    targets = {delta: 3 + 4 * n for n, delta in enumerate(_BATCH)}
+    _fill_power_sum_rows(targets)
+    for delta, i in targets.items():
+        p = 1 if delta < 0 else 0
+        assert exact._power_sum_rows[delta] == power_sums_reference(delta, i)[p::2], delta
+
+
+def test_power_sum_batch_extends_existing_rows():
+    # a later batch rebuilds the rows it needs longer and leaves the rows
+    # that already reach their targets as they are
+    KroneckerCharacter.power_sums.cache_clear()
+    _fill_power_sum_rows({delta: 9 for delta in _BATCH})
+    before = dict(exact._power_sum_rows)
+    longer = {delta: 30 + (delta % 7) for delta in _BATCH[::2]}
+    _fill_power_sum_rows({**{delta: 5 for delta in _BATCH[1::2]}, **longer})
+    for delta in _BATCH:
+        p = 1 if delta < 0 else 0
+        row = exact._power_sum_rows[delta]
+        if delta in longer:
+            assert row == power_sums_reference(delta, longer[delta])[p::2], delta
+        else:
+            assert row is before[delta], delta
+            assert row == power_sums_reference(delta, 9)[p::2], delta
 
 
 def test_character_vanishes_exactly_on_common_factors():

@@ -213,6 +213,10 @@ def test_exact_identity_scan_finds_the_unique_identity():
     assert exact_identity_scan(41, 8) == [(5, 2, 2)]
 
 
+def test_exact_identity_scan_unique_identity_to_d_2000_k_24():
+    assert exact_identity_scan(2000, 24) == [(5, 2, 2)]
+
+
 @pytest.mark.parametrize(
     "patched, zero",
     [
@@ -947,8 +951,8 @@ def test_verify_memory_retained_from_cold_caches():
 
 
 def test_scan_memory_peak_from_cold_caches():
-    # the power-sum rows keep their sums, not the powers of the walk;
-    # keeping the powers took the peak to about 2.8 MiB
+    # the power-sum rows keep their sums, not the kernel's shared table of
+    # offset powers; keeping each row's powers took the peak to about 2.8 MiB
     for cache in _eigenprod_caches():
         cache.cache_clear()
     tracemalloc.start()
@@ -960,23 +964,41 @@ def test_scan_memory_peak_from_cold_caches():
     assert peak < 1.5 * 2**20, peak
 
 
+class CountingRows(dict):
+    """A power-sum memo that counts the writes of each discriminant's row."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, row):
+        self.writes[key] += 1
+        super().__setitem__(key, row)
+
+
 def test_equal_weight_section_writes_each_power_sum_row_once(monkeypatch):
-    # the exact residuals ask for each field's heaviest weight first, so
-    # each discriminant's row grows in one walk; taking the weights bottom
-    # up wrote 55 rows 102 times
-    writes = Counter()
-
-    class CountingRows(dict):
-        def __setitem__(self, key, row):
-            writes[key] += 1
-            super().__setitem__(key, row)
-
+    # the section fills every admissible field's row through its largest
+    # 2k in one kernel pass before the residuals read them; taking the
+    # weights bottom up, one row at a time, wrote 55 rows 102 times
+    rows = CountingRows()
     dedekind_zeta_neg.cache_clear()
     KroneckerCharacter.power_sums.cache_clear()
-    monkeypatch.setattr(exact, "_power_sum_rows", CountingRows())
+    monkeypatch.setattr(exact, "_power_sum_rows", rows)
     verify_section3_equal()
-    assert len(writes) == 55
-    assert set(writes.values()) == {1}
+    assert len(rows.writes) == 55
+    assert set(rows.writes.values()) == {1}
+
+
+def test_scan_writes_each_power_sum_row_once(monkeypatch):
+    # the scan fills every field's row through its heaviest weight in one
+    # kernel pass; the zeta values then only read the rows
+    rows = CountingRows()
+    dedekind_zeta_neg.cache_clear()
+    KroneckerCharacter.power_sums.cache_clear()
+    monkeypatch.setattr(exact, "_power_sum_rows", rows)
+    assert exact_identity_scan(1000, 20) == [(5, 2, 2)]
+    assert len(rows.writes) == 75
+    assert set(rows.writes.values()) == {1}
 
 
 def test_results_equal_from_cold_and_warm_caches():
