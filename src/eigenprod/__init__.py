@@ -116,7 +116,6 @@ _EXPORTS = {
         "VerificationReport",
         "compare_to_golden",
         "golden_tables",
-        "resolve_verdict",
     ),
     "verifier": (
         "c_equal_expr",

@@ -13,7 +13,8 @@ process, on the first ``main`` call, and serves every later call.
     1   a section failed (a decided-false certificate or a survivor)
     2   some decision stayed inconclusive at the precision ceiling
     3   a reproduced table disagrees with the golden baseline
-    4   the fixtures are unreadable, or a required fact is missing or malformed
+    4   the fixtures are unreadable, whatever the sections, or a required
+        fact is missing or malformed
     64  command line usage error
 
 Identical configuration gives byte-identical output files.
@@ -50,7 +51,6 @@ EXIT_TABLE_MISMATCH = 3
 EXIT_MISSING_FIXTURE = 4
 EXIT_USAGE = 64
 
-_FIXTURE_SECTIONS = (SECTION_INERT, SECTION_NONINERT, SECTION_DEGREE)
 OUTPUT_FORMATS = ("json", "markdown", "csv")
 
 
@@ -151,7 +151,7 @@ def build_parser() -> _Parser:
 
 
 def _run_section(
-    section: str, cfg: RunConfig, fixtures: Optional[Fixtures]
+    section: str, cfg: RunConfig, fixtures: Fixtures
 ) -> VerificationReport:
     from .verifier import (
         verify_section3_equal,
@@ -222,13 +222,11 @@ def cmd_verify(section: str, cfg: RunConfig) -> int:
     )
 
     sections = list(SECTION_ORDER) if section == "all" else [section]
-    fixtures = None
-    if any(s in _FIXTURE_SECTIONS for s in sections):
-        try:
-            fixtures = Fixtures.load(cfg.fixtures_path)
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"fixtures error: {exc}", file=sys.stderr)
-            return EXIT_MISSING_FIXTURE
+    try:
+        fixtures = Fixtures.load(cfg.fixtures_path)
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"fixtures error: {exc}", file=sys.stderr)
+        return EXIT_MISSING_FIXTURE
     reports = []
     try:
         for s in sections:
@@ -244,16 +242,17 @@ def cmd_verify(section: str, cfg: RunConfig) -> int:
             return EXIT_USAGE
     golden = golden_tables()
     mismatches = [line for rep in reports for line in compare_to_golden(rep, golden)]
+    verdicts = [rep.verdict for rep in reports]
     if cfg.out_dir is not None:
-        for rep in reports:
-            print(f"section {rep.section}: {rep.verdict}")
+        for rep, verdict in zip(reports, verdicts):
+            print(f"section {rep.section}: {verdict}")
     for line in mismatches:
         print(f"golden mismatch: {line}", file=sys.stderr)
     if mismatches:
         return EXIT_TABLE_MISMATCH
-    if any(rep.verdict == VERDICT_INCONCLUSIVE for rep in reports):
+    if VERDICT_INCONCLUSIVE in verdicts:
         return EXIT_INCONCLUSIVE
-    if any(rep.verdict != VERDICT_NO_IDENTITY for rep in reports):
+    if any(verdict != VERDICT_NO_IDENTITY for verdict in verdicts):
         return EXIT_FAILURE
     return EXIT_OK
 

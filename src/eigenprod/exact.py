@@ -243,13 +243,6 @@ class KroneckerCharacter(_KroneckerFields):
 
     power_sums.cache_clear = _power_sum_rows.clear
 
-    def power_sum(self, i: int) -> int:
-        """T_i = sum_{a=1}^{period} chi(a) (2a - period)^i, read from
-        ``power_sums``; zero, with no row built, unless (-1)^i = chi(-1)."""
-        if i % 2 != self.is_odd():
-            return 0
-        return self.power_sums(i)[i // 2]
-
 
 class _PendingRow(NamedTuple):
     # a power-sum row that _fill_power_sum_rows builds: its first length

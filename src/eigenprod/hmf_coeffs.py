@@ -94,12 +94,6 @@ class IdealFactorization(NamedTuple):
 
     entries: tuple[tuple[int, PrimeClass, int], ...]
 
-    def norm(self) -> int:
-        n = 1
-        for prime_norm, _, e in self.entries:
-            n *= prime_norm**e
-        return n
-
 
 def _canonical_order(entry: tuple[int, PrimeClass, int]) -> tuple[int, int, str]:
     return entry[0], -entry[2], entry[1].value

@@ -163,13 +163,6 @@ class CertifiedReal:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: RationalLike) -> bool:
-        x = rational_pair(x)
-        return not _lt(x, self._lo) and not _lt(self._hi, x)
-
-    def subset_of(self, lo: RationalLike, hi: RationalLike) -> bool:
-        return not _lt(self._lo, rational_pair(lo)) and not _lt(rational_pair(hi), self._hi)
-
     def __eq__(self, other) -> bool:
         if type(other) is not CertifiedReal:
             return NotImplemented

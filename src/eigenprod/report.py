@@ -10,14 +10,16 @@ escapes) and one trailing newline.  ``VerificationReport.to_json`` writes
 it without building that dict: each check and candidate record from a
 fixed template, and the free-form subtrees (tables, fixtures,
 interpretations) through ``json.dumps``.  The tests build that dict by
-their own route and compare.  The records are ``NamedTuple``s; the
-mutable ``VerificationReport`` is a plain class.
+their own route and compare.  Every record, ``VerificationReport``
+included, is a ``NamedTuple``; a report's verdict and inconclusive count
+are derived from its records on each read, never stored.
 """
 
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .interval import Decision, Outcome, rational_pair
 
@@ -168,36 +170,16 @@ class CandidateRecord(NamedTuple):
     label: str = ""
 
 
-class VerificationReport:
-    """The mutable result of one section run; each list and dict
-    argument left out is a fresh empty one."""
+class VerificationReport(NamedTuple):
+    """The result of one section run.  Its verdict is worked out from its
+    records on each read and is never stored."""
 
-    def __init__(
-        self,
-        section: str,
-        verdict: str = VERDICT_FAILED,
-        candidates: Optional[list] = None,
-        tables: Optional[dict] = None,
-        constants: Optional[list] = None,
-        fixtures_used: Optional[list] = None,
-        interpretations: Optional[list] = None,
-    ):
-        self.section = section
-        self.verdict = verdict
-        self.candidates = [] if candidates is None else candidates
-        self.tables = {} if tables is None else tables
-        self.constants = [] if constants is None else constants
-        self.fixtures_used = [] if fixtures_used is None else fixtures_used
-        self.interpretations = [] if interpretations is None else interpretations
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"VerificationReport({fields})"
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
+    section: str
+    candidates: tuple[CandidateRecord, ...] = ()
+    tables: Mapping[str, dict] = MappingProxyType({})
+    constants: tuple[CheckRecord, ...] = ()
+    fixtures_used: tuple[dict, ...] = ()
+    interpretations: tuple[str, ...] = ()
 
     @property
     def inconclusive(self) -> int:
@@ -211,6 +193,19 @@ class VerificationReport:
     def survivors(self) -> list:
         return [c for c in self.candidates if c.status == SURVIVOR]
 
+    @property
+    def verdict(self) -> str:
+        """Strict verdict: every recorded constant must be CertifiedTrue and
+        every candidate eliminated.  Anything undecided is inconclusive, and
+        a decided failure (a false certificate or a surviving candidate) is
+        a verification failure, never softened."""
+        outcomes = [rec.decision.outcome for rec in self.constants]
+        if Outcome.INCONCLUSIVE in outcomes:
+            return VERDICT_INCONCLUSIVE
+        if Outcome.CERTIFIED_FALSE in outcomes or self.survivors:
+            return VERDICT_FAILED
+        return VERDICT_NO_IDENTITY
+
     def to_json(self) -> str:
         """The canonical report text and a newline.
 
@@ -218,7 +213,9 @@ class VerificationReport:
         from its fixed template.  The free-form subtrees (tables, fixtures,
         interpretations) are ``json.dumps`` text, each line after the first
         indented one more level: JSON text holds no raw newline inside a
-        string, so replacing every newline is exact.
+        string, so replacing every newline is exact.  The tables are copied
+        into a ``dict`` because ``json.dumps`` takes no other mapping, and
+        the default is a read-only one.
         """
         return "".join(
             (
@@ -235,27 +232,12 @@ class VerificationReport:
                 ',\n  "section": ',
                 _encode_str(self.section),
                 ',\n  "tables": ',
-                _subtree_text(self.tables),
+                _subtree_text(dict(self.tables)),
                 ',\n  "verdict": ',
                 _encode_str(self.verdict),
                 "\n}\n",
             )
         )
-
-
-def resolve_verdict(report: VerificationReport) -> str:
-    """Strict verdict: every recorded constant must be CertifiedTrue and
-    every candidate eliminated.  Anything undecided is inconclusive, and a
-    decided failure (a false certificate or a surviving candidate) is a
-    verification failure, never softened."""
-    outcomes = [rec.decision.outcome for rec in report.constants]
-    if any(o is Outcome.INCONCLUSIVE for o in outcomes):
-        return VERDICT_INCONCLUSIVE
-    if any(o is Outcome.CERTIFIED_FALSE for o in outcomes):
-        return VERDICT_FAILED
-    if report.survivors:
-        return VERDICT_FAILED
-    return VERDICT_NO_IDENTITY
 
 
 # ---------------------------------------------------------------------------

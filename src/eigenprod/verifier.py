@@ -105,7 +105,6 @@ from .report import (
     VerificationReport,
     format_decimal,
     fraction_str,
-    resolve_verdict,
 )
 
 _FLIP = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
@@ -265,16 +264,14 @@ class _Run:
         self.interpretations.append(text)
 
     def report(self) -> VerificationReport:
-        rep = VerificationReport(
+        return VerificationReport(
             section=self.section,
             candidates=_ordered_candidates(self.candidates),
             tables=dict(sorted(self.tables.items())),
-            constants=list(self.constants),
-            fixtures_used=[fix.echo() for _, fix in sorted(self.fixtures_echo.items())],
-            interpretations=list(self.interpretations),
+            constants=tuple(self.constants),
+            fixtures_used=tuple(fix.echo() for _, fix in sorted(self.fixtures_echo.items())),
+            interpretations=tuple(self.interpretations),
         )
-        rep.verdict = resolve_verdict(rep)
-        return rep
 
 
 def _flipped(decision: Decision, threshold, relation: str) -> Decision:
@@ -289,7 +286,7 @@ def _flipped(decision: Decision, threshold, relation: str) -> Decision:
     return certified_compare(decision.enclosure, threshold, _FLIP[relation])
 
 
-def _ordered_candidates(cands: list[CandidateRecord]) -> list[CandidateRecord]:
+def _ordered_candidates(cands: list[CandidateRecord]) -> tuple[CandidateRecord, ...]:
     # symbolic family rows first in insertion order, concrete triples after,
     # sorted; candidate order is part of the byte-stable output contract
     families = [c for c in cands if c.d is None]
@@ -297,7 +294,7 @@ def _ordered_candidates(cands: list[CandidateRecord]) -> list[CandidateRecord]:
         (c for c in cands if c.d is not None),
         key=lambda c: (c.d, c.k1 if c.k1 is not None else 0, c.k2 if c.k2 is not None else 0),
     )
-    return families + concrete
+    return (*families, *concrete)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ without the writer's formatting code, so the tests can compare the two:
   decimals from ``Fraction`` floor and ceiling, against the report
   writer's templates and integer-pair decimals.
 
+Four reads only the tests make live here too, not as methods in the
+package: ``power_sum``, one entry of a character's power-sum row;
+``ideal_norm``, the norm of a factored ideal; ``contains`` and
+``subset_of``, an enclosure against a rational and against an interval.
+
 Every top-level definition here is imported by some test module
 (``tests/test_package.py`` checks it).
 """
@@ -35,6 +40,7 @@ from typing import NamedTuple
 
 from eigenprod import hmf_coeffs
 from eigenprod.exact import (
+    KroneckerCharacter,
     _factorize,
     _is_prime,
     _require_real_fundamental,
@@ -52,9 +58,16 @@ from eigenprod.hmf_coeffs import (
     element_norm,
     factor_ideal,
 )
-from eigenprod.interval import Outcome
+from eigenprod.interval import CertifiedReal, Outcome, rational_pair
 from eigenprod.quadfield import radicand
-from eigenprod.report import ENCLOSURE_DIGITS, VerificationReport
+from eigenprod.report import (
+    ENCLOSURE_DIGITS,
+    SURVIVOR,
+    VERDICT_FAILED,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_NO_IDENTITY,
+    VerificationReport,
+)
 
 # ---------------------------------------------------------------------------
 # Characters
@@ -67,6 +80,29 @@ def power_sums_reference(delta: int, i: int) -> tuple[int, ...]:
     f = abs(delta)
     terms = [(c, 2 * a - f) for a in range(1, f + 1) if (c := kronecker(delta, a))]
     return tuple(sum(c * t**j for c, t in terms) for j in range(i + 1))
+
+
+def power_sum(chi: KroneckerCharacter, i: int) -> int:
+    """T_i read from the character's half-period row: zero, with no row
+    built, unless (-1)^i = chi(-1)."""
+    if i % 2 != chi.is_odd():
+        return 0
+    return chi.power_sums(i)[i // 2]
+
+
+# ---------------------------------------------------------------------------
+# Enclosures
+
+
+def contains(x: CertifiedReal, value) -> bool:
+    """Whether ``x`` holds ``value``; a float raises ``TypeError``, as at
+    every entry to the certified layer."""
+    return x.lo <= Fraction(*rational_pair(value)) <= x.hi
+
+
+def subset_of(x: CertifiedReal, lo, hi) -> bool:
+    """Whether ``x`` lies inside ``[lo, hi]``."""
+    return Fraction(*rational_pair(lo)) <= x.lo and x.hi <= Fraction(*rational_pair(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +246,11 @@ def ideal_from_prime_powers(
     return IdealFactorization(tuple(sorted(checked, key=_canonical_order)))
 
 
+def ideal_norm(ideal: IdealFactorization) -> int:
+    """The absolute norm: the product of the prime norms to their exponents."""
+    return math.prod(prime_norm**e for prime_norm, _, e in ideal.entries)
+
+
 def ideals_of_norm(D: int, n: int) -> list[IdealFactorization]:
     """All integral ideals of absolute norm exactly n."""
     _require_real_fundamental(D)
@@ -292,8 +333,9 @@ def report_reference(report: VerificationReport) -> dict:
     """The dict a report's JSON text encodes: ``json.dumps`` of it with
     ``sort_keys=True, indent=2`` and a newline is ``report.to_json()``.
     Enclosure endpoints are rounded outward by ``Fraction`` floor and
-    ceiling and thresholds written by ``str(Fraction)``, so nothing here
-    shares formatting code with the writer."""
+    ceiling and thresholds written by ``str(Fraction)``, and the verdict
+    and inconclusive count are worked out from the records written here,
+    so nothing here shares formatting or verdict code with the report."""
     constants = []
     for rec in report.constants:
         enclosure = rec.decision.enclosure
@@ -323,13 +365,22 @@ def report_reference(report: VerificationReport) -> dict:
         }
         for rec in report.candidates
     ]
+    outcomes = {c["outcome"] for c in constants}
+    if Outcome.INCONCLUSIVE.value in outcomes:
+        verdict = VERDICT_INCONCLUSIVE
+    elif Outcome.CERTIFIED_FALSE.value in outcomes or any(
+        c["status"] == SURVIVOR for c in candidates
+    ):
+        verdict = VERDICT_FAILED
+    else:
+        verdict = VERDICT_NO_IDENTITY
     return {
         "section": report.section,
-        "verdict": report.verdict,
+        "verdict": verdict,
         "candidates": candidates,
-        "tables": report.tables,
+        "tables": dict(report.tables),
         "constants": constants,
-        "fixtures": report.fixtures_used,
+        "fixtures": list(report.fixtures_used),
         "interpretations": list(report.interpretations),
         "inconclusive": sum(
             1 for c in constants if c["outcome"] == Outcome.INCONCLUSIVE.value

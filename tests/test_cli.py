@@ -453,12 +453,16 @@ def test_verify_unreadable_fixtures_exit(tmp_path, capsys):
     assert "fixtures error:" in capsys.readouterr().err
 
 
-def test_fixture_free_sections_ignore_fixture_flag(tmp_path, capsys):
-    # s3 sections consume no external facts, so a bad fixtures file must
-    # not affect them
-    code = main(["verify", "s3-unequal", "--fixtures", str(tmp_path / "absent.json")])
-    assert code == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("section", ["s3-unequal", "s3-equal"])
+def test_s3_sections_reject_unreadable_fixtures(tmp_path, capsys, section):
+    # the s3 sections read no fact, but the fixtures are loaded on every
+    # verify run, so an unreadable path is refused before any section runs
+    code = main(["verify", section, "--fixtures", str(tmp_path / "absent.json")])
+    assert code == EXIT_MISSING_FIXTURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fixtures error:")
+    assert captured.err.count("\n") == 1
 
 
 def _child_env():

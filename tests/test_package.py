@@ -6,7 +6,9 @@ appear once, and be the very object its home module defines; every
 module-level import in a package module must be read somewhere in that
 module; every name a function stores must be loaded in that function;
 every module-level function or class must be read somewhere in the
-package outside its own definition and ``__init__.py``; every top-level
+package outside its own definition and ``__init__.py``, and so must every
+public method and property of a module-level class, but for the few that
+only a named reader outside the package calls; every top-level
 definition of the tests' oracle module must be imported by a test module;
 the prime-power divisor sum is written once, in ``exact.py``.
 """
@@ -177,9 +179,72 @@ def test_unread_private_helper_is_caught():
     ]
 
 
+def _unread_methods(sources: dict[str, str]) -> list[str]:
+    # a public method or property of a module-level class counts as read
+    # when the package loads an attribute of its name outside its own
+    # body; the match is by name alone, so a read of a namesake keeps it
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = Counter(
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                own = sum(
+                    1
+                    for n in ast.walk(fn)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load)
+                    and n.attr == fn.name
+                )
+                if reads[fn.name] == own:
+                    unread.append(f"{module}:{cls.name}.{fn.name}")
+    return unread
+
+
+# Public methods that no statement of the package reads, kept for the
+# reader named beside each
+READ_OUTSIDE_THE_PACKAGE = {
+    "cli.py:_Parser.error": "argparse, on a usage error",
+    "fixtures.py:Fixtures.keys": "bench/child.py, which counts the facts",
+    "interval.py:Decision.precision_used": (
+        "bench/tracer.py, which counts verifier.checks through it"
+    ),
+}
+
+
 def test_every_public_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert _unread_definitions(sources, private=False) == []
+    assert sorted(_unread_methods(sources)) == sorted(READ_OUTSIDE_THE_PACKAGE)
+
+
+def test_unread_method_is_caught():
+    # a method read only inside its own body is unread; one another
+    # statement reads, a property read as an attribute, and a private or
+    # dunder method are not reported
+    exact = (
+        "class Character:\n"
+        "    def __repr__(self):\n        return 'chi'\n\n"
+        "    def _row(self):\n        return ()\n\n"
+        "    def power_sum(self, i):\n        return self.power_sum(i - 1)\n\n"
+        "    def power_sums(self, i):\n        return self._row()\n\n"
+        "    @property\n    def period(self):\n        return 4\n"
+    )
+    hmf = (
+        "from .exact import Character\n\n\n"
+        "ROW = Character().power_sums(Character().period)\n"
+    )
+    sources = {"exact.py": exact, "hmf_coeffs.py": hmf}
+    assert _unread_methods(sources) == ["exact.py:Character.power_sum"]
 
 
 def test_unread_public_name_is_caught():

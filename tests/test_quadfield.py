@@ -25,7 +25,7 @@ from eigenprod import (
 )
 from eigenprod.exact import _factorize
 from eigenprod.quadfield import _narrow_class_number_is_one, radicand
-from oracles import fundamental_unit_norm
+from oracles import fundamental_unit_norm, subset_of
 
 
 def _oracle_h_imaginary(delta: int) -> int:
@@ -130,7 +130,7 @@ def test_class_number_bound_dominates_true_value():
 
 def test_class_number_bound_spot_value():
     b = ramare_bound(-39).enclose(128)
-    assert b.subset_of(5, Fraction(51, 10))
+    assert subset_of(b, 5, Fraction(51, 10))
 
 
 @pytest.mark.parametrize("delta", [-3, -4, 5, -6])

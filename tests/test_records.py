@@ -1,9 +1,8 @@
 """The record contracts: construction, validation, immutability, repr.
 
 Every record of the package is built positionally and by keyword, shows
-as ``Name(field=value, ...)`` and, except for the mutable
-`VerificationReport`, refuses attribute assignment.  The validating
-records raise their documented messages.
+as ``Name(field=value, ...)`` and refuses attribute assignment.  The
+validating records raise their documented messages.
 """
 
 import pickle
@@ -23,7 +22,6 @@ from eigenprod.hmf_coeffs import (
 from eigenprod.interval import Decision, Outcome, from_rational
 from eigenprod.quadfield import FieldDescriptor, Splitting
 from eigenprod.report import (
-    VERDICT_FAILED,
     CandidateRecord,
     CheckRecord,
     VerificationReport,
@@ -32,6 +30,8 @@ from oracles import TotallyPositiveElement
 
 _ENC = from_rational(Fraction(1, 3), 16)
 _DECISION = Decision(Outcome.CERTIFIED_TRUE, _ENC, "n")
+_CHECK = CheckRecord("c", ">", Fraction(1, 4), _DECISION)
+_CANDIDATE = CandidateRecord("Survivor", "why", 5, 4, 2, "L")
 
 
 def _repr_of(name, fields, values):
@@ -99,6 +99,15 @@ _RECORDS = [
         ("Survivor", "why", 5, 4, 2, "L"),
         ("Survivor", "why", 5, 4, 2, "L"),
     ),
+    (
+        VerificationReport,
+        ("section", "candidates", "tables", "constants", "fixtures_used",
+         "interpretations"),
+        ("s5", (_CANDIDATE,), {"t": {"columns": ["x"], "rows": [[1]]}}, (_CHECK,),
+         ({"key": "k"},), ("i",)),
+        ("s5", (_CANDIDATE,), {"t": {"columns": ["x"], "rows": [[1]]}}, (_CHECK,),
+         ({"key": "k"},), ("i",)),
+    ),
 ]
 _IDS = [r[0].__name__ for r in _RECORDS]
 
@@ -131,6 +140,21 @@ def test_record_defaults():
     assert RunConfig() == RunConfig(128, 1024, 4000, 64, None, "json", None)
     assert CandidateRecord("s", "d") == CandidateRecord("s", "d", None, None, None, "")
     assert Decision(Outcome.INCONCLUSIVE, _ENC).note == ""
+    assert VerificationReport("s") == VerificationReport("s", (), {}, (), (), ())
+
+
+def test_verification_report_defaults_are_immutable_and_verdict_is_derived():
+    a, b = VerificationReport("a"), VerificationReport("b")
+    for name in ("candidates", "constants", "fixtures_used", "interpretations"):
+        assert getattr(a, name) == () and type(getattr(a, name)) is tuple
+    with pytest.raises(TypeError):
+        a.tables["t"] = {}
+    assert b.tables == {}
+    assert "verdict" not in VerificationReport._fields
+    with pytest.raises(TypeError):
+        VerificationReport("s", verdict="no identity exists")
+    with pytest.raises(AttributeError):
+        a.verdict = "no identity exists"
 
 
 @pytest.mark.parametrize(
@@ -176,28 +200,3 @@ def test_eisenstein_constant_term_is_derived():
     e4 = EisensteinDescriptor(weight=4, discriminant=13)
     assert e4.constant_term == dedekind_zeta_neg(13, 4) / 4
 
-
-def test_verification_report_defaults_are_fresh():
-    a, b = VerificationReport("s3-unequal"), VerificationReport("s3-unequal")
-    assert a == b
-    for name in ("candidates", "constants", "fixtures_used", "interpretations"):
-        assert getattr(a, name) == [] and getattr(a, name) is not getattr(b, name)
-    assert a.tables == {} and a.tables is not b.tables
-    a.candidates.append(CandidateRecord("s", "d"))
-    assert b.candidates == [] and a != b
-    a.verdict = "no identity exists"
-    assert a.verdict == "no identity exists" and b.verdict == VERDICT_FAILED
-    assert repr(b) == (
-        "VerificationReport(section='s3-unequal', verdict='verification failed', "
-        "candidates=[], tables={}, constants=[], fixtures_used=[], "
-        "interpretations=[])"
-    )
-    full = VerificationReport(
-        section="s5", verdict="v", candidates=[1], tables={"t": 2},
-        constants=[3], fixtures_used=[4], interpretations=[5],
-    )
-    assert (full.section, full.verdict, full.candidates, full.tables) == (
-        "s5", "v", [1], {"t": 2}
-    )
-    assert (full.constants, full.fixtures_used, full.interpretations) == ([3], [4], [5])
-    assert VerificationReport("s5", "v", [1], {"t": 2}, [3], [4], [5]) == full

@@ -16,7 +16,6 @@ from eigenprod import (
     VerificationReport,
     compare_to_golden,
     golden_tables,
-    resolve_verdict,
     verify_section4_inert,
     verify_section5,
 )
@@ -40,11 +39,11 @@ def _decision(outcome: Outcome) -> Decision:
 
 
 def _check_reference(rec: CheckRecord) -> dict:
-    return report_reference(VerificationReport("s", constants=[rec]))["constants"][0]
+    return report_reference(VerificationReport("s", constants=(rec,)))["constants"][0]
 
 
 def _candidate_reference(rec: CandidateRecord) -> dict:
-    return report_reference(VerificationReport("s", candidates=[rec]))["candidates"][0]
+    return report_reference(VerificationReport("s", candidates=(rec,)))["candidates"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,47 +152,51 @@ def test_candidate_record_json():
 # Verdicts
 
 
+def _check(outcome: Outcome, name: str = "a") -> CheckRecord:
+    return CheckRecord(name, ">", Fraction(0), _decision(outcome))
+
+
 def test_resolve_verdict_all_certified():
-    report = VerificationReport("s")
-    report.constants.append(
-        CheckRecord("a", ">", Fraction(0), _decision(Outcome.CERTIFIED_TRUE))
+    report = VerificationReport(
+        "s",
+        candidates=(CandidateRecord(ELIMINATED_BY_BOUND, "gone", d=5),),
+        constants=(_check(Outcome.CERTIFIED_TRUE),),
     )
-    report.candidates.append(CandidateRecord(ELIMINATED_BY_BOUND, "gone", d=5))
-    assert resolve_verdict(report) == VERDICT_NO_IDENTITY
+    assert report.verdict == VERDICT_NO_IDENTITY
 
 
 def test_resolve_verdict_inconclusive_dominates():
-    report = VerificationReport("s")
-    report.constants.append(
-        CheckRecord("a", ">", Fraction(0), _decision(Outcome.INCONCLUSIVE))
+    report = VerificationReport(
+        "s",
+        constants=(
+            _check(Outcome.INCONCLUSIVE),
+            _check(Outcome.CERTIFIED_FALSE, "b"),
+        ),
     )
-    report.constants.append(
-        CheckRecord("b", ">", Fraction(0), _decision(Outcome.CERTIFIED_FALSE))
-    )
-    assert resolve_verdict(report) == VERDICT_INCONCLUSIVE
+    assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.inconclusive == 1
 
 
 def test_resolve_verdict_failure_routes():
-    false_report = VerificationReport("s")
-    false_report.constants.append(
-        CheckRecord("a", ">", Fraction(0), _decision(Outcome.CERTIFIED_FALSE))
+    false_report = VerificationReport(
+        "s", constants=(_check(Outcome.CERTIFIED_FALSE),)
     )
-    assert resolve_verdict(false_report) == VERDICT_FAILED
+    assert false_report.verdict == VERDICT_FAILED
 
-    survivor_report = VerificationReport("s")
-    survivor_report.candidates.append(CandidateRecord(SURVIVOR, "open", d=5))
-    assert resolve_verdict(survivor_report) == VERDICT_FAILED
+    survivor_report = VerificationReport(
+        "s", candidates=(CandidateRecord(SURVIVOR, "open", d=5),)
+    )
+    assert survivor_report.verdict == VERDICT_FAILED
     assert len(survivor_report.survivors) == 1
 
 
 def test_report_json_is_canonical():
-    report = VerificationReport("s", verdict=VERDICT_NO_IDENTITY)
-    report.tables["t"] = {"columns": ["a"], "rows": [[1]]}
+    report = VerificationReport("s", tables={"t": {"columns": ["a"], "rows": [[1]]}})
     text = report.to_json()
     assert text.endswith("\n")
     assert text == report.to_json()
     blob = json.loads(text)
+    assert blob["verdict"] == VERDICT_NO_IDENTITY
     assert set(blob) == {
         "section",
         "verdict",
@@ -211,10 +214,13 @@ def test_report_json_is_canonical():
 
 
 def _table_report() -> VerificationReport:
-    report = VerificationReport("s")
-    report.tables["t2"] = {"columns": ["k", "max"], "rows": [[2, 38], [4, None]]}
-    report.tables["t1"] = {"columns": ["x"], "rows": [[1]]}
-    return report
+    return VerificationReport(
+        "s",
+        tables={
+            "t2": {"columns": ["k", "max"], "rows": [[2, 38], [4, None]]},
+            "t1": {"columns": ["x"], "rows": [[1]]},
+        },
+    )
 
 
 def test_tables_markdown_layout():
@@ -243,36 +249,36 @@ def test_golden_tables_present():
         assert golden[name]["columns"] and golden[name]["rows"]
 
 
+def _golden_table(golden: dict, name: str, rows=None) -> dict:
+    # the golden table's columns over its rows, or over the rows given
+    rows = golden[name]["rows"] if rows is None else rows
+    return {"columns": golden[name]["columns"], "rows": [list(r) for r in rows]}
+
+
 def test_compare_to_golden_detects_mismatch():
     golden = golden_tables()
-    report = VerificationReport("s")
-    report.tables["table1"] = {
-        "columns": golden["table1"]["columns"],
-        "rows": [list(r) for r in golden["table1"]["rows"]],
-    }
-    assert compare_to_golden(report) == []
+    table1 = _golden_table(golden, "table1")
+    assert compare_to_golden(VerificationReport("s", tables={"table1": table1})) == []
 
-    report.tables["table1"]["rows"][0] = [2, 999]
-    messages = compare_to_golden(report)
+    changed = _golden_table(golden, "table1", [[2, 999], *golden["table1"]["rows"][1:]])
+    messages = compare_to_golden(VerificationReport("s", tables={"table1": changed}))
     assert any("not in golden table" in m for m in messages)
     assert any("not reproduced" in m for m in messages)
 
-    report.tables["table1"] = {"columns": ["wrong"], "rows": [[1]]}
+    wrong = {"columns": ["wrong"], "rows": [[1]]}
+    report = VerificationReport("s", tables={"table1": wrong})
     assert any("columns" in m for m in compare_to_golden(report))
 
 
 def test_compare_to_golden_reports_each_table():
     # a mismatch in one table must not hide a row-order diff in the next
     golden = golden_tables()
-    report = VerificationReport("s")
-    for name in ("table1", "table2"):
-        report.tables[name] = {
-            "columns": golden[name]["columns"],
-            "rows": [list(r) for r in golden[name]["rows"]],
-        }
-    report.tables["table1"]["rows"][0] = [2, 999]
-    report.tables["table2"]["rows"].reverse()
-    messages = compare_to_golden(report)
+    rows1, rows2 = golden["table1"]["rows"], golden["table2"]["rows"]
+    tables = {
+        "table1": _golden_table(golden, "table1", [[2, 999], *rows1[1:]]),
+        "table2": _golden_table(golden, "table2", rows2[::-1]),
+    }
+    messages = compare_to_golden(VerificationReport("s", tables=tables))
     assert [m for m in messages if m.startswith("table2")] == [
         "table2: row order differs from golden table"
     ]
@@ -280,8 +286,8 @@ def test_compare_to_golden_reports_each_table():
 
 
 def test_compare_to_golden_ignores_unbaselined_tables():
-    report = VerificationReport("s")
-    report.tables["degree3_grid"] = {"columns": ["x"], "rows": [[1]]}
+    table = {"columns": ["x"], "rows": [[1]]}
+    report = VerificationReport("s", tables={"degree3_grid": table})
     assert compare_to_golden(report) == []
 
 
@@ -358,12 +364,13 @@ _candidate_records = st.builds(
 _reports = st.builds(
     VerificationReport,
     section=_texts,
-    verdict=st.sampled_from([VERDICT_NO_IDENTITY, VERDICT_FAILED]) | _texts,
-    candidates=st.lists(_candidate_records, max_size=3),
+    candidates=st.lists(_candidate_records, max_size=3).map(tuple),
     tables=st.dictionaries(_texts, _documents, max_size=3),
-    constants=st.lists(_check_records, max_size=3),
-    fixtures_used=st.lists(st.dictionaries(_texts, _documents, max_size=3), max_size=2),
-    interpretations=st.lists(_texts, max_size=3),
+    constants=st.lists(_check_records, max_size=3).map(tuple),
+    fixtures_used=st.lists(
+        st.dictionaries(_texts, _documents, max_size=3), max_size=2
+    ).map(tuple),
+    interpretations=st.lists(_texts, max_size=3).map(tuple),
 )
 
 
@@ -373,8 +380,8 @@ _reports = st.builds(
 @example(
     VerificationReport(
         "\u00e9\"\\",
-        candidates=[CandidateRecord(SURVIVOR, "\x00", k2=0, label="\ud800")],
-        constants=[
+        candidates=(CandidateRecord(SURVIVOR, "\x00", k2=0, label="\ud800"),),
+        constants=(
             CheckRecord(
                 "\n",
                 "=",
@@ -384,9 +391,37 @@ _reports = st.builds(
                     CertifiedReal(Fraction(-1, 3), Fraction(-1, 3), 0),
                     '"\\\u2603',
                 ),
-            )
-        ],
+            ),
+        ),
     )
 )
 def test_to_json_matches_the_reference_on_built_reports(report):
     assert report.to_json() == _reference_text(report)
+
+
+_failures = st.just(CandidateRecord(SURVIVOR, "open", d=5)) | st.builds(
+    CheckRecord,
+    name=_texts,
+    relation=st.just(">"),
+    threshold=_rationals,
+    decision=st.builds(Decision, st.just(Outcome.CERTIFIED_FALSE), _enclosures()),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_reports, _failures)
+def test_survivor_or_false_certificate_fails_whatever_else_the_report_holds(
+    report, failure
+):
+    # a report built with a survivor or a decided-false check reads
+    # "verification failed", unless an undecided check makes it
+    # inconclusive; the report it was built from keeps its own verdict
+    before = report.verdict
+    if isinstance(failure, CandidateRecord):
+        failed = report._replace(candidates=(*report.candidates, failure))
+    else:
+        failed = report._replace(constants=(failure, *report.constants))
+    expected = VERDICT_INCONCLUSIVE if report.inconclusive else VERDICT_FAILED
+    assert failed.verdict == expected
+    assert json.loads(failed.to_json())["verdict"] == expected
+    assert report.verdict == before

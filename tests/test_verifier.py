@@ -63,7 +63,7 @@ from eigenprod.report import (
 )
 from eigenprod import exact, verifier
 from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
-from oracles import residual_unequal
+from oracles import residual_unequal, subset_of
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
 
@@ -96,7 +96,7 @@ def test_field_universes_partition_narrow_one():
 def test_unequal_constant_window_d8():
     enc = c_unequal_expr(8, 4, 2).enclose(128)
     center = Fraction(72291, 10**4)
-    assert enc.subset_of(center - Fraction(1, 10**4), center + Fraction(1, 10**4))
+    assert subset_of(enc, center - Fraction(1, 10**4), center + Fraction(1, 10**4))
     assert enc.width() < Fraction(1, 10**4)
     assert enc.lo > 1
 
@@ -111,7 +111,7 @@ def test_unequal_constants_along_chain():
     previous = c_unequal_expr(8, 4, 2).enclose(128)
     for D, (lo, hi) in windows.items():
         enc = c_unequal_expr(D, 4, 2).enclose(128)
-        assert enc.subset_of(lo, hi), D
+        assert subset_of(enc, lo, hi), D
         assert enc.lo > previous.hi  # strictly increasing in D
         previous = enc
 
@@ -457,7 +457,7 @@ def test_unequal_report_structure(report_s3u):
     )
     assert len(report_s3u.candidates) == 13
     assert report_s3u.tables == {}
-    assert report_s3u.fixtures_used == []
+    assert report_s3u.fixtures_used == ()
     statuses = {c.status for c in report_s3u.candidates}
     assert statuses == {ELIMINATED_BY_BOUND}
     families = [c for c in report_s3u.candidates if c.k1 is None]
@@ -924,7 +924,7 @@ def test_builders_capture_no_fixture_data():
     assert warm == cold.to_json() != default
     # a / pi at a = 30
     floor = next(rec for rec in cold.constants if rec.name == "disc_ratio_floor")
-    assert floor.decision.enclosure.subset_of(Fraction(954, 100), Fraction(955, 100))
+    assert subset_of(floor.decision.enclosure, Fraction(954, 100), Fraction(955, 100))
 
 
 def test_verify_memory_retained_from_cold_caches():
