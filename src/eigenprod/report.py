@@ -7,12 +7,13 @@ were consumed.  Serialization is canonical so identical runs produce byte
 identical files: a report is the text ``json.dumps(data, sort_keys=True,
 indent=2)`` would give for the report as a dict (non-ASCII text as ``\\u``
 escapes) and one trailing newline.  ``VerificationReport.to_json`` writes
-it without building that dict: each check and candidate record from a
-fixed template, and the free-form subtrees (tables, fixtures,
-interpretations) through ``json.dumps``.  The tests build that dict by
-their own route and compare.  Every record, ``VerificationReport``
-included, is a ``NamedTuple``; a report's verdict and inconclusive count
-are derived from its records on each read, never stored.
+it without building that dict: each check and candidate record as one
+f-string that lays out the record's lines, and the free-form subtrees
+(tables, fixtures, interpretations) through ``json.dumps``.  The tests
+build that dict by their own route and compare.  Every record,
+``VerificationReport`` included, is a ``NamedTuple``; a report's verdict
+and inconclusive count are derived from its records on each read, never
+stored.
 """
 
 import json
@@ -52,8 +53,8 @@ def format_decimal(value, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor
 def pair_decimal(
     num: int, den: int, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor"
 ) -> str:
-    """`format_decimal` of ``num / den`` for integers with ``den > 0``,
-    computed without building a ``Fraction``."""
+    """`format_decimal` of ``num / den`` for integers with ``den > 0``
+    and ``digits >= 1``, computed without building a ``Fraction``."""
     scale = 10**digits
     if rounding == "floor":
         units = num * scale // den
@@ -61,9 +62,10 @@ def pair_decimal(
         units = -(-num * scale // den)
     else:
         raise ValueError(f"unknown rounding {rounding!r}")
-    sign = "-" if units < 0 else ""
-    whole, frac = divmod(abs(units), scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    # zero-padded to at least one whole digit: the last `digits` characters
+    # are the fraction
+    text = str(abs(units)).zfill(digits + 1)
+    return f"{'-' if units < 0 else ''}{text[:-digits]}.{text[-digits:]}"
 
 
 def fraction_str(value) -> str:
@@ -76,67 +78,51 @@ def fraction_str(value) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-# A check record and a candidate record as ``json.dumps(..., sort_keys=True,
-# indent=2)`` lays them out inside a report's "constants" and "candidates"
-# lists: keys sorted, the record's own lines at depth 2.  The decimals of
-# `pair_decimal` and the fractions of `fraction_str` hold no character that
-# JSON escapes, so they are quoted directly; every other string goes through
-# `_encode_str`.
-_CHECK_TEMPLATE = (
-    "\n    {{"
-    '\n      "enclosure": {{'
-    '\n        "hi": "{hi}",'
-    '\n        "lo": "{lo}",'
-    '\n        "precision": {precision}'
-    "\n      }},"
-    '\n      "name": {name},'
-    '\n      "note": {note},'
-    '\n      "outcome": {outcome},'
-    '\n      "precision": {precision},'
-    '\n      "relation": {relation},'
-    '\n      "threshold": "{threshold}"'
-    "\n    }}"
-)
-_CANDIDATE_TEMPLATE = (
-    "\n    {{"
-    '\n      "D": {d},'
-    '\n      "detail": {detail},'
-    '\n      "k1": {k1},'
-    '\n      "k2": {k2},'
-    '\n      "label": {label},'
-    '\n      "status": {status}'
-    "\n    }}"
-)
+_OUTCOME_TEXT = {outcome: _encode_str(outcome.value) for outcome in Outcome}
 
 
 def _int_or_null(value: Optional[int]) -> str:
     return "null" if value is None else int.__repr__(value)
 
 
+# A check record and a candidate record as ``json.dumps(..., sort_keys=True,
+# indent=2)`` lays them out inside a report's "constants" and "candidates"
+# lists: keys sorted, the record's own lines at depth 2.  The decimals of
+# `pair_decimal` and the fractions of `fraction_str` hold no character that
+# JSON escapes, so they are quoted directly; every other string goes through
+# `_encode_str`, the outcomes once, into `_OUTCOME_TEXT`.
 def _check_text(rec: "CheckRecord") -> str:
     decision = rec.decision
     enclosure = decision.enclosure
     (lo_num, lo_den), (hi_num, hi_den) = enclosure.endpoint_pairs()
-    return _CHECK_TEMPLATE.format(
-        hi=pair_decimal(hi_num, hi_den, rounding="ceil"),
-        lo=pair_decimal(lo_num, lo_den, rounding="floor"),
-        precision=int.__repr__(enclosure.precision),
-        name=_encode_str(rec.name),
-        note=_encode_str(decision.note),
-        outcome=_encode_str(decision.outcome.value),
-        relation=_encode_str(rec.relation),
-        threshold=fraction_str(rec.threshold),
+    precision = int.__repr__(enclosure.precision)
+    return (
+        "\n    {"
+        '\n      "enclosure": {'
+        f'\n        "hi": "{pair_decimal(hi_num, hi_den, rounding="ceil")}",'
+        f'\n        "lo": "{pair_decimal(lo_num, lo_den, rounding="floor")}",'
+        f'\n        "precision": {precision}'
+        "\n      },"
+        f'\n      "name": {_encode_str(rec.name)},'
+        f'\n      "note": {_encode_str(decision.note)},'
+        f'\n      "outcome": {_OUTCOME_TEXT[decision.outcome]},'
+        f'\n      "precision": {precision},'
+        f'\n      "relation": {_encode_str(rec.relation)},'
+        f'\n      "threshold": "{fraction_str(rec.threshold)}"'
+        "\n    }"
     )
 
 
 def _candidate_text(rec: "CandidateRecord") -> str:
-    return _CANDIDATE_TEMPLATE.format(
-        d=_int_or_null(rec.d),
-        detail=_encode_str(rec.detail),
-        k1=_int_or_null(rec.k1),
-        k2=_int_or_null(rec.k2),
-        label=_encode_str(rec.label),
-        status=_encode_str(rec.status),
+    return (
+        "\n    {"
+        f'\n      "D": {_int_or_null(rec.d)},'
+        f'\n      "detail": {_encode_str(rec.detail)},'
+        f'\n      "k1": {_int_or_null(rec.k1)},'
+        f'\n      "k2": {_int_or_null(rec.k2)},'
+        f'\n      "label": {_encode_str(rec.label)},'
+        f'\n      "status": {_encode_str(rec.status)}'
+        "\n    }"
     )
 
 
@@ -210,7 +196,7 @@ class VerificationReport(NamedTuple):
         """The canonical report text and a newline.
 
         The top-level keys are written here in sorted order and each record
-        from its fixed template.  The free-form subtrees (tables, fixtures,
+        by its f-string writer.  The free-form subtrees (tables, fixtures,
         interpretations) are ``json.dumps`` text, each line after the first
         indented one more level: JSON text holds no raw newline inside a
         string, so replacing every newline is exact.  The tables are copied

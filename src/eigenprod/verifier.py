@@ -91,6 +91,7 @@ from .interval import (
     Zeta,
     certified_compare,
     evaluate_with_escalation,
+    from_rational,
     rational_pair,
 )
 from .quadfield import Splitting, narrow_one_fields
@@ -216,10 +217,9 @@ class _Run:
         t = Fraction(*rational_pair(threshold))
         holds = RELATIONS[relation](v, t)
         outcome = Outcome.CERTIFIED_TRUE if holds else Outcome.CERTIFIED_FALSE
-        decision = Decision(
-            outcome, CertifiedReal(v, v, 0), "exact rational arithmetic"
-        )
-        return self.record(name, relation, t, decision)
+        decision = Decision(outcome, from_rational(v, 0), "exact rational arithmetic")
+        self.constants.append(CheckRecord(name, relation, t, decision))
+        return decision
 
     def use_fixture(self, key: str):
         """The fact on file under key, recorded for the report's echo.
@@ -947,12 +947,16 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
     settled by the exact cusp-dimension lower bound.  A triple nothing
     covers is reported as a survivor, which fails the run.
     """
-    recorded_dims: set[tuple[int, int]] = set()
+    bounds: dict[tuple[int, int], Fraction] = {}
+    # read at the first weight-4 triple: a run with none needs no such fact
+    ishikawa_zero = None
     for D, k1, k2 in triples:
         w = k1 + k2
-        if w == 4 and D in ishikawa_zero_dim_fields(
-            run.use_fixture("ishikawa_weight2_dim")
-        ):
+        if w == 4 and ishikawa_zero is None:
+            ishikawa_zero = ishikawa_zero_dim_fields(
+                run.use_fixture("ishikawa_weight2_dim")
+            )
+        if w == 4 and D in ishikawa_zero:
             run.candidate(
                 ELIMINATED_BY_FIXTURE,
                 "no weight 2 cuspidal eigenform over this field, so the "
@@ -963,11 +967,13 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
             )
             continue
         if D > 12:
-            bound = cusp_dim_lower_bound(D, w // 2)
-            if bound > 1:
-                if (D, w) not in recorded_dims:
-                    recorded_dims.add((D, w))
+            if (D, w) in bounds:
+                bound = bounds[D, w]
+            else:
+                bound = bounds[D, w] = cusp_dim_lower_bound(D, w // 2)
+                if bound > 1:
                     run.exact(f"dim_floor_d{D}_w{w}", bound, 1, ">")
+            if bound > 1:
                 run.use_fixture("grh_eigenform_product_criterion")
                 run.candidate(
                     ELIMINATED_BY_DIMENSION,

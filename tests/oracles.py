@@ -21,7 +21,7 @@ without the writer's formatting code, so the tests can compare the two:
   against the scan's cross-product numerators;
 - ``report_reference``, a report as the dict its JSON text encodes, its
   decimals from ``Fraction`` floor and ceiling, against the report
-  writer's templates and integer-pair decimals.
+  writer's record f-strings and integer-pair decimals.
 
 Four reads only the tests make live here too, not as methods in the
 package: ``power_sum``, one entry of a character's power-sum row;
@@ -321,12 +321,12 @@ def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
 # Reports
 
 
-def _directed_decimal(value: Fraction, rounding) -> str:
+def _directed_decimal(value: Fraction, rounding, digits: int = ENCLOSURE_DIGITS) -> str:
     # `rounding` is math.floor or math.ceil, applied to the Fraction itself
-    scale = 10**ENCLOSURE_DIGITS
+    scale = 10**digits
     units = rounding(value * scale)
     whole, frac = divmod(abs(units), scale)
-    return f"{'-' if units < 0 else ''}{whole}.{frac:0{ENCLOSURE_DIGITS}d}"
+    return f"{'-' if units < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
 def report_reference(report: VerificationReport) -> dict:

@@ -381,6 +381,19 @@ def test_unread_fact_cannot_stop_a_section(tmp_path, capsys, section, key, code)
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("section", ["s4-inert", "s4-noninert"])
+def test_missing_ishikawa_fact_exits_missing_fixture(tmp_path, capsys, section):
+    # both branches eliminate weight-4 triples, which need the fact
+    doc = json.loads(
+        resources.files("eigenprod.data").joinpath("fixtures.json").read_text(encoding="utf-8")
+    )
+    del doc["facts"]["ishikawa_weight2_dim"]
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", section, "--fixtures", str(path)]) == EXIT_MISSING_FIXTURE == 4
+    assert capsys.readouterr().err == "missing fixture fact: ishikawa_weight2_dim\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [

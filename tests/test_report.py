@@ -1,6 +1,7 @@
 """Report serialization: directed decimals, verdict resolution, tables."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from eigenprod.report import (
     tables_csv,
     tables_markdown,
 )
-from oracles import report_reference
+from oracles import _directed_decimal, report_reference
 
 
 def _decision(outcome: Outcome) -> Decision:
@@ -84,19 +85,32 @@ def test_format_decimal_rejects_unknown_rounding():
     num=st.integers(min_value=-(2**520), max_value=2**520),
     den=st.integers(min_value=1, max_value=2**520),
     rounding=st.sampled_from(["floor", "ceil"]),
+    digits=st.sampled_from([1, 2, 12, 30, 40]),
 )
-@example(num=0, den=1, rounding="floor")
-@example(num=0, den=7, rounding="ceil")
-@example(num=-5, den=1, rounding="ceil")
-@example(num=-(2**501) + 1, den=3, rounding="floor")
-@example(num=2**501 - 1, den=2**501 + 1, rounding="ceil")
-@example(num=-1, den=2**505, rounding="ceil")
-def test_pair_decimal_matches_format_decimal(num, den, rounding):
-    # the integer-pair path the reports use, against the Fraction path, on
-    # unreduced pairs and endpoints past the 501 bits of a default run
-    text = pair_decimal(num, den, 30, rounding)
-    assert text == format_decimal(Fraction(num, den), 30, rounding)
-    ulp, value = Fraction(1, 10**30), Fraction(num, den)
+@example(num=0, den=1, rounding="floor", digits=30)
+@example(num=0, den=7, rounding="ceil", digits=30)
+@example(num=-5, den=1, rounding="ceil", digits=30)
+@example(num=-(2**501) + 1, den=3, rounding="floor", digits=30)
+@example(num=2**501 - 1, den=2**501 + 1, rounding="ceil", digits=30)
+@example(num=-1, den=2**505, rounding="ceil", digits=30)
+@example(num=-1, den=3, rounding="floor", digits=30)
+@example(num=-2, den=3, rounding="ceil", digits=1)
+@example(num=0, den=5, rounding="ceil", digits=1)
+@example(num=-1, den=30, rounding="ceil", digits=1)
+@example(num=3, den=700, rounding="floor", digits=12)
+@example(num=-3, den=700, rounding="ceil", digits=12)
+@example(num=7, den=3, rounding="floor", digits=1)
+def test_pair_decimal_matches_format_decimal(num, den, rounding, digits):
+    # the integer-pair path the reports use, against the Fraction path and
+    # an independent floor/ceil oracle, on unreduced pairs, endpoints past
+    # the 501 bits of a default run, the 12 digits of the degree grid, the
+    # sign and "0." of values in (-1, 0) and fractions with leading zeros
+    text = pair_decimal(num, den, digits, rounding)
+    value = Fraction(num, den)
+    assert text == format_decimal(value, digits, rounding)
+    direction = math.floor if rounding == "floor" else math.ceil
+    assert text == _directed_decimal(value, direction, digits)
+    ulp = Fraction(1, 10**digits)
     if rounding == "floor":
         assert Fraction(text) <= value < Fraction(text) + ulp
     else:

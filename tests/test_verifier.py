@@ -654,6 +654,48 @@ def test_fixture_consumers_fail_loudly_without_facts(runner):
         runner(fixtures=_EMPTY_FIXTURES)
 
 
+def _fixtures_without(key):
+    doc = json.loads(
+        resources.files("eigenprod.data").joinpath("fixtures.json").read_text(encoding="utf-8")
+    )
+    del doc["facts"][key]
+    return Fixtures.from_document(doc, origin="test")
+
+
+def test_triples_without_weight_4_leave_the_ishikawa_fact_unread():
+    run = verifier._Run("unit", 32, 128, _fixtures_without("ishikawa_weight2_dim"))
+    verifier._eliminate_triples(run, [(17, 2, 4), (17, 4, 2), (41, 2, 4)])
+    assert "ishikawa_weight2_dim" not in run.fixtures_echo
+    assert [c.status for c in run.candidates] == [ELIMINATED_BY_DIMENSION] * 3
+    assert [r.name for r in run.constants] == ["dim_floor_d17_w6", "dim_floor_d41_w6"]
+
+
+def test_weight_4_triples_read_the_ishikawa_fact_once(monkeypatch):
+    parsed, parse = [], verifier.ishikawa_zero_dim_fields
+
+    def counting(fact):
+        parsed.append(fact.key)
+        return parse(fact)
+
+    monkeypatch.setattr(verifier, "ishikawa_zero_dim_fields", counting)
+    run = verifier._Run("unit", 32, 128, Fixtures.load())
+    verifier._eliminate_triples(run, [(13, 2, 2), (17, 2, 4), (17, 2, 2), (41, 2, 2)])
+    assert parsed == ["ishikawa_weight2_dim"]
+    assert [f["key"] for f in run.report().fixtures_used].count("ishikawa_weight2_dim") == 1
+    assert [c.status for c in run.candidates] == [ELIMINATED_BY_FIXTURE] + [
+        ELIMINATED_BY_DIMENSION
+    ] * 3
+
+
+def test_weight_4_triple_without_the_ishikawa_fact_fails_loudly():
+    run = verifier._Run("unit", 32, 128, _fixtures_without("ishikawa_weight2_dim"))
+    with pytest.raises(MissingFixtureError) as info:
+        verifier._eliminate_triples(run, [(17, 2, 4), (41, 2, 2)])
+    assert info.value.key == "ishikawa_weight2_dim"
+    # the triple before the first weight-4 one was disposed of first
+    assert [(c.d, c.k1, c.k2) for c in run.candidates] == [(17, 2, 4)]
+
+
 def test_explicit_fixtures_reproduce_builtin_run(report_s4n):
     report = verify_section4_noninert(fixtures=Fixtures.load())
     assert report.to_json() == report_s4n.to_json()
