@@ -166,11 +166,14 @@ class EisensteinDescriptor(_EisensteinFields):
 def eisenstein_coeff(form: EisensteinDescriptor, ideal: IdealFactorization) -> int:
     """sigma_{k-1}(ideal) = prod over prime powers P^e of sum_{i <= e}
     N(P)^(i (k-1)), each factor in closed form (N(P)^((e+1)(k-1)) - 1) /
-    (N(P)^(k-1) - 1)."""
+    (N(P)^(k-1) - 1) from ``exact._prime_power_divisor_sum``.  The factors
+    are multiplied in a plain loop: an ideal has few prime-power entries,
+    and a generator under ``math.prod`` costs more than the products."""
     k1 = form.weight - 1
-    return math.prod(
-        _prime_power_divisor_sum(prime_norm**k1, e) for prime_norm, _, e in ideal.entries
-    )
+    total = 1
+    for prime_norm, _, e in ideal.entries:
+        total *= _prime_power_divisor_sum(prime_norm**k1, e)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +390,22 @@ def residual_noninert(k: int) -> int:
     return 2 ** (2 * k - 1) - 2 ** (k - 1)
 
 
-def _unequal_cross(a: tuple, b: tuple, c: tuple) -> tuple[int, int]:
-    # (numerator, denominator) of (a + b) c - a b, unreduced
-    (ap, aq), (bp, bq), (cp, cq) = a, b, c
-    return (ap * bq + bp * aq) * cp - ap * bp * cq, aq * bq * cq
-
-
 def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]]:
     """All (D, k1, k2) with a vanishing exact constant-term residual.
 
     Scans every narrow class number one field with discriminant at most
     d_limit, including 5, and every even pair 2 <= k2 <= k1 <= k_limit.
-    Equal weights use the splitting-specific residual, unequal weights the
-    three-value residual; both are exact rationals, so membership in the
-    result is a theorem, not an approximation.  A limit below the
-    smallest field (D = 5) or weight (k = 2) is rejected, not scanned as
-    an empty range.
+    An unequal pair is tested on the three-value residual (A + B) C - A B,
+    A, B, C the zeta values at 1 - k1, 1 - k2, 1 - k1 - k2, written as
+    integer pairs A = ap / aq and so on: multiplied through by the nonzero
+    aq bq cq it vanishes exactly when (ap bq + bp aq) cp == ap bp cq, one
+    comparison of two products.  An equal pair uses the splitting of 2:
+    the inert residual's numerator (``_inert_cross``), or the
+    split/ramified factor ``residual_noninert(k)``, which depends on the
+    weight alone and so is decided once per weight, before the fields.
+    Every test is exact, so membership in the result is a theorem, not an
+    approximation.  A limit below the smallest field (D = 5) or weight
+    (k = 2) is rejected, not scanned as an empty range.
     """
     if d_limit < 5:
         raise ValueError("the discriminant limit must be at least 5")
@@ -410,6 +413,7 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
         raise ValueError("the weight limit must be at least 2")
     survivors = []
     kmax = k_limit - k_limit % 2
+    noninert_zero = {k for k in range(2, kmax + 1, 2) if residual_noninert(k) == 0}
     fields = narrow_one_fields(d_limit)
     # every field's power-sum row through its heaviest weight, in one pass
     # of the shared-table kernel; zeta_F(-1) takes the divisor sum instead
@@ -425,13 +429,16 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
         weights = range(heaviest[D], 0, -2)
         zeta = {j: dedekind_zeta_neg(D, j).as_integer_ratio() for j in weights}
         for k1 in range(kmax, 0, -2):
-            for k2 in range(k1, 0, -2):
-                if k1 != k2:
-                    residual = _unequal_cross(zeta[k1], zeta[k2], zeta[k1 + k2])[0]
-                elif inert:
-                    residual = _inert_cross(k1, zeta[k1], zeta[2 * k1])[0]
-                else:
-                    residual = residual_noninert(k1)
-                if residual == 0:  # a numerator, never reduced
+            ap, aq = zeta[k1]
+            for k2 in range(k1 - 2, 0, -2):
+                bp, bq = zeta[k2]
+                cp, cq = zeta[k1 + k2]
+                if (ap * bq + bp * aq) * cp == ap * bp * cq:
                     survivors.append((D, k1, k2))
+            if inert:
+                equal_vanishes = _inert_cross(k1, zeta[k1], zeta[2 * k1])[0] == 0
+            else:
+                equal_vanishes = k1 in noninert_zero
+            if equal_vanishes:
+                survivors.append((D, k1, k1))
     return sorted(survivors)

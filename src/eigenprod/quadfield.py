@@ -179,17 +179,29 @@ def _narrow_class_number_is_one(D: int) -> bool:
     class holds an ideal of norm below sqrt(D)/2, a product of primes of
     norm l with 4 l^2 < D and of inert primes (l), which are principal;
     so (ii) makes every class trivial.
+
+    Half the cycle is walked.  A reduced form with |a| = 1 has b = b0,
+    since sqrt(D) - 2 < b < sqrt(D) and b = D (mod 2), so the only such
+    forms are the start and its negation N(start), where N(a, b, c) =
+    (-a, b, -c).  The walk stops at the first of the two it reaches.  If
+    that is the start, the whole cycle was walked without a = -1, and
+    (i) fails.  Otherwise it is N(start), reached in L steps.  Since rho
+    reads only b and |c|, rho(N(f)) = N(rho(f)), so L more steps from
+    N(start) reach N(N(start)) = start: the rest of the cycle is the
+    negation of the walked half.  The values |a| over the half are then
+    those over the whole cycle, and a form with a = l lies on the cycle
+    iff l or -l does on the half, so (ii) reads the set of |a|.
     """
     s = math.isqrt(D)
     b0 = s if (D - s) % 2 == 0 else s - 1
     start = form = (1, b0, (b0 * b0 - D) // 4)
     leading = set()
     while True:
-        leading.add(form[0])
+        leading.add(abs(form[0]))
         form = _rho(form, D, s)
-        if form == start:
+        if abs(form[0]) == 1:
             break
-    if -1 not in leading:
+    if form == start:
         return False
     ell = 2
     while 4 * ell * ell < D:

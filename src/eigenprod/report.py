@@ -38,23 +38,17 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_FAILED = "verification failed"
 
 
-def format_decimal(value, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor") -> str:
-    """Exact decimal rendering of a rational, directed at `digits` places.
-
-    rounding 'floor' rounds toward minus infinity and 'ceil' toward plus
-    infinity, so a (floor, ceil) pair printed for an interval still
-    brackets it.  Only an ``int`` or a ``Fraction`` is taken; a float
-    raises ``TypeError``.
-    """
-    num, den = rational_pair(value)
-    return pair_decimal(num, den, digits, rounding)
-
-
 def pair_decimal(
     num: int, den: int, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor"
 ) -> str:
-    """`format_decimal` of ``num / den`` for integers with ``den > 0``
-    and ``digits >= 1``, computed without building a ``Fraction``."""
+    """Exact decimal rendering of ``num / den``, directed at `digits`
+    places, for integers with ``den > 0`` and ``digits >= 1``, computed
+    without building a ``Fraction``.
+
+    rounding 'floor' rounds toward minus infinity and 'ceil' toward plus
+    infinity, so a (floor, ceil) pair printed for an interval still
+    brackets it.
+    """
     scale = 10**digits
     if rounding == "floor":
         units = num * scale // den

@@ -104,8 +104,8 @@ from .report import (
     CandidateRecord,
     CheckRecord,
     VerificationReport,
-    format_decimal,
     fraction_str,
+    pair_decimal,
 )
 
 _FLIP = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
@@ -1047,12 +1047,13 @@ def _degree_grid(
                 ">=",
             )
             dist[(k2, k1)] = dec.enclosure
+            lo, hi = dec.enclosure.endpoint_pairs()
             rows.append(
                 [
                     k2,
                     k1,
-                    format_decimal(dec.enclosure.lo, 12, "floor"),
-                    format_decimal(dec.enclosure.hi, 12, "ceil"),
+                    pair_decimal(*lo, 12, "floor"),
+                    pair_decimal(*hi, 12, "ceil"),
                 ]
             )
     run.tables[f"degree{n}_grid"] = {

@@ -17,8 +17,9 @@ without the writer's formatting code, so the tests can compare the two:
   of a norm, against divisor character sums and ``factor_ideal``;
 - ``coefficient``, one Eisenstein coefficient at one element, against
   the coefficient tables;
-- ``residual_unequal``, the unequal-weight residual as a ``Fraction``,
-  against the scan's cross-product numerators;
+- ``residual_unequal``, the unequal-weight residual in ``Fraction``
+  arithmetic, against the scan's cross-multiplied comparison and the
+  product coefficients;
 - ``report_reference``, a report as the dict its JSON text encodes, its
   decimals from ``Fraction`` floor and ceiling, against the report
   writer's record f-strings and integer-pair decimals.
@@ -67,6 +68,7 @@ from eigenprod.report import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_IDENTITY,
     VerificationReport,
+    pair_decimal,
 )
 
 # ---------------------------------------------------------------------------
@@ -304,21 +306,29 @@ def coefficient(form: EisensteinDescriptor, nu: TotallyPositiveElement) -> Fract
 
 def residual_unequal(D: int, k1: int, k2: int) -> Fraction:
     """Exact constant-term residual (A + B) C - A B of the unequal-weight
-    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2.  Built
-    as one ``Fraction`` from the scan's integer cross-product; C is asked
-    for first, so a missing power-sum row is built once, through
-    T_{k1+k2}.  The zeta
-    values are read through ``hmf_coeffs`` at each call, so a test that
-    patches ``hmf_coeffs.dedekind_zeta_neg`` moves this residual and the
-    scan together."""
+    identity, with A, B, C the zeta values at 1-k1, 1-k2, 1-k1-k2, in
+    ``Fraction`` arithmetic; the scan decides the same residual by one
+    integer cross-multiplied comparison instead.  C is asked for first,
+    so a missing power-sum row is built once, through T_{k1+k2}.  The
+    zeta values are read through ``hmf_coeffs`` at each call, so a test
+    that patches ``hmf_coeffs.dedekind_zeta_neg`` moves this residual and
+    the scan together."""
     zeta = hmf_coeffs.dedekind_zeta_neg
-    c = zeta(D, k1 + k2).as_integer_ratio()
-    a, b = (zeta(D, k).as_integer_ratio() for k in (k1, k2))
-    return Fraction(*hmf_coeffs._unequal_cross(a, b, c))
+    c = zeta(D, k1 + k2)
+    a, b = zeta(D, k1), zeta(D, k2)
+    return (a + b) * c - a * b
 
 
 # ---------------------------------------------------------------------------
 # Reports
+
+
+def format_decimal(value, digits: int = ENCLOSURE_DIGITS, rounding: str = "floor") -> str:
+    """Exact decimal rendering of a rational, directed at `digits` places,
+    through ``pair_decimal`` on its reduced pair.  Only an ``int`` or a
+    ``Fraction`` is taken; a float raises ``TypeError``."""
+    num, den = rational_pair(value)
+    return pair_decimal(num, den, digits, rounding)
 
 
 def _directed_decimal(value: Fraction, rounding, digits: int = ENCLOSURE_DIGITS) -> str:

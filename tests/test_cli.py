@@ -297,6 +297,18 @@ def test_verify_unwritable_out_dir_is_usage_error(tmp_path, capsys, below):
     assert captured.err.count("\n") == 1
 
 
+def test_verify_all_at_the_stress_discriminant_limit(tmp_path, capsys):
+    # --d-limit 20000, five times the default, widens the field universes
+    # of s3-equal, s4-inert and s4-noninert to the 918 narrow-one fields
+    # with D <= 20000, each found by the principal-cycle walk
+    assert main(["verify", "all", "--d-limit", "20000", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"section {s}: no identity exists" for s in eigenprod.SECTION_ORDER]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"report-{s}.json" for s in eigenprod.SECTION_ORDER
+    )
+
+
 def test_verify_inconclusive_exit(capsys):
     code = main(["verify", "s5", "--precision", "8", "--precision-ceiling", "8"])
     assert code == EXIT_INCONCLUSIVE

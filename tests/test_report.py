@@ -26,13 +26,12 @@ from eigenprod.report import (
     VERDICT_FAILED,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_IDENTITY,
-    format_decimal,
     fraction_str,
     pair_decimal,
     tables_csv,
     tables_markdown,
 )
-from oracles import _directed_decimal, report_reference
+from oracles import _directed_decimal, format_decimal, report_reference
 
 
 def _decision(outcome: Outcome) -> Decision:

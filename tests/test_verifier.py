@@ -58,12 +58,11 @@ from eigenprod.report import (
     SURVIVOR,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_IDENTITY,
-    format_decimal,
     fraction_str,
 )
 from eigenprod import exact, verifier
 from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
-from oracles import residual_unequal, subset_of
+from oracles import format_decimal, residual_unequal, subset_of
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
 
@@ -181,31 +180,22 @@ def _fraction_residual_inert(D, k):
     return (4 ** (2 * k - 1) - 4 ** (k - 1)) * a * a - 4 * dedekind_zeta_neg(D, 2 * k)
 
 
-def _fraction_residual_unequal(D, k1, k2):
-    a = dedekind_zeta_neg(D, k1)
-    b = dedekind_zeta_neg(D, k2)
-    c = dedekind_zeta_neg(D, k1 + k2)
-    return (a + b) * c - a * b
-
-
 def test_integer_residuals_match_fraction_formulas():
+    # the inert residual is built from integer cross-products; the unequal
+    # one, residual_unequal, is itself the Fraction formula, held to the
+    # scan by the planted zeros below and to the coefficients at nu = 1
     checked = 0
     for f in narrow_one_fields(200):
         D = f.discriminant
-        for k1 in range(2, 21, 2):
-            for k2 in range(2, k1 + 1, 2):
-                if k1 == k2:
-                    got, want = residual_inert(D, k1), _fraction_residual_inert(D, k1)
-                else:
-                    got = residual_unequal(D, k1, k2)
-                    want = _fraction_residual_unequal(D, k1, k2)
-                assert isinstance(got, Fraction), (D, k1, k2)
-                assert (got.numerator, got.denominator) == (
-                    want.numerator,
-                    want.denominator,
-                ), (D, k1, k2)
-                checked += 1
-    assert checked == 22 * 55
+        for k in range(2, 21, 2):
+            got, want = residual_inert(D, k), _fraction_residual_inert(D, k)
+            assert isinstance(got, Fraction), (D, k)
+            assert (got.numerator, got.denominator) == (
+                want.numerator,
+                want.denominator,
+            ), (D, k)
+            checked += 1
+    assert checked == 22 * 10
 
 
 def test_exact_identity_scan_finds_the_unique_identity():
@@ -224,8 +214,12 @@ def test_exact_identity_scan_unique_identity_to_d_2000_k_24():
         ((13, 10), (13, 6, 4)),
         # zeta(1 - 2k) = m A^2 / 4, m = 4^(2k-1) - 4^(k-1), at k = 4 (2 inert)
         ((13, 8), (13, 4, 4)),
+        # the loop edges: the heaviest k1 with the lightest k2, and the
+        # heaviest equal pair, whose zeta(1 - 2k) is the heaviest value read
+        ((13, 10), (13, 8, 2)),
+        ((13, 16), (13, 8, 8)),
     ],
-    ids=["unequal", "inert"],
+    ids=["unequal", "inert", "unequal-edge", "inert-edge"],
 )
 def test_exact_identity_scan_lists_a_vanishing_residual(monkeypatch, patched, zero):
     # every true residual is nonzero away from (5, 2, 2), so a sign slip in
@@ -245,6 +239,22 @@ def test_exact_identity_scan_lists_a_vanishing_residual(monkeypatch, patched, ze
     )
     assert (residual_unequal(D, k1, k2) if k1 != k2 else residual_inert(D, k1)) == 0
     assert exact_identity_scan(100, 8) == [(5, 2, 2), zero]
+
+
+def test_exact_identity_scan_lists_a_vanishing_noninert_factor(monkeypatch):
+    # the split/ramified factor is decided once per weight, so a factor made
+    # to vanish at the heaviest weight must list every such field there
+    factor = hmf_coeffs.residual_noninert
+    monkeypatch.setattr(
+        hmf_coeffs, "residual_noninert", lambda k: 0 if k == 8 else factor(k)
+    )
+    noninert = [
+        (f.discriminant, 8, 8)
+        for f in narrow_one_fields(100)
+        if f.two_splitting is not Splitting.INERT
+    ]
+    assert noninert
+    assert exact_identity_scan(100, 8) == sorted([(5, 2, 2)] + noninert)
 
 
 # ---------------------------------------------------------------------------
