@@ -166,6 +166,17 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and _factorize(n) == [(n, 1)]
 
 
+def _primes_up_to(n: int) -> bytearray:
+    """Sieve of Eratosthenes: entry i is 1 exactly when i is prime, for
+    0 <= i <= n."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(len(sieve[:2]))
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return sieve
+
+
 # KroneckerCharacter.power_sums rows by discriminant
 _power_sum_rows: dict[int, tuple[int, ...]] = {}
 

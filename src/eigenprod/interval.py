@@ -26,14 +26,20 @@ decided by cross-multiplying against the threshold, and a comparison is
 only ever decided when the whole interval lies on one side of it.  Its
 result is a ``Decision``, a ``NamedTuple``.
 
-Interior expression nodes (``Add`` ... ``Abs``) are enclosed through one
-bounded memo keyed by ``(node, precision)``.  A node is its kind and its
+Interior expression nodes (``Add`` ... ``Abs``) keep enclosures for two
+lifetimes.  Each node keeps its last enclosure on itself, so the
+enclosure lives exactly as long as the node: a tree the verifier's
+memoised builders keep is enclosed once per precision for the life of
+the process, and a tree built for one probe drops its enclosures with
+the tree.  Equal nodes built apart share enclosures through one bounded
+memo keyed by ``(node, precision)``.  A node is its kind and its
 argument tuple, compared structurally (see ``Expr``), so the key is the
 tree's structure: the same subexpression built twice, such as 4 pi^2 in
-every unequal-weight chain, is enclosed once per precision.  An
-enclosure is a function of the key alone, so the memo cannot change a
-result.  It is bounded because a run builds thousands of distinct nodes
-and an unbounded memo would keep every one alive.
+every unequal-weight chain, is enclosed once per precision while it
+stays in the memo.  An enclosure is a function of the node and the
+precision alone, so neither store can change a result.  The memo is
+bounded because a run builds thousands of distinct nodes and an
+unbounded memo would keep every one alive.
 
 ``evaluate_with_escalation`` retries an undecided comparison at doubled
 precision up to a ceiling.  Doubling the precision shrinks enclosure
@@ -506,15 +512,15 @@ class Expr:
     """Closed real expression; ``enclose(precision)`` yields a CertifiedReal.
 
     A node is its kind (its class) and its argument tuple ``args``:
-    children, or a leaf's value, an ``int`` whenever the value is
-    integral (see ``Rat``).  A node never changes, so its structural
-    hash is computed once, at construction, from its children's kept
-    hashes; the enclosure memo hashes every node it is asked about, which
-    would otherwise walk the whole subtree each time.  Equality is
-    structural: the same kind with equal arguments.  The kept hash mixes
-    in ``hash(type(self))``, which differs from process to process, so a
-    node pickles as its kind and arguments and is rebuilt through its
-    constructor when loaded.
+    children, or a leaf's value, an ``int`` whenever the value is integral
+    (see ``Rat``).  A node's kind and arguments never change, so its
+    structural hash is computed once, at construction, from its children's
+    kept hashes; the enclosure memo hashes every node it is asked about,
+    which would otherwise walk the whole subtree each time.  Equality is
+    structural: the same kind with equal arguments.  The kept hash mixes in
+    ``hash(type(self))``, which differs from process to process, so a node
+    pickles as its kind and arguments and is rebuilt through its constructor
+    when loaded.
     """
 
     __slots__ = ("args", "_hash")
@@ -613,12 +619,12 @@ class GammaInt(Expr):
         return from_rational(gamma_integer(self.args[0]), precision)
 
 
-# Bound on the structural memo below.  In a cold `verify all` at the
-# defaults, 2177 of the 5403 interior-node enclosures repeat an earlier
-# (node, precision) pair.  Kept unbounded, the memo holds 3226 entries and
-# raises peak RSS from 19.7 to 21.4 MB; 256 entries keep 2057 of the 2177
-# hits at no measurable RSS cost, while 512 add 60 hits for +0.2 MB and 64
-# lose 113.
+# Bound on the structural memo below.  A cold `verify all` at the defaults
+# asks 5453 interior-node enclosures: 967 are answered by the node's kept
+# enclosure, 1049 by the memo, and 3437 are computed.  Kept unbounded, the
+# memo holds 3226 entries and raises peak RSS from 20.0 to 21.5 MB.  512
+# entries add 63 hits but time no faster (best of 10 runs in process), and
+# 128 and 64 lose 106 and 171 hits.
 _ENCLOSE_MEMO_SIZE = 256
 
 
@@ -629,12 +635,22 @@ def _enclose_memo(node: "_Node", precision: int) -> CertifiedReal:
 
 class _Node(Expr):
     """Interior node: its kind's ``op`` applied to the enclosures of its
-    children, through the memo."""
+    children, through the memo.  The node keeps its last enclosure in
+    ``_kept``, one attribute that also carries the precision the enclosure
+    was built at, so a node asked again at that precision answers without
+    a memo lookup.  Keeping the bare enclosure rather than a
+    ``(precision, enclosure)`` tuple saves about 70 KiB after a cold
+    ``verify all``.  The slot is unset until the first enclosure, and
+    ``__reduce__`` does not carry it."""
 
-    __slots__ = ()
+    __slots__ = ("_kept",)
 
     def enclose(self, precision: int) -> CertifiedReal:
-        return _enclose_memo(self, precision)
+        kept = getattr(self, "_kept", None)
+        if kept is not None and kept._precision == precision:
+            return kept
+        kept = self._kept = _enclose_memo(self, precision)
+        return kept
 
     def _enclose(self, precision: int) -> CertifiedReal:
         return self.op(*[x.enclose(precision) for x in self.args])

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .exact import (
     _is_prime,
+    _primes_up_to,
     _require_real_fundamental,
     is_fundamental_discriminant,
     kronecker,
@@ -231,7 +232,8 @@ def narrow_one_fields(limit: int) -> tuple[FieldDescriptor, ...]:
     discriminant <= limit, ascending.
 
     Genus theory prefilter: h+ is odd only when the discriminant has a
-    single prime divisor, so D = 8 or D a prime congruent to 1 mod 4.
+    single prime divisor, so D = 8 or D a prime congruent to 1 mod 4,
+    read from one sieve up to the limit.
     The principal rho-cycle then decides (``_narrow_class_number_is_one``):
     h+ = 1 iff the cycle holds a form with a = -1, so that narrow and
     wide classes agree, and a form with a = l for each prime l below
@@ -239,8 +241,9 @@ def narrow_one_fields(limit: int) -> tuple[FieldDescriptor, ...]:
     generating the class group are principal.
     """
     out = []
+    prime = _primes_up_to(limit)
     for D in range(5, limit + 1):
-        if D != 8 and not (D % 4 == 1 and _is_prime(D)):
+        if D != 8 and not (D % 4 == 1 and prime[D]):
             continue
         if _narrow_class_number_is_one(D):
             out.append(FieldDescriptor(D, radicand(D), splitting_of_two(D), 1))

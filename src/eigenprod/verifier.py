@@ -23,17 +23,21 @@ branches run ``_cusp_factor_sweep`` with their own bounds and hooks, and
 degrees 3 and 4 run ``_degree_grid`` with their own constants.
 
 The builders of the trees the runs probe over and over are memoised
-(``lru_cache``): ``_four_pi_sq``, ``_weight_factor``, ``_front_constant``,
-``c_equal_expr``, ``_gamma_growth``, ``_weight_only_bound``, ``_pair_bound``,
-``_pair_bound_split``, ``_degree_base`` and ``_degree_point``.  A tree is a
+(``lru_cache``): ``_four_pi_sq``, ``_weight_factor``, ``_equal_front``,
+``_front_constant``, ``c_equal_expr``, ``_gamma_growth``,
+``_weight_only_bound``, ``_pair_bound``, ``_pair_bound_split``,
+``_degree_base`` and ``_degree_point``.  A tree is a
 function of its builder's arguments, so equal certificates are the same
 node objects within a run and across runs, and a repeated run builds about
 a third of the nodes a cold one does.  A builder qualifies only when every
 input is a hashable argument and it reads no run state and no fixture, so
 a memo can never change a tree; a fixture constant enters as an argument
 (the minimal discriminant of ``_degree_base``).  Builders whose cached trees
-cost more memory than they save time are left unmemoised.  A memo changes
-no decision: every certificate is still enclosed and compared in every run.
+cost more memory than they save time are left unmemoised.  A memoised tree
+keeps its last enclosures on its nodes (see ``interval``), so a repeated
+run at the same precisions encloses none of its nodes again.  A memo
+changes no decision: every certificate is still compared in every run,
+against the enclosure its tree and precision determine.
 
 The wider reading of s3-equal's maximal-D column bisects its universe of
 fundamental inert discriminants instead of walking it.  The single-weight
@@ -179,8 +183,10 @@ class _Run:
     def record(
         self, name: str, relation: str, threshold, decision: Decision
     ) -> Decision:
-        """Record a decision already taken, as ``check`` records its probe."""
-        self.constants.append(CheckRecord(name, relation, Fraction(threshold), decision))
+        """Record a decision already taken, as ``check`` records its probe.
+        A float threshold raises ``TypeError``, as in ``exact``."""
+        t = Fraction(*rational_pair(threshold))
+        self.constants.append(CheckRecord(name, relation, t, decision))
         return decision
 
     def check_signed(
@@ -313,6 +319,12 @@ def _weight_factor(D: int) -> Expr:
 
 
 @lru_cache(maxsize=None)
+def _equal_front() -> Expr:
+    # (108/pi^6)^2, shared by every single-weight constant
+    return Pow(Rat(108) / Pow(PI, 6), 2)
+
+
+@lru_cache(maxsize=None)
 def _front_constant() -> Expr:
     # 291600 / pi^12 = 1 / (zeta(4)^2 zeta(2)^2), the floor of the leading
     # zeta quotient once k1 >= 4 and k2 >= 2
@@ -348,7 +360,7 @@ def c_equal_expr(D: int, k: int) -> Expr:
         raise ValueError("k must be even and at least 2")
     if D % 8 != 5:
         raise ValueError("the single-weight constant applies to inert fields")
-    return Pow(Rat(108) / Pow(PI, 6), 2) * Sqrt(Rat(D)) * Rat(k)
+    return _equal_front() * Sqrt(Rat(D)) * Rat(k)
 
 
 def ramare_bound(delta: int) -> Expr:

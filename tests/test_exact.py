@@ -458,3 +458,14 @@ def test_sigma1_matches_a_divisor_sieve():
         for n in range(d, limit + 1, d):
             sieve[n] += d
     assert [_sigma1(n) for n in range(1, limit + 1)] == sieve[1:]
+
+
+def test_prime_sieve_agrees_with_is_prime():
+    # narrow_one_fields reads the sieve; _is_prime is the single-number test
+    sieve = exact._primes_up_to(20000)
+    assert len(sieve) == 20001
+    assert [n for n in range(20001) if sieve[n]] == [
+        n for n in range(20001) if exact._is_prime(n)
+    ]
+    small = [list(exact._primes_up_to(n)) for n in range(4)]
+    assert small == [[0], [0, 0], [0, 0, 1], [0, 0, 1, 1]]

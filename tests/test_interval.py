@@ -48,7 +48,7 @@ from eigenprod import (
     verify_section4_inert,
     verify_section5,
 )
-from eigenprod import interval
+from eigenprod import interval, verifier
 from eigenprod.interval import (
     GUARD_BITS,
     RELATIONS,
@@ -386,10 +386,14 @@ def test_pow_int_falls_back_where_top_bits_are_undecided(monkeypatch, x, n, prec
 def test_verifier_powers_of_dyadics_never_fall_back(monkeypatch):
     # every rounded power of an a / 2^q endpoint the two sections take is
     # decided from its top bits (endpoints with other denominators take the
-    # exact power by design); cold enclosure caches make the run complete
+    # exact power by design); cold enclosure caches make the run complete,
+    # and rebuilt trees hold no enclosure kept from an earlier test
     counts = _count_fallbacks(monkeypatch)
     _enclose_memo.cache_clear()
     enclose_zeta.cache_clear()
+    for builder in vars(verifier).values():
+        if hasattr(builder, "cache_clear") and builder.__module__ == verifier.__name__:
+            builder.cache_clear()
     verify_section5()
     verify_section4_inert()
     assert counts["fallback"] == 0
@@ -603,6 +607,21 @@ def test_integer_leaves_hold_ints():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
+def test_kept_enclosure_follows_the_requested_precision():
+    # a node keeps only its last enclosure; asked at another precision it
+    # encloses again, at that precision, as an equal tree built afresh does
+    def interior():
+        return [tree for tree in _one_tree_per_kind() if isinstance(tree, _Node)]
+
+    nodes = interior()
+    for precision in (128, 256, 128):
+        enclosures = [node.enclose(precision) for node in nodes]
+        _enclose_memo.cache_clear()
+        fresh = [tree.enclose(precision) for tree in interior()]
+        assert [enc.precision for enc in enclosures] == [precision] * len(nodes)
+        assert enclosures == fresh
+
+
 # one tree holding every node kind, built from this text in each process
 _EVERY_KIND = (
     "Abs(Log(Exp(Sqrt(Pow(Div(Mul(Sub(Add(Rat(Fraction(3, 2)), Pi()), Zeta(4)),"
@@ -631,6 +650,21 @@ def test_node_unpickled_in_another_process_keeps_the_hash_contract():
         check=True,
     )
     assert proc.stdout.split() == ["True", "True", "True", "1"]
+
+
+def test_pickled_node_keeps_no_enclosure():
+    # an enclosure lives only as long as its node: the pickle of an
+    # enclosed tree is that of a tree never enclosed, and loads bare
+    tree = eval(_EVERY_KIND, vars(interval))
+    bare = pickle.dumps(eval(_EVERY_KIND, vars(interval)))
+    assert tree.enclose(128) is tree._kept
+    assert pickle.dumps(tree) == bare
+    stack = [pickle.loads(pickle.dumps(tree))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Node):
+            assert not hasattr(node, "_kept"), type(node).__name__
+            stack.extend(node.args)
 
 
 @pytest.mark.parametrize(

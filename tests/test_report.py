@@ -65,6 +65,13 @@ def test_format_decimal_exact_values_round_trip():
     assert format_decimal(2, 4) == "2.0000"
 
 
+def test_format_decimal_rejects_a_float():
+    # 0.1 would be written from 3602879701896397/36028797018963968, a value
+    # no caller wrote
+    with pytest.raises(TypeError):
+        format_decimal(0.1, 5)
+
+
 def test_format_decimal_brackets_interval():
     # floor(lo) <= lo and hi <= ceil(hi) must hold for every width
     x = Fraction(355, 113)

@@ -60,9 +60,9 @@ from eigenprod.report import (
     VERDICT_NO_IDENTITY,
     fraction_str,
 )
-from eigenprod import exact, verifier
+from eigenprod import exact, interval, verifier
 from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
-from oracles import format_decimal, residual_unequal, subset_of
+from oracles import residual_unequal, subset_of
 
 _EMPTY_FIXTURES = Fixtures.from_document({"facts": {}}, origin="empty")
 
@@ -779,9 +779,9 @@ def test_degree_families_degrade_to_survivors_at_low_ceiling():
         lambda run: run.exact("p", 0.1, 0, ">"),
         lambda run: run.exact("p", 1, 0.1, ">"),
         lambda run: fraction_str(0.1),
-        lambda run: format_decimal(0.1, 5),
+        lambda run: run.record("p", ">", 0.1, evaluate_with_escalation(Rat(1), 0, ">")),
     ],
-    ids=["exact-value", "exact-threshold", "fraction-str", "format-decimal"],
+    ids=["exact-value", "exact-threshold", "fraction-str", "record-threshold"],
 )
 def test_floats_rejected_at_the_exact_recording_boundary(call):
     # 0.1 would be recorded as 3602879701896397/36028797018963968, a value
@@ -915,6 +915,7 @@ _BUILDERS = (
     "_pair_bound_split",
     "_degree_base",
     "_degree_point",
+    "_equal_front",
 )
 
 
@@ -939,6 +940,7 @@ def _builder_caches():
         ("_pair_bound_split", (6,)),
         ("_degree_base", (3, 49, 4)),
         ("_degree_point", (3, 49, 4, 10)),
+        ("_equal_front", ()),
     ],
 )
 def test_builder_returns_the_same_tree_object(name, args):
@@ -958,6 +960,46 @@ def test_repeated_sections_build_no_new_trees():
     verify_section5()
     after = {name: f.cache_info().misses for name, f in _builder_caches().items()}
     assert after == before
+
+
+def test_repeated_sections_enclose_no_builder_tree_twice(monkeypatch):
+    # a memoised tree keeps its enclosures for as long as the builder memo
+    # keeps the tree, so a second run computes no enclosure of its nodes
+    computed, built = [], []
+
+    def counted(enclose):
+        def counted_enclose(node, precision):
+            computed.append((node, precision))
+            return enclose(node, precision)
+
+        return counted_enclose
+
+    def kept(builder):
+        def kept_builder(*args):
+            built.append(builder(*args))
+            return built[-1]
+
+        return kept_builder
+
+    for kind in vars(interval).values():
+        if isinstance(kind, type) and issubclass(kind, interval._Node):
+            if "_enclose" in vars(kind):
+                monkeypatch.setattr(kind, "_enclose", counted(kind._enclose))
+    for name in _BUILDERS:
+        monkeypatch.setattr(verifier, name, kept(getattr(verifier, name)))
+    verify_section4_inert()
+    verify_section5()
+    computed.clear()
+    verify_section4_inert()
+    verify_section5()
+    memoised, stack = {}, built
+    while stack:
+        node = stack.pop()
+        if isinstance(node, interval._Node) and id(node) not in memoised:
+            memoised[id(node)] = node
+            stack.extend(node.args)
+    assert len(memoised) > 500
+    assert [(node, p) for node, p in computed if id(node) in memoised] == []
 
 
 def test_builders_capture_no_fixture_data():
@@ -981,11 +1023,15 @@ def test_builders_capture_no_fixture_data():
 
 def test_verify_memory_retained_from_cold_caches():
     # what the caches keep after a cold run of the five sections, run on
-    # its own: 511 KiB without the builder memos, 868 KiB with them (less
-    # when earlier tests have allocated what the run shares).  Memoising
-    # six more builders (_disc_bound, _inert_middle, _equal_middle_expr,
-    # c_unequal_expr, _takeuchi, ramare_bound) kept 1422 KiB for no clear
-    # gain in a repeated run.  The bound leaves 30% headroom over 868 KiB
+    # its own: 511 KiB without the builder memos, 834 KiB with them, and
+    # 1033 KiB once the nodes of the memoised trees keep their enclosures
+    # (less when earlier tests have allocated what the run shares).
+    # Memoising six more builders (_disc_bound, _inert_middle,
+    # _equal_middle_expr, c_unequal_expr, _takeuchi, ramare_bound) kept
+    # 1422 KiB for no clear gain in a repeated run.  Kept enclosures took
+    # 1208 KiB with (108/pi^6)^2 built afresh in every single-weight tree
+    # and each enclosure held in a (precision, enclosure) tuple, 1100 KiB
+    # with the tuple alone.  The bound leaves 9% headroom over 1033 KiB
     for cache in _eigenprod_caches():
         cache.cache_clear()
     tracemalloc.start()
