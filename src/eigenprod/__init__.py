@@ -62,7 +62,6 @@ _EXPORTS = {
         "CertifiedReal",
         "Decision",
         "Exp",
-        "GammaInt",
         "Log",
         "Outcome",
         "Pow",
@@ -76,7 +75,6 @@ _EXPORTS = {
         "enclose_sqrt",
         "enclose_zeta",
         "evaluate_with_escalation",
-        "gamma_integer",
     ),
     "quadfield": (
         "FieldDescriptor",

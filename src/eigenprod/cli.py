@@ -15,7 +15,7 @@ process, on the first ``main`` call, and serves every later call.
     3   a reproduced table disagrees with the golden baseline
     4   the fixtures are unreadable, whatever the sections, or a required
         fact is missing or malformed
-    64  command line usage error
+    64  command line usage error, or an input too large for the memory
 
 Identical configuration gives byte-identical output files.
 """
@@ -326,6 +326,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_demo_sqrt5(args.trace_bound)
     except ValueError as exc:
         print(f"eigenprod: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("eigenprod: error: not enough memory for this input", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable: argparse enforces the command set")
 

@@ -9,9 +9,10 @@ equalities between these values are decidable and are used as such by the
 verification layer.
 
 One trial division, ``_factorize``, serves every integer factorization
-in the package: primality, squarefreeness, the prime-discriminant
-factors of a character table, divisor sums, and the rational primes
-below an ideal (``hmf_coeffs.factor_ideal``).
+in the package: single primality tests, squarefreeness, the
+prime-discriminant factors of a character table, divisor sums, and the
+rational primes below an ideal (``hmf_coeffs.factor_ideal``); one sieve,
+``_primes_up_to``, gives the primes up to a limit (``narrow_one_fields``).
 
 The negative zeta values of many fields come from one kernel,
 ``_fill_power_sum_rows``: it builds the centered power-sum rows of many
@@ -169,7 +170,9 @@ def _is_prime(n: int) -> bool:
 def _primes_up_to(n: int) -> bytearray:
     """Sieve of Eratosthenes: entry i is 1 exactly when i is prime, for
     0 <= i <= n."""
-    sieve = bytearray([1]) * (n + 1)
+    # past the memory limit, a repeated bytearray also prints a SystemError
+    # on CPython 3.10, 3.11 and 3.13; one copied from bytes does not
+    sieve = bytearray(b"\x01" * (n + 1))
     sieve[:2] = bytes(len(sieve[:2]))
     for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:

@@ -388,13 +388,6 @@ def enclose_zeta(s: int, precision: int) -> CertifiedReal:
     return _interval(_dyadic((ln << q) // ld, q), _dyadic(-((-hn << q) // hd), q), precision)
 
 
-def gamma_integer(k: int) -> int:
-    """Gamma(k) = (k-1)! exactly, for integer k >= 1."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return math.factorial(k - 1)
-
-
 def _enclose_increasing(
     bounds: Callable[[Pair, int], tuple[Pair, Pair]], x: CertifiedReal
 ) -> CertifiedReal:
@@ -548,32 +541,17 @@ class Expr:
     def __add__(self, other: "Expr") -> "Expr":
         return Add(self, _coerce(other))
 
-    def __radd__(self, other) -> "Expr":
-        return Add(_coerce(other), self)
-
     def __sub__(self, other) -> "Expr":
         return Sub(self, _coerce(other))
 
-    def __rsub__(self, other) -> "Expr":
-        return Sub(_coerce(other), self)
-
     def __mul__(self, other) -> "Expr":
         return Mul(self, _coerce(other))
-
-    def __rmul__(self, other) -> "Expr":
-        return Mul(_coerce(other), self)
 
     def __truediv__(self, other) -> "Expr":
         return Div(self, _coerce(other))
 
     def __rtruediv__(self, other) -> "Expr":
         return Div(_coerce(other), self)
-
-    def __pow__(self, n: int) -> "Expr":
-        return Pow(self, n)
-
-    def __neg__(self) -> "Expr":
-        return Sub(Rat(0), self)
 
 
 def _coerce(x) -> Expr:
@@ -610,13 +588,6 @@ class Zeta(Expr):
 
     def enclose(self, precision: int) -> CertifiedReal:
         return enclose_zeta(self.args[0], precision)
-
-
-class GammaInt(Expr):
-    __slots__ = ()
-
-    def enclose(self, precision: int) -> CertifiedReal:
-        return from_rational(gamma_integer(self.args[0]), precision)
 
 
 # Bound on the structural memo below.  A cold `verify all` at the defaults

@@ -23,13 +23,13 @@ branches run ``_cusp_factor_sweep`` with their own bounds and hooks, and
 degrees 3 and 4 run ``_degree_grid`` with their own constants.
 
 The builders of the trees the runs probe over and over are memoised
-(``lru_cache``): ``_four_pi_sq``, ``_weight_factor``, ``_equal_front``,
-``_front_constant``, ``c_equal_expr``, ``_gamma_growth``,
+(``lru_cache``): ``_weight_factor``, ``c_equal_expr``, ``_gamma_growth``,
 ``_weight_only_bound``, ``_pair_bound``, ``_pair_bound_split``,
-``_degree_base`` and ``_degree_point``.  A tree is a
-function of its builder's arguments, so equal certificates are the same
-node objects within a run and across runs, and a repeated run builds about
-a third of the nodes a cold one does.  A builder qualifies only when every
+``_degree_base`` and ``_degree_point``; the trees with no argument,
+``_FOUR_PI_SQ``, ``_EQUAL_FRONT`` and ``_FRONT_CONSTANT``, are module
+constants.  A tree is a function of its builder's arguments, so equal
+certificates are the same node objects within a run and across runs, and
+a repeated run builds about a third of the nodes a cold one does.  A builder qualifies only when every
 input is a hashable argument and it reads no run state and no fixture, so
 a memo can never change a tree; a fixture constant enters as an argument
 (the minimal discriminant of ``_degree_base``).  Builders whose cached trees
@@ -48,6 +48,7 @@ and the admits and exceeds certificates recorded at the two sides of that
 boundary are the same ones the walk recorded.
 """
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -86,7 +87,6 @@ from .interval import (
     Decision,
     Exp,
     Expr,
-    GammaInt,
     Log,
     Outcome,
     Pow,
@@ -220,12 +220,10 @@ class _Run:
         value or threshold raises ``TypeError``, as in the certified layer.
         """
         v = Fraction(*rational_pair(value))
-        t = Fraction(*rational_pair(threshold))
-        holds = RELATIONS[relation](v, t)
+        holds = RELATIONS[relation](v, threshold)
         outcome = Outcome.CERTIFIED_TRUE if holds else Outcome.CERTIFIED_FALSE
         decision = Decision(outcome, from_rational(v, 0), "exact rational arithmetic")
-        self.constants.append(CheckRecord(name, relation, t, decision))
-        return decision
+        return self.record(name, relation, threshold, decision)
 
     def use_fixture(self, key: str):
         """The fact on file under key, recorded for the report's echo.
@@ -307,28 +305,20 @@ def _ordered_candidates(cands: list[CandidateRecord]) -> tuple[CandidateRecord, 
 # comparison constants
 
 
-@lru_cache(maxsize=None)
-def _four_pi_sq() -> Expr:
-    return Rat(4) * Pow(PI, 2)
+_FOUR_PI_SQ = Rat(4) * Pow(PI, 2)
+
+# (108/pi^6)^2, shared by every single-weight constant
+_EQUAL_FRONT = Pow(Rat(108) / Pow(PI, 6), 2)
+
+# 291600 / pi^12 = 1 / (zeta(4)^2 zeta(2)^2), the floor of the leading
+# zeta quotient once k1 >= 4 and k2 >= 2
+_FRONT_CONSTANT = Rat(291600) / Pow(PI, 12)
 
 
 @lru_cache(maxsize=None)
 def _weight_factor(D: int) -> Expr:
     # D / (4 pi^2), the growth unit of every unequal-weight chain
-    return Rat(D) / _four_pi_sq()
-
-
-@lru_cache(maxsize=None)
-def _equal_front() -> Expr:
-    # (108/pi^6)^2, shared by every single-weight constant
-    return Pow(Rat(108) / Pow(PI, 6), 2)
-
-
-@lru_cache(maxsize=None)
-def _front_constant() -> Expr:
-    # 291600 / pi^12 = 1 / (zeta(4)^2 zeta(2)^2), the floor of the leading
-    # zeta quotient once k1 >= 4 and k2 >= 2
-    return Rat(291600) / Pow(PI, 12)
+    return Rat(D) / _FOUR_PI_SQ
 
 
 def c_unequal_expr(D: int, k1: int, k2: int) -> Expr:
@@ -342,13 +332,13 @@ def c_unequal_expr(D: int, k1: int, k2: int) -> Expr:
         Zeta(4 * k1)
         / (Pow(Zeta(k1), 2) * Pow(Zeta(k2), 2))
         * Pow(w, k1 - k2)
-        * Pow(GammaInt(k1) / GammaInt(k2), 2)
+        * Pow(Rat(math.factorial(k1 - 1)) / Rat(math.factorial(k2 - 1)), 2)
     )
     return (
         Zeta(4 * (k1 + k2))
         / (Pow(Zeta(k1 + k2), 2) * Pow(Zeta(k1), 2))
         * Pow(w, k2)
-        * Pow(GammaInt(k1 + k2) / GammaInt(k1), 2)
+        * Pow(Rat(math.factorial(k1 + k2 - 1)) / Rat(math.factorial(k1 - 1)), 2)
         * Abs(inner - 1)
     )
 
@@ -360,7 +350,7 @@ def c_equal_expr(D: int, k: int) -> Expr:
         raise ValueError("k must be even and at least 2")
     if D % 8 != 5:
         raise ValueError("the single-weight constant applies to inert fields")
-    return _equal_front() * Sqrt(Rat(D)) * Rat(k)
+    return _EQUAL_FRONT * Sqrt(Rat(D)) * Rat(k)
 
 
 def ramare_bound(delta: int) -> Expr:
@@ -395,18 +385,18 @@ def verify_section3_unequal(
     """
     discriminants = [f.discriminant for f in narrow_one_fields(40)]
     run = _Run(SECTION_UNEQUAL, base_precision, precision_ceiling)
-    K = _front_constant()
+    K = _FRONT_CONSTANT
 
     # zeta(4)^2 zeta(2)^2 = pi^12 / (8100 * 36): the closed form behind the
     # front constant, checked on the rational coefficient
     run.exact("front_constant_coefficient", 8100 * 36, 291600, "=")
     mark = run.mark()
-    run.check("four_pi_sq_below_41", _four_pi_sq(), 41, "<")
+    run.check("four_pi_sq_below_41", _FOUR_PI_SQ, 41, "<")
     run.check("front_constant_times_16", K * 16, 1, ">")
-    inner41 = K * Pow(Rat(41 * 4) / _four_pi_sq(), 2) - 1
+    inner41 = K * Pow(Rat(41 * 4) / _FOUR_PI_SQ, 2) - 1
     run.check(
         "large_disc_chain",
-        K * Pow(Rat(41 * 16) / _four_pi_sq(), 2) * inner41,
+        K * Pow(Rat(41 * 16) / _FOUR_PI_SQ, 2) * inner41,
         1,
         ">",
     )
@@ -482,9 +472,9 @@ def _equal_middle_expr(D: int, k: int) -> Expr:
         Pow(Rat(4), 2 - 2 * k)
         * (Rat(72) / Pow(PI, 5))
         * (Pow(w, 2 * k - 1) * Sqrt(w))
-        * Pow(GammaInt(2 * k), 2)
+        * Pow(Rat(math.factorial(2 * k - 1)), 2)
     )
-    den = Pow(Pow(PI, 3) / 18, 2) * Pow(w, 2 * k - 1) * Pow(GammaInt(k), 4)
+    den = Pow(Pow(PI, 3) / 18, 2) * Pow(w, 2 * k - 1) * Pow(Rat(math.factorial(k - 1)), 4)
     return num / den
 
 
@@ -658,7 +648,7 @@ def _s2_factor(k1: int, k2: int) -> int:
 def _gamma_growth(head: Expr, k1: int) -> Expr:
     # head * (2 pi)^(2 k1 - 1) / Gamma(k1)^2, the weight growth every
     # cusp-factor bound shares
-    return head * Pow(Rat(2) * PI, 2 * k1 - 1) / Pow(GammaInt(k1), 2)
+    return head * Pow(Rat(2) * PI, 2 * k1 - 1) / Pow(Rat(math.factorial(k1 - 1)), 2)
 
 
 @lru_cache(maxsize=None)
@@ -684,8 +674,8 @@ def _disc_bound(pair: Expr, k1: int, D: int) -> Expr:
 def _inert_middle(k1: int, k2: int, D: int) -> Expr:
     # the two-term middle line the discriminant bound simplifies; written
     # with (2 pi)^2 / D as the decay unit
-    B = _four_pi_sq() / Rat(D)
-    g2 = Pow(GammaInt(k1), 2)
+    B = _FOUR_PI_SQ / Rat(D)
+    g2 = Pow(Rat(math.factorial(k1 - 1)), 2)
     first = Pow(Pow(PI, 5) / 18, 2) * Pow(B, 2 * k1 - 1) / Pow(g2, 2)
     second = (
         Pow(PI, 5)
@@ -964,55 +954,39 @@ def _eliminate_triples(run: _Run, triples: list[tuple[int, int, int]]) -> None:
     ishikawa_zero = None
     for D, k1, k2 in triples:
         w = k1 + k2
+        status, detail = SURVIVOR, "no elimination route applies"
         if w == 4 and ishikawa_zero is None:
             ishikawa_zero = ishikawa_zero_dim_fields(
                 run.use_fixture("ishikawa_weight2_dim")
             )
         if w == 4 and D in ishikawa_zero:
-            run.candidate(
-                ELIMINATED_BY_FIXTURE,
+            status = ELIMINATED_BY_FIXTURE
+            detail = (
                 "no weight 2 cuspidal eigenform over this field, so the "
-                "triple is vacuous",
-                d=D,
-                k1=k1,
-                k2=k2,
+                "triple is vacuous"
             )
-            continue
-        if D > 12:
-            if (D, w) in bounds:
-                bound = bounds[D, w]
-            else:
+        elif D > 12:
+            bound = bounds.get((D, w))
+            if bound is None:
                 bound = bounds[D, w] = cusp_dim_lower_bound(D, w // 2)
                 if bound > 1:
                     run.exact(f"dim_floor_d{D}_w{w}", bound, 1, ">")
             if bound > 1:
                 run.use_fixture("grh_eigenform_product_criterion")
-                run.candidate(
-                    ELIMINATED_BY_DIMENSION,
+                status = ELIMINATED_BY_DIMENSION
+                detail = (
                     f"cusp space dimension at weight {w} is at least "
-                    f"{fraction_str(bound)} > 1",
-                    d=D,
-                    k1=k1,
-                    k2=k2,
+                    f"{fraction_str(bound)} > 1"
                 )
-                continue
         else:
             # the dimension formula needs D > 12; small fields live on the
             # recorded dimension table instead
             magma_d, w_min, w_max = magma_weight_range(run.use_fixture("magma_dim_d8"))
             if magma_d == D and w_min <= w <= w_max:
                 run.use_fixture("grh_eigenform_product_criterion")
-                run.candidate(
-                    ELIMINATED_BY_FIXTURE,
-                    f"recorded cusp space dimension at weight {w} exceeds 1",
-                    d=D,
-                    k1=k1,
-                    k2=k2,
-                )
-                continue
-        run.candidate(
-            SURVIVOR, "no elimination route applies", d=D, k1=k1, k2=k2
-        )
+                status = ELIMINATED_BY_FIXTURE
+                detail = f"recorded cusp space dimension at weight {w} exceeds 1"
+        run.candidate(status, detail, d=D, k1=k1, k2=k2)
 
 
 # ---------------------------------------------------------------------------

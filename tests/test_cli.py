@@ -7,6 +7,7 @@ reach it.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -528,6 +529,36 @@ def test_module_invocation_runs_main():
     assert bad.returncode == EXIT_USAGE
     assert bad.stdout == ""
     assert "eigenprod: error:" in bad.stderr
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "1000000000000000", "4"],
+        ["verify", "s3-equal", "--d-limit", "1000000000000000"],
+        ["verify", "s3-unequal", "--precision", "100000000000",
+         "--precision-ceiling", "100000000000"],
+    ],
+    ids=["scan-sieve", "verify-sieve", "verify-precision"],
+)
+def test_input_too_large_for_memory_is_a_usage_error(argv):
+    # the child caps its own address space at 2 GiB, so the sieve of 10^15
+    # entries and the 10^11-bit shift fail there without touching the host
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigenprod.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == "eigenprod: error: not enough memory for this input\n"
 
 
 def test_repeated_main_calls_build_one_parser(tmp_path, monkeypatch, capsys):

@@ -30,7 +30,6 @@ from eigenprod import (
     CertifiedReal,
     Decision,
     Exp,
-    GammaInt,
     Log,
     Outcome,
     Pow,
@@ -44,7 +43,6 @@ from eigenprod import (
     enclose_sqrt,
     enclose_zeta,
     evaluate_with_escalation,
-    gamma_integer,
     verify_section4_inert,
     verify_section5,
 )
@@ -474,14 +472,6 @@ def test_enclosures_are_cached():
     assert enclose_zeta(4, 128) is enclose_zeta(4, 128)
 
 
-def test_gamma_integer():
-    assert gamma_integer(1) == 1
-    assert gamma_integer(5) == 24
-    assert gamma_integer(10) == 362880
-    with pytest.raises(ValueError):
-        gamma_integer(0)
-
-
 @pytest.mark.parametrize("value", [Fraction(2), Fraction(1, 3), Fraction(99, 7)])
 def test_enclose_sqrt_exp_log(value):
     x = from_rational(value, 96)
@@ -514,13 +504,10 @@ def test_expression_sugar_builds_correct_enclosures():
     assert _contains(recip.enclose(128), 6 / mp.pi**2)
 
     assert _contains(Pow(PI, -2).enclose(128), mp.pi**-2)
-    assert _contains((PI**3).enclose(128), mp.pi**3)
-    assert _contains((-PI).enclose(128), -mp.pi)
     assert _contains((Rat(Fraction(1, 2)) - PI).enclose(128), mp.mpf("0.5") - mp.pi)
 
 
 def test_expression_leaves():
-    assert GammaInt(6).enclose(32) == CertifiedReal(Fraction(120), Fraction(120), 32)
     assert contains(Rat(Fraction(5, 3)).enclose(32), Fraction(5, 3))
     assert Abs(Rat(-5)).enclose(32) == CertifiedReal(Fraction(5), Fraction(5), 32)
     assert _contains(Sqrt(Rat(2)).enclose(128), mp.sqrt(2))
@@ -554,7 +541,6 @@ def _one_tree_per_kind() -> list:
         Rat(Fraction(3, 2)),
         Pi(),
         Zeta(4),
-        GammaInt(5),
         Add(x, Zeta(2)),
         Sub(x, Zeta(2)),
         Mul(x, Zeta(2)),
@@ -588,7 +574,7 @@ def test_node_identity_is_structural():
     assert Pow(x, 2) != Pow(x, 3)
     assert Add(x, y) != Add(y, x)
     assert Rat(2) == Rat(Fraction(4, 2))
-    assert Rat(2) != GammaInt(2) and Zeta(2) != GammaInt(2)
+    assert Rat(2) != Zeta(2)
     classes = [obj for obj in vars(interval).values() if inspect.isclass(obj)]
     assert not [c.__name__ for c in classes if dataclasses.is_dataclass(c)]
 
@@ -625,7 +611,7 @@ def test_kept_enclosure_follows_the_requested_precision():
 # one tree holding every node kind, built from this text in each process
 _EVERY_KIND = (
     "Abs(Log(Exp(Sqrt(Pow(Div(Mul(Sub(Add(Rat(Fraction(3, 2)), Pi()), Zeta(4)),"
-    " GammaInt(5)), Mul(Rat(2), PI)), 3)))))"
+    " Rat(24)), Mul(Rat(2), PI)), 3)))))"
 )
 
 

@@ -282,6 +282,19 @@ def test_test_only_name_is_not_exported(name):
         assert not hasattr(import_module(f"eigenprod.{home}"), name), home
 
 
+# Public names removed with no alias: a `Rat` leaf of the factorial
+# encloses what the leaf kind `GammaInt` did
+REMOVED_NAMES = ("GammaInt", "gamma_integer")
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_name_is_gone(name):
+    assert name not in eigenprod.__all__
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(eigenprod, name)
+    assert not hasattr(import_module("eigenprod.interval"), name)
+
+
 def _unimported_oracles(oracles: str, tests: dict[str, str]) -> list[str]:
     # a public oracle counts as read when a test module imports it from
     # oracles; a private helper when another statement of oracles.py reads it

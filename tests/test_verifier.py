@@ -8,6 +8,7 @@ must reproduce them bit for bit.
 import hashlib
 import inspect
 import json
+import operator
 import sys
 import tracemalloc
 from collections import Counter
@@ -61,6 +62,7 @@ from eigenprod.report import (
     fraction_str,
 )
 from eigenprod import exact, interval, verifier
+from eigenprod.cli import main
 from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
 from oracles import residual_unequal, subset_of
 
@@ -905,9 +907,7 @@ def _eigenprod_caches():
 
 # the memoised tree builders of the verifier, by name
 _BUILDERS = (
-    "_four_pi_sq",
     "_weight_factor",
-    "_front_constant",
     "c_equal_expr",
     "_gamma_growth",
     "_weight_only_bound",
@@ -915,7 +915,6 @@ _BUILDERS = (
     "_pair_bound_split",
     "_degree_base",
     "_degree_point",
-    "_equal_front",
 )
 
 
@@ -927,20 +926,19 @@ def _builder_caches():
     }
 
 
+# each case keeps the id it had when the list also held the three trees
+# with no argument (args0, args2 and args10), now module constants
 @pytest.mark.parametrize(
     "name, args",
     [
-        ("_four_pi_sq", ()),
-        ("_weight_factor", (13,)),
-        ("_front_constant", ()),
-        ("c_equal_expr", (13, 20)),
-        ("_gamma_growth", (Rat(3), 6)),
-        ("_weight_only_bound", (6,)),
-        ("_pair_bound", (6, 4)),
-        ("_pair_bound_split", (6,)),
-        ("_degree_base", (3, 49, 4)),
-        ("_degree_point", (3, 49, 4, 10)),
-        ("_equal_front", ()),
+        pytest.param("_weight_factor", (13,), id="_weight_factor-args1"),
+        pytest.param("c_equal_expr", (13, 20), id="c_equal_expr-args3"),
+        pytest.param("_gamma_growth", (Rat(3), 6), id="_gamma_growth-args4"),
+        pytest.param("_weight_only_bound", (6,), id="_weight_only_bound-args5"),
+        pytest.param("_pair_bound", (6, 4), id="_pair_bound-args6"),
+        pytest.param("_pair_bound_split", (6,), id="_pair_bound_split-args7"),
+        pytest.param("_degree_base", (3, 49, 4), id="_degree_base-args8"),
+        pytest.param("_degree_point", (3, 49, 4, 10), id="_degree_point-args9"),
     ],
 )
 def test_builder_returns_the_same_tree_object(name, args):
@@ -949,6 +947,86 @@ def test_builder_returns_the_same_tree_object(name, args):
     assert builder(*args) is first
     # a tree built afresh is equal, so memoising changes no memo key
     assert builder.__wrapped__(*args) == first
+
+
+def _subtrees_equal_to(tree, target):
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node == target:
+            found.append(node)
+        else:
+            stack.extend(arg for arg in node.args if isinstance(arg, interval.Expr))
+    return found
+
+
+def test_constant_trees_are_shared_by_identity(monkeypatch):
+    # the trees with no argument are module constants, so every tree that
+    # holds one holds that object and its kept enclosures
+    probed = []
+    probe = verifier._Run.probe
+
+    def recording_probe(run, expr, threshold, relation):
+        probed.append(expr)
+        return probe(run, expr, threshold, relation)
+
+    monkeypatch.setattr(verifier._Run, "probe", recording_probe)
+    verify_section3_unequal()
+    holders = {
+        "_FOUR_PI_SQ": [verifier._weight_factor(13), *probed],
+        "_EQUAL_FRONT": [c_equal_expr(13, 20), c_equal_expr(1549, 2)],
+        "_FRONT_CONSTANT": probed,
+    }
+    for name, trees in holders.items():
+        constant = getattr(verifier, name)
+        found = [node for tree in trees for node in _subtrees_equal_to(tree, constant)]
+        assert found, name
+        assert all(node is constant for node in found), name
+
+
+def test_verify_all_calls_every_operator_and_builds_every_kind(monkeypatch):
+    # every operator method Expr defines is called, and every node kind is
+    # built or held by a node built, in a default `verify all` from empty
+    # builder memos: a form no command uses has no place in the layer
+    called, built = set(), set()
+
+    def counted(name, method):
+        def counted_method(*args):
+            called.add(name)
+            return method(*args)
+
+        return counted_method
+
+    operators = [
+        name
+        for name, method in vars(interval.Expr).items()
+        if callable(method)
+        and (name in vars(operator) or name.replace("__r", "__", 1) in vars(operator))
+    ]
+    for name in operators:
+        monkeypatch.setattr(interval.Expr, name, counted(name, getattr(interval.Expr, name)))
+    init = interval.Expr.__init__
+
+    def counted_init(node, *args):
+        built.add(type(node))
+        built.update(type(arg) for arg in args if isinstance(arg, interval.Expr))
+        init(node, *args)
+
+    monkeypatch.setattr(interval.Expr, "__init__", counted_init)
+    for builder in _builder_caches().values():
+        builder.cache_clear()
+    assert main(["verify", "all"]) == 0
+    kinds = {
+        kind
+        for kind in vars(interval).values()
+        if isinstance(kind, type)
+        and issubclass(kind, interval.Expr)
+        and not kind.__subclasses__()
+    }
+    assert len(operators) >= 5
+    assert sorted(set(operators) - called) == []
+    assert len(kinds) == 12
+    assert sorted(kind.__name__ for kind in kinds - built) == []
 
 
 def test_repeated_sections_build_no_new_trees():
@@ -1024,14 +1102,15 @@ def test_builders_capture_no_fixture_data():
 def test_verify_memory_retained_from_cold_caches():
     # what the caches keep after a cold run of the five sections, run on
     # its own: 511 KiB without the builder memos, 834 KiB with them, and
-    # 1033 KiB once the nodes of the memoised trees keep their enclosures
-    # (less when earlier tests have allocated what the run shares).
+    # 1002 KiB once the nodes of the memoised trees and of the module
+    # constants keep their enclosures (898 KiB in the full suite, where
+    # earlier tests have allocated what the run shares).
     # Memoising six more builders (_disc_bound, _inert_middle,
     # _equal_middle_expr, c_unequal_expr, _takeuchi, ramare_bound) kept
     # 1422 KiB for no clear gain in a repeated run.  Kept enclosures took
     # 1208 KiB with (108/pi^6)^2 built afresh in every single-weight tree
     # and each enclosure held in a (precision, enclosure) tuple, 1100 KiB
-    # with the tuple alone.  The bound leaves 9% headroom over 1033 KiB
+    # with the tuple alone.  The bound leaves 12% headroom over 1002 KiB
     for cache in _eigenprod_caches():
         cache.cache_clear()
     tracemalloc.start()
