@@ -9,14 +9,16 @@ recorded in the direction that was actually decided, so a report reads as
 a list of true statements; anything undecided or decided the wrong way
 flips the verdict, never the record.
 
-One rule decides every symbolic family: a family is the span of records
-appended since its mark, and it is eliminated exactly when every one of
-them is CertifiedTrue (``_Run.family``, ``_Run.holds_since``).  A signed
-check records the direction that was decided, so a sweep whose end is
-decided false still holds.  Besides the chain and sweep certificates, the
-spans take in f4_floor_d8 and f6_floor_d8 (the D = 8 unequal-weight chain)
-and s4-inert's chain_middle_consistent_* (the discriminant family), so
-those gate their family too.
+One rule decides every family: a family is the span of records appended
+since its mark, and it is eliminated exactly when every one of them is
+CertifiedTrue (``_Run.family``).  Every walk to a first rejection is one
+``_Run.sweep``, which fails its family when it runs out of its universe
+before the rejection.  A signed check records the direction that was
+decided, so a sweep whose end is decided false still holds.  Besides the
+chain and sweep certificates, the spans take in f4_floor_d8 and
+f6_floor_d8 (the D = 8 unequal-weight chain) and s4-inert's
+chain_middle_consistent_* (the discriminant family), so those gate their
+family too.
 
 Proof shapes the paper runs twice are written once: both cusp-factor
 branches run ``_cusp_factor_sweep`` with their own bounds and hooks, and
@@ -45,7 +47,9 @@ constant C(D, k) = (108/pi^6)^2 sqrt(D) k increases in D, so the fields it
 admits (C(D, k) <= 1) form a prefix of the sorted universe; bisection
 finds the first field whose probe is not CertifiedTrue, as the walk did,
 and the admits and exceeds certificates recorded at the two sides of that
-boundary are the same ones the walk recorded.
+boundary are the same ones the walk recorded.  It needs no closing rule of
+its own: its universe holds every narrow-one inert field, so its first
+rejected field comes no later than the narrow-one sweep's closing field.
 """
 
 import math
@@ -248,21 +252,38 @@ class _Run:
         """Where the span of the next family's certificates starts."""
         return len(self.constants)
 
-    def holds_since(self, mark: int) -> bool:
-        """Whether every certificate recorded since mark is CertifiedTrue."""
-        return all(
+    def family(
+        self, mark: int, detail: str, label: str, status=ELIMINATED_BY_BOUND, d=None
+    ) -> bool:
+        """Record a family, symbolic or of the field d: eliminated with
+        status exactly when every certificate recorded since mark holds, a
+        survivor otherwise.  Returns whether it holds."""
+        held = all(
             rec.decision.outcome is Outcome.CERTIFIED_TRUE
             for rec in self.constants[mark:]
         )
+        self.candidate(status if held else SURVIVOR, detail, d=d, label=label)
+        return held
 
-    def family(
-        self, mark: int, detail: str, label: str, status: str = ELIMINATED_BY_BOUND
-    ) -> None:
-        """Record a symbolic family: eliminated with status exactly when
-        every certificate recorded since mark holds, a survivor otherwise."""
-        self.candidate(
-            status if self.holds_since(mark) else SURVIVOR, detail, label=label
-        )
+    def sweep(self, prefix: str, xs, gap, threshold, relation: str, *suffixes) -> list:
+        """Walk xs in order to the first rejection; return the admitted prefix.
+
+        Each x is recorded as ``check_signed(f"{prefix}{x}", gap(x), ...)``,
+        and the first decision that is not CertifiedTrue closes the sweep.
+        Run out of xs unclosed, it proves nothing past them: it records
+        ``{prefix}{last x, or none}_unclosed``, its 0 closing certificates
+        against the 1 it needs, so every family over it survives.
+        """
+        admitted = []
+        for x in xs:
+            name = f"{prefix}{x}"
+            dec = self.check_signed(name, gap(x), threshold, relation, *suffixes)
+            if dec.outcome is not Outcome.CERTIFIED_TRUE:
+                return admitted
+            admitted.append(x)
+        last = admitted[-1] if admitted else "none"
+        self.exact(f"{prefix}{last}_unclosed", 0, 1, "=")
+        return admitted
 
     def note(self, text: str) -> None:
         self.interpretations.append(text)
@@ -425,14 +446,11 @@ def verify_section3_unequal(
             # the two printed growth floors of the worked small field
             run.check("f4_floor_d8", Pow(w, 2) * 36, Fraction(1478, 1000), ">=")
             run.check("f6_floor_d8", f6, Fraction(24281, 1000), ">=")
-        held = run.holds_since(mark)
-        run.candidate(
-            ELIMINATED_BY_BOUND if held else SURVIVOR,
-            "growth chain certified down to the direct constant C(D, 4, 2)"
-            if held
-            else "a chain certificate failed or was undecided",
-            d=D,
+        held = run.family(
+            mark,
+            "growth chain certified down to the direct constant C(D, 4, 2)",
             label=f"D = {D}, all even k1 > k2 >= 2",
+            d=D,
         )
         if held:
             run.candidate(
@@ -546,22 +564,13 @@ def verify_section3_equal(
     admissible: list[tuple[int, int]] = []
     mark = run.mark()
     for k in range(2, 22, 2):
-        max_d = None
-        for D in universe:
-            dec = run.check_signed(
-                f"table1_k{k}_d{D}",
-                c_equal_expr(D, k),
-                1,
-                "<=",
-                hold_suffix="admits",
-                fail_suffix="exceeds",
-            )
-            if dec.outcome is Outcome.CERTIFIED_TRUE:
-                max_d = D
-                admissible.append((D, k))
-                continue
-            break
-        rows.append([k, max_d])
+
+        def gap(D: int) -> Expr:
+            return c_equal_expr(D, k)
+
+        admitted = run.sweep(f"table1_k{k}_d", universe, gap, 1, "<=", "admits", "exceeds")
+        admissible += [(D, k) for D in admitted]
+        rows.append([k, max(admitted, default=None)])
     run.tables["table1"] = {"columns": ["k", "max_d"], "rows": rows}
     run.family(
         mark,
@@ -703,17 +712,18 @@ def _cusp_factor_sweep(
     """The three nested bound sweeps of both cusp-factor branches.
 
     weight_gap(k1) is certified nonnegative for even k1 < k1_stop; each
-    surviving k1 gets the window of k2 where pair_bound(k1, k2) reaches
-    norm^(k2-1) (norm^k1 - 1), plus two look-ahead certificates; each pair
-    in a window gets the run of fields whose discriminant bound reaches
-    the same left side.  The ratio certificates the caller recorded since
-    mark and step_certs(run, k1s) make the first failures final;
-    row_cert(run, k1, k2, max_d) adds a certificate at each pair's largest
-    field.  Each of the three families is eliminated when its span holds:
-    the weight family from mark, the pair and discriminant families from
-    their first sweep certificate.  Fills the table and its
-    interpretations twin; returns the sorted triples.  With no k1 left,
-    the weight family fails from k1 = 2 and the windows are skipped.
+    surviving k1 gets the window of k2 <= 200 where pair_bound(k1, k2)
+    reaches norm^(k2-1) (norm^k1 - 1), a ``_Run.sweep``, plus two
+    look-ahead certificates outside it; each pair in a window gets the
+    sweep of fields whose discriminant bound reaches the same left side.
+    The ratio certificates the caller recorded since mark and
+    step_certs(run, k1s) make the first failures final; row_cert(run, k1,
+    k2, max_d) adds a certificate at each pair's largest field.  Each of
+    the three families is eliminated when its span holds: the weight
+    family from mark, the pair and discriminant families from their first
+    sweep certificate.  Fills the table and its interpretations twin;
+    returns the sorted triples.  With no k1 left, the weight family fails
+    from k1 = 2 and the windows are skipped.
     """
     surviving_k1 = []
     for k1 in range(2, k1_stop, 2):
@@ -733,26 +743,21 @@ def _cusp_factor_sweep(
     if not surviving_k1:
         return []
 
-    def pair_check(k1: int, k2: int) -> Decision:
-        lhs = Rat(norm ** (k2 - 1) * (norm**k1 - 1))
-        return run.check_signed(
-            f"pair_bound_k1_{k1}_k2_{k2}", pair_bound(k1, k2) - lhs, 0, ">="
-        )
-
-    # per-k1 window of admissible k2
+    # per-k1 window of admissible k2; the two look-ahead certificates past
+    # its first failure are recorded whatever they decide, so they stay
+    # plain checks outside the sweep
     mark = run.mark()
-    windows: list[tuple[int, Optional[int]]] = []
+    windows = []
     for k1 in surviving_k1:
-        max_k2 = None
-        k2 = 2
-        while k2 <= 200:
-            if pair_check(k1, k2).outcome is not Outcome.CERTIFIED_TRUE:
-                break
-            max_k2 = k2
-            k2 += 2
-        pair_check(k1, k2 + 2)
-        pair_check(k1, k2 + 4)
-        windows.append((k1, max_k2))
+
+        def pair_gap(k2: int) -> Expr:
+            return pair_bound(k1, k2) - Rat(norm ** (k2 - 1) * (norm**k1 - 1))
+
+        window = run.sweep(f"pair_bound_k1_{k1}_k2_", range(2, 202, 2), pair_gap, 0, ">=")
+        stop = max(window, default=0) + 2
+        for k2 in (stop + 2, stop + 4):
+            run.check_signed(f"pair_bound_k1_{k1}_k2_{k2}", pair_gap(k2), 0, ">=")
+        windows.append((k1, window))
     step_certs(run, surviving_k1)
     run.family(
         mark,
@@ -766,28 +771,22 @@ def _cusp_factor_sweep(
     triples: list[tuple[int, int, int]] = []
     rows = []
     alt_rows = []
-    for k1, mk2 in windows:
+    for k1, window in windows:
         row_max_d = []
-        for k2 in range(2, (mk2 or 0) + 2, 2):
+        for k2 in window:
             pair = pair_bound(k1, k2)
             lhs = Rat(norm ** (k2 - 1) * (norm**k1 - 1))
-            max_d = None
-            for D in universe:
-                dec = run.check_signed(
-                    f"disc_bound_k1_{k1}_k2_{k2}_d{D}",
-                    _disc_bound(pair, k1, D) - lhs,
-                    0,
-                    ">=",
-                )
-                if dec.outcome is not Outcome.CERTIFIED_TRUE:
-                    break
-                max_d = D
-                triples.append((D, k1, k2))
-            row_max_d.append(max_d)
-            if max_d is not None and row_cert is not None:
-                row_cert(run, k1, k2, max_d)
+
+            def gap(D: int) -> Expr:
+                return _disc_bound(pair, k1, D) - lhs
+
+            fields = run.sweep(f"disc_bound_k1_{k1}_k2_{k2}_d", universe, gap, 0, ">=")
+            triples += [(D, k1, k2) for D in fields]
+            row_max_d.append(max(fields, default=None))
+            if fields and row_cert is not None:
+                row_cert(run, k1, k2, fields[-1])
         over_all = max((d for d in row_max_d if d is not None), default=None)
-        rows.append([k1, mk2, over_all])
+        rows.append([k1, max(window, default=None), over_all])
         alt_rows.append([k1, row_max_d[0] if row_max_d else None, over_all])
     run.note(
         "the discriminant bound decreases strictly in D, so the first rejected "

@@ -318,11 +318,13 @@ def test_verify_inconclusive_exit(capsys):
 
 
 def test_verify_golden_mismatch_exit(capsys):
+    # below the golden maximum 1549 the k = 2 sweep runs out of fields
+    # before its rejecting field, so the section fails as well
     code = main(["verify", "s3-equal", "--d-limit", "1000"])
     assert code == EXIT_TABLE_MISMATCH
     captured = capsys.readouterr()
     assert "golden mismatch:" in captured.err
-    assert json.loads(captured.out)["verdict"] == "no identity exists"
+    assert json.loads(captured.out)["verdict"] == "verification failed"
 
 
 def test_verify_missing_fixture_exit(tmp_path, capsys):

@@ -18,6 +18,7 @@ from importlib import resources
 import pytest
 
 from eigenprod import (
+    DEFAULT_D_LIMIT,
     PI,
     Exp,
     Fixtures,
@@ -57,12 +58,14 @@ from eigenprod.report import (
     ELIMINATED_BY_EXACT_IDENTITY,
     ELIMINATED_BY_FIXTURE,
     SURVIVOR,
+    VERDICT_FAILED,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_IDENTITY,
     fraction_str,
+    golden_tables,
 )
 from eigenprod import exact, interval, verifier
-from eigenprod.cli import main
+from eigenprod.cli import EXIT_FAILURE, EXIT_OK, main
 from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
 from oracles import residual_unequal, subset_of
 
@@ -353,6 +356,25 @@ def test_report_bytes_at_1024_bits_are_pinned(section):
     assert hashlib.sha256(text.encode()).hexdigest() == PRECISION1024_DIGESTS[section]
 
 
+# sha256 of the three sections that sweep the narrow-one fields, at
+# --d-limit 20000, five times the default.  Every sweep closes below the
+# default limit, so widening the universe changes no byte of their reports.
+D_LIMIT_20000_DIGESTS = {
+    section: REPORT_DIGESTS[section] for section in ("s3-equal", "s4-inert", "s4-noninert")
+}
+
+
+@pytest.mark.parametrize("section", sorted(D_LIMIT_20000_DIGESTS))
+def test_report_bytes_at_the_stress_discriminant_limit_are_pinned(section):
+    run = {
+        "s3-equal": verify_section3_equal,
+        "s4-inert": verify_section4_inert,
+        "s4-noninert": verify_section4_noninert,
+    }[section]
+    text = run(d_limit=20000).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == D_LIMIT_20000_DIGESTS[section]
+
+
 # sha256 of s5 at an 8-bit ceiling, the only section that fails there: five
 # certificates stay undecided and three degree families turn into
 # survivors.  Pins the failure path as REPORT_DIGESTS pins the success path.
@@ -582,9 +604,72 @@ def test_wider_reading_boundary_matches_a_linear_scan(d_limit):
 
 
 def test_equal_weight_smaller_universe_departs_from_golden():
+    # the k = 2 sweep runs out of fields below its rejecting field 1597
     report = verify_section3_equal(d_limit=1000)
-    assert report.verdict == VERDICT_NO_IDENTITY
+    assert report.verdict == VERDICT_FAILED
     assert compare_to_golden(report) != []
+
+
+def test_wider_reading_closes_whenever_the_narrow_one_sweep_does(report_s3e):
+    # the fundamental inert universe holds every narrow-one inert field, so
+    # the bisection's first rejected field is never past the narrow-one
+    # sweep's closing field, and needs no closing rule of its own
+    def closing(prefix):
+        (name,) = (
+            rec.name
+            for rec in report_s3e.constants
+            if rec.name.startswith(prefix) and rec.name.endswith("_exceeds")
+        )
+        return int(name[len(prefix) : -len("_exceeds")])
+
+    for k in range(2, 22, 2):
+        narrow = closing(f"table1_k{k}_d")
+        assert closing(f"table1_alt_k{k}_d") <= narrow <= DEFAULT_D_LIMIT, k
+    assert (closing("table1_alt_k2_d"), closing("table1_k2_d")) == (1581, 1597)
+
+
+# Each sweep's golden maximum at the lowest weight, and the next field of its
+# universe: a d_limit anywhere in between ends the universe before the
+# sweep's rejecting field, so nothing certifies the fields past it
+_UNCLOSED_SWEEPS = [
+    ("s3-equal", "table1", inert_one_fields, "table1_k2_d{}", "exceeds"),
+    ("s4-inert", "table2", inert_one_fields, "disc_bound_k1_2_k2_2_d{}", "fails"),
+    ("s4-noninert", "table3", noninert_one_fields, "disc_bound_k1_2_k2_2_d{}", "fails"),
+]
+
+
+def _golden_gap(table, universe):
+    (maximum,) = (row[-1] for row in golden_tables()[table]["rows"] if row[0] == 2)
+    following = min(D for D in universe(2 * maximum) if D > maximum)
+    return maximum, following
+
+
+@pytest.mark.parametrize(
+    "section, table, universe, name, suffix",
+    _UNCLOSED_SWEEPS,
+    ids=[s[0] for s in _UNCLOSED_SWEEPS],
+)
+def test_a_sweep_that_runs_out_of_fields_fails_the_run(
+    capsys, section, table, universe, name, suffix
+):
+    maximum, following = _golden_gap(table, universe)
+    for d_limit in (maximum, following - 1):
+        code = main(["verify", section, "--d-limit", str(d_limit)])
+        assert code == EXIT_FAILURE, d_limit
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == VERDICT_FAILED
+        unclosed = [
+            (rec["name"], rec["outcome"])
+            for rec in report["constants"]
+            if rec["name"].endswith("_unclosed")
+        ]
+        assert unclosed == [(name.format(maximum) + "_unclosed", "CertifiedFalse")]
+        assert SURVIVOR in {c["status"] for c in report["candidates"]}
+    assert main(["verify", section, "--d-limit", str(following)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == VERDICT_NO_IDENTITY
+    names = {rec["name"] for rec in report["constants"]}
+    assert f"{name.format(following)}_{suffix}" in names
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +939,43 @@ def test_family_ignores_records_before_its_mark():
         before=lambda run: run.exact("three_below_one", 3, 1, "<"),
     )
     assert status == ELIMINATED_BY_BOUND
+
+
+# A sweep walks to its first rejection, and a family over a sweep that runs
+# out before one survives
+
+
+def _sweep(xs):
+    # x <= 3 admits 1, 2 and 3 and is first rejected at 4
+    run = verifier._Run("unit", 32, 128)
+    mark = run.mark()
+    admitted = run.sweep("x_at_most_3_x", xs, Rat, 3, "<=")
+    run.family(mark, "unit family", label="unit")
+    (family,) = run.candidates
+    return admitted, [(rec.name, rec.decision.outcome) for rec in run.constants], family
+
+
+def test_sweep_stops_at_its_closing_certificate():
+    admitted, records, family = _sweep(range(1, 7))
+    assert admitted == [1, 2, 3]
+    assert records == [
+        ("x_at_most_3_x1_holds", Outcome.CERTIFIED_TRUE),
+        ("x_at_most_3_x2_holds", Outcome.CERTIFIED_TRUE),
+        ("x_at_most_3_x3_holds", Outcome.CERTIFIED_TRUE),
+        ("x_at_most_3_x4_fails", Outcome.CERTIFIED_TRUE),
+    ]
+    assert family.status == ELIMINATED_BY_BOUND
+
+
+@pytest.mark.parametrize(
+    "xs, last", [((1, 2, 3), "3"), ((), "none")], ids=["runs-out", "empty"]
+)
+def test_sweep_without_a_rejection_fails_its_family(xs, last):
+    admitted, records, family = _sweep(xs)
+    assert admitted == list(xs)
+    assert records[-1] == (f"x_at_most_3_x{last}_unclosed", Outcome.CERTIFIED_FALSE)
+    assert len(records) == len(xs) + 1
+    assert family.status == SURVIVOR
 
 
 def test_takeuchi_trees_equal_their_inline_spellings():
