@@ -10,12 +10,14 @@ process, on the first ``main`` call, and serves every later call.
 ``__new__``.  Exit codes are part of the contract:
 
     0   every requested section ends with "no identity exists"
-    1   a section failed (a decided-false certificate or a survivor)
+    1   a section failed (a decided-false certificate or a survivor); one
+        stderr line per failed section names the first of them
     2   some decision stayed inconclusive at the precision ceiling
     3   a reproduced table disagrees with the golden baseline
     4   the fixtures are unreadable, whatever the sections, or a required
         fact is missing or malformed
-    64  command line usage error, or an input too large for the memory
+    64  command line usage error, an input too large for the memory, or
+        scan limits the residue modulus cannot serve
 
 Identical configuration gives byte-identical output files.
 """
@@ -212,9 +214,23 @@ def _emit(report: VerificationReport, cfg: RunConfig) -> None:
         )
 
 
+def _first_failure(report: VerificationReport) -> str:
+    # what a failed section's verdict rests on: its first record that is
+    # not CertifiedTrue, or else its first survivor
+    from .interval import Outcome
+
+    for rec in report.constants:
+        if rec.decision.outcome is not Outcome.CERTIFIED_TRUE:
+            return f"record {rec.name} is {rec.decision.outcome.value}"
+    c = report.survivors[0]
+    where = c.label or f"D={c.d} k1={c.k1} k2={c.k2}"
+    return f"survivor {where}: {c.detail}"
+
+
 def cmd_verify(section: str, cfg: RunConfig) -> int:
     from .fixtures import Fixtures, MissingFixtureError
     from .report import (
+        VERDICT_FAILED,
         VERDICT_INCONCLUSIVE,
         VERDICT_NO_IDENTITY,
         compare_to_golden,
@@ -248,6 +264,9 @@ def cmd_verify(section: str, cfg: RunConfig) -> int:
             print(f"section {rep.section}: {verdict}")
     for line in mismatches:
         print(f"golden mismatch: {line}", file=sys.stderr)
+    for rep, verdict in zip(reports, verdicts):
+        if verdict == VERDICT_FAILED:
+            print(f"section {rep.section}: {_first_failure(rep)}", file=sys.stderr)
     if mismatches:
         return EXIT_TABLE_MISMATCH
     if VERDICT_INCONCLUSIVE in verdicts:

@@ -18,8 +18,13 @@ The negative zeta values of many fields come from one kernel,
 ``_fill_power_sum_rows``: it builds the centered power-sum rows of many
 characters in one pass over a shared table of odd offset powers, each
 character reading only its prefix sum, its zeros and its non-residues
-(``S_j = A_j - Z_j - 2 N_j``), and ``exact_identity_scan`` and the
-equal-weight section call it once for all their fields.
+(``S_j = A_j - Z_j - 2 N_j``).  With a prime modulus the same kernel
+builds the rows' residues, and ``zeta_residues`` turns them into
+zeta_F(1-k) mod ``ZETA_MODULUS``, memoised per discriminant.
+``exact_identity_scan`` and the equal-weight section call it once for all
+their fields: nonvanishing of a residual is proven modulo that prime, and
+vanishing exactly, on the ``Fraction`` values, only where a residue
+vanishes.
 
 Conventions:
 
@@ -183,6 +188,9 @@ def _primes_up_to(n: int) -> bytearray:
 # KroneckerCharacter.power_sums rows by discriminant
 _power_sum_rows: dict[int, tuple[int, ...]] = {}
 
+# the same rows reduced modulo a prime, by modulus, then by discriminant
+_power_sum_residues: dict[int, dict[int, tuple[int, ...]]] = {}
+
 
 class _KroneckerFields(NamedTuple):
     discriminant: int
@@ -280,7 +288,7 @@ _TWO_PART_TABLES = {
 }
 
 
-def _fill_power_sum_rows(targets: dict[int, int]) -> None:
+def _fill_power_sum_rows(targets: dict[int, int], modulus: int = 0) -> None:
     """Memoise the power-sum row of each discriminant through its target
     index, for all of them in one pass.
 
@@ -302,10 +310,15 @@ def _fill_power_sum_rows(targets: dict[int, int]) -> None:
     parity of j advances for all fields at once, by one multiplication
     with o^2 per step, so no field multiplies anything of its own.
 
+    The default modulus 0 gives the exact rows (``_power_sum_rows``).  A
+    prime modulus gives their residues, kept in that modulus's own store
+    (``_power_sum_residues[modulus]``): the same loop holds the table
+    reduced, o^j mod the prime, so every entry stays one small integer.
+
     A row already as long as its target is left alone; a shorter one is
     rebuilt from T_p in the same pass and written once, as a new tuple.
     """
-    rows = _power_sum_rows
+    rows = _power_sum_residues.setdefault(modulus, {}) if modulus else _power_sum_rows
     pending: tuple[list, list] = ([], [])  # by the parity p of the indices
     for delta, i in targets.items():
         p = 1 if delta < 0 else 0  # chi(-1) = -1 exactly for delta < 0
@@ -335,6 +348,9 @@ def _fill_power_sum_rows(targets: dict[int, int]) -> None:
         width = max(field.n for field in fields)
         squares = [o * o for o in range(1, 2 * width, 2)]
         powers = list(range(1, 2 * width, 2)) if p else [1] * width
+        if modulus:
+            squares = [q % modulus for q in squares]
+            powers = [o % modulus for o in powers]
         j = p
         while True:
             prefix = list(accumulate(powers))  # A_j at n is prefix[n - 1]
@@ -346,7 +362,8 @@ def _fill_power_sum_rows(targets: dict[int, int]) -> None:
                 )
                 if field.even:
                     s <<= j
-                field.sums.append(-2 * s if p else 2 * s)
+                s = -2 * s if p else 2 * s
+                field.sums.append(s % modulus if modulus else s)
             while fields and len(fields[-1].sums) == fields[-1].length:
                 field = fields.pop()
                 # rebound, never mutated, like _bernoulli_numbers
@@ -355,7 +372,10 @@ def _fill_power_sum_rows(targets: dict[int, int]) -> None:
                 break
             width = max(field.n for field in fields)
             del powers[width:], squares[width:]
-            powers = list(map(operator.mul, powers, squares))
+            if modulus:
+                powers = [x * q % modulus for x, q in zip(powers, squares)]
+            else:
+                powers = list(map(operator.mul, powers, squares))
             j += 2
 
 
@@ -430,6 +450,81 @@ def dedekind_zeta_neg(D: int, k: int) -> Fraction:
     b = bernoulli(k)
     g = generalized_bernoulli(k, KroneckerCharacter(D))
     return Fraction(b.numerator * g.numerator, b.denominator * g.denominator * k * k)
+
+
+# ---------------------------------------------------------------------------
+# Zeta values modulo a prime
+
+
+# the prime modulo which the residual scans prove a residual nonzero: the
+# largest below 2^30, so the product of two residues is a small integer
+ZETA_MODULUS = 2**30 - 35
+
+# zeta_F(1 - k) mod ZETA_MODULUS for k = 2, 4, ..., by discriminant
+_zeta_residue_rows: dict[int, tuple[int, ...]] = {}
+
+
+@lru_cache(maxsize=None)
+def _weight_residues(k: int) -> tuple[int, tuple[int, ...]]:
+    # B_k / (den 2^k k^2) as one residue, and the weights C(k, j) B_j
+    # (2 - 2^j) den of generalized_bernoulli, top j first, as residues
+    P = ZETA_MODULUS
+    den, weights = _bernoulli_weights(k)
+    b = bernoulli(k)
+    scale = b.numerator * pow(b.denominator * den * 2**k * k * k, -1, P) % P
+    return scale, tuple(w % P for w in reversed(weights))
+
+
+def zeta_residues(targets: dict[int, int]) -> dict[int, tuple[int, ...]]:
+    """zeta_F(1 - k) mod ``ZETA_MODULUS`` for k = 2, 4, ... through each
+    discriminant's target weight; entry k / 2 - 1 of a row is weight k.
+
+    The residue is that of the exact ``dedekind_zeta_neg(D, k)``, on
+    ``generalized_bernoulli``'s route: zeta_F(1 - k) = B_k B_{k, chi} / k^2
+    with B_{k, chi} = sum_j C(k, j) B_j (2 - 2^j) f^j T_{k-j} / (den f 2^k)
+    over even j.  Written as f^(k-1) sum_j w_j V_{k-j} / (den 2^k) with
+    V_i = T_i / f^i, each weight costs one dot product of its weights
+    (``_weight_residues``) with the field's V, all mod the prime; the T_i
+    are the power-sum rows mod the prime, from one pass of
+    ``_fill_power_sum_rows`` for every row that is too short.
+
+    Every denominator on the route divides f, 2^k, k^2 or the denominator
+    of some B_j with j <= k, so its primes are at most max(D, k + 1); a
+    modulus above that inverts it, and ``pow`` raises ``ValueError``
+    wherever it cannot.  A nonzero residue therefore proves a nonzero
+    rational; a zero residue proves nothing.  Rows are memoised per
+    discriminant and rebuilt only when asked for a heavier weight;
+    ``zeta_residues.cache_clear`` drops them and the power-sum residues.
+    """
+    P = ZETA_MODULUS
+    memo = _zeta_residue_rows
+    short = {D: k for D, k in targets.items() if len(memo.get(D, ())) < k // 2}
+    if short:
+        for D in short:
+            _require_real_fundamental(D)
+        _fill_power_sum_rows(short, P)
+    for D, k in short.items():
+        f2 = D * D % P
+        f2_inv = pow(f2, -1, P)
+        v, f_inv = [], 1  # V_i = T_i / f^i, f_inv = 1 / f^i
+        for t in _power_sum_residues[P][D]:
+            v.append(t * f_inv % P)
+            f_inv = f_inv * f2_inv % P
+        row, power = [], D  # f^(k-1) at k = 2
+        for j in range(2, k + 1, 2):
+            scale, weights = _weight_residues(j)
+            row.append(sum(map(operator.mul, weights, v)) % P * scale * power % P)
+            power = power * f2 % P
+        memo[D] = tuple(row)
+    return {D: memo[D] for D in targets}
+
+
+def _clear_zeta_residues() -> None:
+    _zeta_residue_rows.clear()
+    _power_sum_residues.clear()
+
+
+zeta_residues.cache_clear = _clear_zeta_residues
 
 
 def _prime_power_divisor_sum(q: int, e: int) -> int:

@@ -45,13 +45,14 @@ from operator import mul
 from typing import NamedTuple
 
 from .exact import (
+    ZETA_MODULUS,
     _factorize,
-    _fill_power_sum_rows,
     _prime_power_divisor_sum,
     _require_real_fundamental,
     dedekind_zeta_neg,
     is_fundamental_discriminant,
     kronecker,
+    zeta_residues,
 )
 from .quadfield import (
     Splitting,
@@ -361,16 +362,40 @@ def _inert_cross(k: int, a: tuple, c: tuple) -> tuple[int, int]:
     return m * ap * ap * cq - 4 * cp * aq * aq, aq * aq * cq
 
 
+@lru_cache(maxsize=None)
+def _inert_multiplier(k: int) -> int:
+    return (4 ** (2 * k - 1) - 4 ** (k - 1)) % ZETA_MODULUS
+
+
+def _inert_residue(k: int, a: int, c: int) -> int:
+    # the same numerator mod ZETA_MODULUS, from the residues a and c of
+    # zeta_F(1-k) and zeta_F(1-2k): zero when the residual vanishes
+    return (_inert_multiplier(k) * a * a - 4 * c) % ZETA_MODULUS
+
+
 def residual_inert(D: int, k: int) -> Fraction:
     """Exact constant-term residual of the equal-weight identity, 2 inert.
 
     Zero exactly when (4^(2k-1) - 4^(k-1)) zeta_F(1-k)^2 = 4 zeta_F(1-2k).
     Built as one ``Fraction`` from integer cross-products; zeta_F(1-2k)
     is asked for first, so a character's power-sum row that is not yet
-    there is built once, through T_2k, by ``_fill_power_sum_rows``.
+    there is built once, through T_2k.  The scan and the equal-weight
+    section prove the residual nonzero modulo ``ZETA_MODULUS`` first
+    (``_inert_residue``) and call this only where that residue vanishes,
+    so every vanishing they report is decided here, exactly.
     """
     c = dedekind_zeta_neg(D, 2 * k).as_integer_ratio()
     return Fraction(*_inert_cross(k, dedekind_zeta_neg(D, k).as_integer_ratio(), c))
+
+
+def _unequal_vanishes(D: int, k1: int, k2: int) -> bool:
+    # (A + B) C == A B exactly, A, B, C the zeta values at 1 - k1, 1 - k2,
+    # 1 - k1 - k2 as integer pairs ap / aq and so on: multiplied through by
+    # the nonzero aq bq cq, one comparison of two products
+    cp, cq = dedekind_zeta_neg(D, k1 + k2).as_integer_ratio()
+    ap, aq = dedekind_zeta_neg(D, k1).as_integer_ratio()
+    bp, bq = dedekind_zeta_neg(D, k2).as_integer_ratio()
+    return (ap * bq + bp * aq) * cp == ap * bp * cq
 
 
 def residual_noninert(k: int) -> int:
@@ -396,47 +421,63 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
     Scans every narrow class number one field with discriminant at most
     d_limit, including 5, and every even pair 2 <= k2 <= k1 <= k_limit.
     An unequal pair is tested on the three-value residual (A + B) C - A B,
-    A, B, C the zeta values at 1 - k1, 1 - k2, 1 - k1 - k2, written as
-    integer pairs A = ap / aq and so on: multiplied through by the nonzero
-    aq bq cq it vanishes exactly when (ap bq + bp aq) cp == ap bp cq, one
-    comparison of two products.  An equal pair uses the splitting of 2:
-    the inert residual's numerator (``_inert_cross``), or the
-    split/ramified factor ``residual_noninert(k)``, which depends on the
-    weight alone and so is decided once per weight, before the fields.
-    Every test is exact, so membership in the result is a theorem, not an
-    approximation.  A limit below the smallest field (D = 5) or weight
-    (k = 2) is rejected, not scanned as an empty range.
+    A, B, C the zeta values at 1 - k1, 1 - k2, 1 - k1 - k2; an equal pair
+    uses the splitting of 2: the inert residual (``residual_inert``), or
+    the split/ramified factor ``residual_noninert(k)``, which depends on
+    the weight alone and so is decided once per weight, before the fields.
+
+    Nonvanishing is proven modulo the prime P = ``ZETA_MODULUS``: each
+    residual is first evaluated on the residues of ``zeta_residues``, as
+    ((A + B) C - A B) mod P or (m A^2 - 4 C) mod P, and a nonzero residue
+    proves a nonzero rational.  Vanishing is decided exactly: only a pair
+    whose residue vanishes is tested again on the exact values of
+    ``dedekind_zeta_neg``, by one cross-multiplied integer comparison
+    (``_unequal_vanishes``) or the inert residual's numerator.  So
+    membership in the result is a theorem, not an approximation.  The
+    residues are the images of the exact values only when P exceeds
+    every prime of their denominators, which are at most max(D, k + 1)
+    for the weights k <= 2 k_limit read here: limits with
+    max(d_limit, 4 k_limit) >= P raise ``ValueError`` before any table
+    is built.  A limit below the smallest field (D = 5) or weight (k = 2)
+    is rejected, not scanned as an empty range.
     """
     if d_limit < 5:
         raise ValueError("the discriminant limit must be at least 5")
     if k_limit < 2:
         raise ValueError("the weight limit must be at least 2")
+    P = ZETA_MODULUS
+    if max(d_limit, 4 * k_limit) >= P:
+        raise ValueError(
+            f"the discriminant limit and 4 times the weight limit must stay below {P}"
+        )
     survivors = []
     kmax = k_limit - k_limit % 2
     noninert_zero = {k for k in range(2, kmax + 1, 2) if residual_noninert(k) == 0}
     fields = narrow_one_fields(d_limit)
-    # every field's power-sum row through its heaviest weight, in one pass
-    # of the shared-table kernel; zeta_F(-1) takes the divisor sum instead
+    # every field's zeta residues through its heaviest weight, in one pass
+    # of the shared-table kernel mod P
     heaviest = {
         f.discriminant: 2 * kmax - 2 + 2 * (f.two_splitting is Splitting.INERT)
         for f in fields
     }
-    _fill_power_sum_rows({D: j for D, j in heaviest.items() if j > 2})
+    residues = zeta_residues(heaviest)
     for f in fields:
         D = f.discriminant
         inert = f.two_splitting is Splitting.INERT
-        # each zeta value once, read from the rows filled above
-        weights = range(heaviest[D], 0, -2)
-        zeta = {j: dedekind_zeta_neg(D, j).as_integer_ratio() for j in weights}
-        for k1 in range(kmax, 0, -2):
-            ap, aq = zeta[k1]
-            for k2 in range(k1 - 2, 0, -2):
-                bp, bq = zeta[k2]
-                cp, cq = zeta[k1 + k2]
-                if (ap * bq + bp * aq) * cp == ap * bp * cq:
-                    survivors.append((D, k1, k2))
+        # zeta_F(1 - 2h) mod P at half-weight h >= 1 is z[h]
+        z = (0, *residues[D])
+        for h1 in range(kmax // 2, 0, -1):
+            k1, a = 2 * h1, z[h1]
+            for h2 in range(h1 - 1, 0, -1):
+                b = z[h2]
+                if ((a + b) * z[h1 + h2] - a * b) % P == 0 and _unequal_vanishes(
+                    D, k1, 2 * h2
+                ):
+                    survivors.append((D, k1, 2 * h2))
             if inert:
-                equal_vanishes = _inert_cross(k1, zeta[k1], zeta[2 * k1])[0] == 0
+                equal_vanishes = (
+                    _inert_residue(k1, a, z[k1]) == 0 and residual_inert(D, k1) == 0
+                )
             else:
                 equal_vanishes = k1 in noninert_zero
             if equal_vanishes:

@@ -206,7 +206,7 @@ def _narrow_class_number_is_one(D: int) -> bool:
         return False
     ell = 2
     while 4 * ell * ell < D:
-        if ell not in leading and _is_prime(ell) and kronecker(D, ell) != -1:
+        if ell not in leading and kronecker(D, ell) != -1 and _is_prime(ell):
             return False
         ell += 1 if ell == 2 else 2
     return True

@@ -69,7 +69,7 @@ from . import (
     SECTION_NONINERT,
     SECTION_UNEQUAL,
 )
-from .exact import _fill_power_sum_rows, is_fundamental_discriminant
+from .exact import is_fundamental_discriminant, zeta_residues
 from .fixtures import (
     Fixtures,
     ishikawa_zero_dim_fields,
@@ -78,6 +78,7 @@ from .fixtures import (
     voight_min_disc,
 )
 from .hmf_coeffs import (
+    _inert_residue,
     cusp_dim_lower_bound,
     exact_identity_scan,
     residual_inert,
@@ -618,14 +619,18 @@ def verify_section3_equal(
     else:
         run.note("both readings of the maximal-D column agree on every row")
 
-    # exact residual on every admissible pair; every field's power-sum row
-    # is built first, through its largest 2k, in one pass of the
-    # shared-table kernel (admissible runs k upwards, so the last 2k of a
-    # field is its largest); the report sorts candidates
-    _fill_power_sum_rows({D: 2 * k for D, k in admissible})
+    # the residual on every admissible pair, shown nonzero mod
+    # ZETA_MODULUS and decided exactly only where its residue vanishes;
+    # every field's zeta residues come first, through its largest 2k, in
+    # one pass of the shared-table kernel (admissible runs k upwards, so
+    # the last 2k of a field is its largest); the report sorts candidates
+    residues = zeta_residues({D: 2 * k for D, k in admissible})
     zero_count = 0
     for D, k in admissible:
-        vanishes = residual_inert(D, k) == 0
+        z = residues[D]  # entry k / 2 - 1 is weight k
+        vanishes = (
+            _inert_residue(k, z[k // 2 - 1], z[k - 1]) == 0 and residual_inert(D, k) == 0
+        )
         zero_count += vanishes
         run.candidate(
             SURVIVOR if vanishes else ELIMINATED_BY_EXACT_IDENTITY,

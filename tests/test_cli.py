@@ -28,6 +28,8 @@ from eigenprod.cli import (
     RunConfig,
     main,
 )
+from eigenprod.exact import ZETA_MODULUS
+from eigenprod.report import SURVIVOR, CandidateRecord, VerificationReport
 
 
 def test_exit_code_values_are_distinct():
@@ -327,6 +329,45 @@ def test_verify_golden_mismatch_exit(capsys):
     assert json.loads(captured.out)["verdict"] == "verification failed"
 
 
+def test_failed_section_names_its_first_false_record(tmp_path, capsys):
+    # at --d-limit 3517 the discriminant sweep runs out of fields before its
+    # rejecting one; stdout and the exit code are as before, and stderr says
+    # which record failed the section
+    argv = ["verify", "s4-inert", "--d-limit", "3517", "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == "section s4-inert: verification failed\n"
+    assert captured.err == (
+        "section s4-inert: record disc_bound_k1_2_k2_2_d3517_unclosed is CertifiedFalse\n"
+    )
+
+
+def test_each_failed_section_names_its_first_survivor(monkeypatch, capsys):
+    # with no false record a section fails on its survivors: one line per
+    # failed section names the first, by label or by triple; a section that
+    # holds no survivor prints nothing
+    def survivor(**where):
+        return CandidateRecord(SURVIVOR, "residual vanishes", **where)
+
+    candidates = {
+        "s3-unequal": (survivor(d=13, k1=4, k2=2), survivor(d=17, k1=4, k2=2)),
+        "s3-equal": (),
+        "s4-inert": (survivor(label="weight 4 family"),),
+    }
+    monkeypatch.setattr(
+        cli,
+        "_run_section",
+        lambda section, cfg, fixtures: VerificationReport(
+            section, candidates=candidates.get(section, ())
+        ),
+    )
+    assert main(["verify", "all"]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "section s3-unequal: survivor D=13 k1=4 k2=2: residual vanishes\n"
+        "section s4-inert: survivor weight 4 family: residual vanishes\n"
+    )
+
+
 def test_verify_missing_fixture_exit(tmp_path, capsys):
     doc = {"version": 1, "facts": {}}
     path = tmp_path / "facts.json"
@@ -540,12 +581,11 @@ def _cap_address_space():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scan", "1000000000000000", "4"],
         ["verify", "s3-equal", "--d-limit", "1000000000000000"],
         ["verify", "s3-unequal", "--precision", "100000000000",
          "--precision-ceiling", "100000000000"],
     ],
-    ids=["scan-sieve", "verify-sieve", "verify-precision"],
+    ids=["verify-sieve", "verify-precision"],
 )
 def test_input_too_large_for_memory_is_a_usage_error(argv):
     # the child caps its own address space at 2 GiB, so the sieve of 10^15
@@ -561,6 +601,35 @@ def test_input_too_large_for_memory_is_a_usage_error(argv):
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert proc.stderr == "eigenprod: error: not enough memory for this input\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "1000000000000000", "4"],
+        ["scan", str(ZETA_MODULUS), "4"],
+        ["scan", "5", str(ZETA_MODULUS // 4 + 1)],
+    ],
+    ids=["far", "discriminant", "weight"],
+)
+def test_scan_past_the_residue_modulus_is_a_usage_error(argv):
+    # the scan's residues stand for its exact values only below the prime
+    # modulus, so it refuses these limits before it builds a sieve or a row;
+    # under the 2 GiB cap a missing guard would fail on memory instead
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigenprod.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "eigenprod: error: the discriminant limit and 4 times the weight limit "
+        f"must stay below {ZETA_MODULUS}\n"
+    )
 
 
 def test_repeated_main_calls_build_one_parser(tmp_path, monkeypatch, capsys):

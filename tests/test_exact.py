@@ -24,7 +24,13 @@ from eigenprod import (
     zagier_zeta_minus_one,
 )
 from eigenprod import exact
-from eigenprod.exact import _fill_power_sum_rows, _prime_power_divisor_sum, _sigma1
+from eigenprod.exact import (
+    ZETA_MODULUS,
+    _fill_power_sum_rows,
+    _prime_power_divisor_sum,
+    _sigma1,
+    zeta_residues,
+)
 from oracles import power_sum, power_sums_reference
 
 
@@ -317,6 +323,21 @@ def test_power_sum_batch_extends_existing_rows():
         else:
             assert row is before[delta], delta
             assert row == power_sums_reference(delta, 9)[p::2], delta
+
+
+def test_power_sum_residues_are_the_exact_rows_mod_the_prime():
+    # the kernel's modular store holds the exact rows reduced, at mixed
+    # targets and both parities, and leaves the exact store alone
+    zeta_residues.cache_clear()
+    KroneckerCharacter.power_sums.cache_clear()
+    targets = {delta: 3 + 4 * n for n, delta in enumerate(_BATCH)}
+    _fill_power_sum_rows(targets, ZETA_MODULUS)
+    assert exact._power_sum_rows == {}
+    residues = exact._power_sum_residues[ZETA_MODULUS]
+    for delta, i in targets.items():
+        p = 1 if delta < 0 else 0
+        exact_row = power_sums_reference(delta, i)[p::2]
+        assert residues[delta] == tuple(t % ZETA_MODULUS for t in exact_row), delta
 
 
 def test_character_vanishes_exactly_on_common_factors():

@@ -65,6 +65,7 @@ from eigenprod.report import (
     golden_tables,
 )
 from eigenprod import exact, interval, verifier
+from eigenprod.exact import ZETA_MODULUS, zeta_residues
 from eigenprod.cli import EXIT_FAILURE, EXIT_OK, main
 from eigenprod.verifier import _degree_base, _degree_point, _takeuchi
 from oracles import residual_unequal, subset_of
@@ -212,7 +213,46 @@ def test_exact_identity_scan_unique_identity_to_d_2000_k_24():
     assert exact_identity_scan(2000, 24) == [(5, 2, 2)]
 
 
-@pytest.mark.parametrize(
+def _residue(value):
+    return value.numerator * pow(value.denominator, -1, ZETA_MODULUS) % ZETA_MODULUS
+
+
+def _move_zeta(monkeypatch, patched, value, exact_too):
+    # moves zeta_F(1 - k) at (D, k) = patched to value: its residue in every
+    # row the scan reads, and with exact_too the exact value as well
+    D, k = patched
+    residues = hmf_coeffs.zeta_residues
+
+    def moved(targets):
+        rows = dict(residues(targets))
+        if D in rows:
+            row = list(rows[D])
+            row[k // 2 - 1] = _residue(value)
+            rows[D] = tuple(row)
+        return rows
+
+    monkeypatch.setattr(hmf_coeffs, "zeta_residues", moved)
+    zeta = hmf_coeffs.dedekind_zeta_neg
+    asked = set()
+
+    def exact_value(d, j):
+        asked.add((d, j))
+        return value if exact_too and (d, j) == patched else zeta(d, j)
+
+    monkeypatch.setattr(hmf_coeffs, "dedekind_zeta_neg", exact_value)
+    return asked
+
+
+def _vanishing_value(D, k1, k2):
+    # the zeta value at 1 - k1 - k2 (unequal) or 1 - 2 k1 (equal, 2 inert)
+    # that makes the residual of (D, k1, k2) vanish
+    a, b = dedekind_zeta_neg(D, k1), dedekind_zeta_neg(D, k2)
+    if k1 != k2:
+        return a * b / (a + b)
+    return (4 ** (2 * k1 - 1) - 4 ** (k1 - 1)) * a * a / 4
+
+
+_PLANTED_ZEROS = pytest.mark.parametrize(
     "patched, zero",
     [
         # C = AB / (A + B) zeroes (A + B) C - AB, with C at weight 6 + 4
@@ -226,24 +266,66 @@ def test_exact_identity_scan_unique_identity_to_d_2000_k_24():
     ],
     ids=["unequal", "inert", "unequal-edge", "inert-edge"],
 )
+
+
+@_PLANTED_ZEROS
 def test_exact_identity_scan_lists_a_vanishing_residual(monkeypatch, patched, zero):
     # every true residual is nonzero away from (5, 2, 2), so a sign slip in
-    # a cross-product would go unseen; one zeta value is moved to make a
-    # chosen residual vanish, and the scan must list exactly that triple
+    # a cross-product or in its residue would go unseen; one zeta value is
+    # moved, in the residues and in the exact values, to make a chosen
+    # residual vanish, and the scan must list exactly that triple
     D, k1, k2 = zero
-    a, b = dedekind_zeta_neg(D, k1), dedekind_zeta_neg(D, k2)
-    if k1 != k2:
-        value = a * b / (a + b)
-    else:
-        value = (4 ** (2 * k1 - 1) - 4 ** (k1 - 1)) * a * a / 4
-    zeta = hmf_coeffs.dedekind_zeta_neg
-    monkeypatch.setattr(
-        hmf_coeffs,
-        "dedekind_zeta_neg",
-        lambda d, k: value if (d, k) == patched else zeta(d, k),
-    )
+    _move_zeta(monkeypatch, patched, _vanishing_value(D, k1, k2), exact_too=True)
     assert (residual_unequal(D, k1, k2) if k1 != k2 else residual_inert(D, k1)) == 0
     assert exact_identity_scan(100, 8) == [(5, 2, 2), zero]
+
+
+@_PLANTED_ZEROS
+def test_exact_identity_scan_decides_a_vanishing_residue_exactly(
+    monkeypatch, patched, zero
+):
+    # the same value moved in the residues alone: the residue of the chosen
+    # residual vanishes, its exact value does not, so the triple is not
+    # listed; the exact values are asked for at those two triples only
+    D, k1, k2 = zero
+    asked = _move_zeta(monkeypatch, patched, _vanishing_value(D, k1, k2), exact_too=False)
+    assert exact_identity_scan(100, 8) == [(5, 2, 2)]
+    assert asked == {(5, 2), (5, 4), (D, k1), (D, k2), (D, k1 + k2)}
+
+
+def test_zeta_residues_are_the_exact_values_mod_the_prime():
+    zeta_residues.cache_clear()
+    fields = [f.discriminant for f in narrow_one_fields(2000)]
+    rows = zeta_residues({D: 48 for D in fields})
+    assert len(fields) == 132
+    for D in fields:
+        assert rows[D] == tuple(
+            _residue(dedekind_zeta_neg(D, k)) for k in range(2, 49, 2)
+        ), D
+
+
+@pytest.mark.parametrize(
+    "d_limit, k_limit",
+    [(ZETA_MODULUS, 2), (5, ZETA_MODULUS // 4 + 1), (10**15, 4)],
+    ids=["discriminant", "weight", "far"],
+)
+def test_scan_limits_past_the_modulus_raise_before_any_table(monkeypatch, d_limit, k_limit):
+    # the residues are images of the exact values only below the modulus;
+    # the guard trips before the weights are tried or a field list or a
+    # residue row is built
+    def built(*args):
+        raise AssertionError("the scan started")
+
+    for name in ("residual_noninert", "narrow_one_fields", "zeta_residues"):
+        monkeypatch.setattr(hmf_coeffs, name, built)
+    with pytest.raises(ValueError, match=f"must stay below {ZETA_MODULUS}"):
+        exact_identity_scan(d_limit, k_limit)
+
+
+def test_scan_guard_admits_the_discriminant_limit_below_the_modulus(monkeypatch):
+    # an empty field list keeps the run short
+    monkeypatch.setattr(hmf_coeffs, "narrow_one_fields", lambda d: ())
+    assert exact_identity_scan(ZETA_MODULUS - 1, 2) == []
 
 
 def test_exact_identity_scan_lists_a_vanishing_noninert_factor(monkeypatch):
@@ -1275,29 +1357,52 @@ class CountingRows(dict):
         super().__setitem__(key, row)
 
 
-def test_equal_weight_section_writes_each_power_sum_row_once(monkeypatch):
-    # the section fills every admissible field's row through its largest
-    # 2k in one kernel pass before the residuals read them; taking the
-    # weights bottom up, one row at a time, wrote 55 rows 102 times
-    rows = CountingRows()
+def _count_row_writes(monkeypatch):
+    # counters of the writes to the residue rows and to the exact rows
+    residues, rows = CountingRows(), CountingRows()
     dedekind_zeta_neg.cache_clear()
     KroneckerCharacter.power_sums.cache_clear()
+    zeta_residues.cache_clear()
+    monkeypatch.setitem(exact._power_sum_residues, ZETA_MODULUS, residues)
     monkeypatch.setattr(exact, "_power_sum_rows", rows)
+    return residues.writes, rows.writes
+
+
+def test_equal_weight_section_writes_each_power_sum_row_once(monkeypatch):
+    # the section fills every admissible field's residue row through its
+    # largest 2k in one kernel pass before the residuals read them; taking
+    # the weights bottom up, one row at a time, wrote 55 rows 102 times.  No
+    # residue vanishes, so no exact row is built
+    residues, rows = _count_row_writes(monkeypatch)
     verify_section3_equal()
-    assert len(rows.writes) == 55
-    assert set(rows.writes.values()) == {1}
+    assert len(residues) == 55
+    assert set(residues.values()) == {1}
+    assert rows == {}
 
 
 def test_scan_writes_each_power_sum_row_once(monkeypatch):
-    # the scan fills every field's row through its heaviest weight in one
-    # kernel pass; the zeta values then only read the rows
-    rows = CountingRows()
-    dedekind_zeta_neg.cache_clear()
-    KroneckerCharacter.power_sums.cache_clear()
-    monkeypatch.setattr(exact, "_power_sum_rows", rows)
+    # the scan fills every field's residue row through its heaviest weight
+    # in one kernel pass; the residues then only read the rows.  The one
+    # exact row is that of D = 5, whose residual (5, 2, 2) does vanish
+    residues, rows = _count_row_writes(monkeypatch)
     assert exact_identity_scan(1000, 20) == [(5, 2, 2)]
-    assert len(rows.writes) == 75
-    assert set(rows.writes.values()) == {1}
+    assert len(residues) == 75
+    assert set(residues.values()) == {1}
+    assert rows == {5: 1}
+
+
+def test_warm_scan_builds_no_residue(monkeypatch):
+    # a repeated scan reads the memoised residues: no kernel pass, and no
+    # weight's dot product, each of which asks for that weight's residues
+    exact_identity_scan(1000, 20)
+    calls = Counter()
+    for name in ("_fill_power_sum_rows", "_weight_residues"):
+        real = getattr(exact, name)
+        monkeypatch.setattr(
+            exact, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+        )
+    assert exact_identity_scan(1000, 20) == [(5, 2, 2)]
+    assert calls == {}
 
 
 def test_results_equal_from_cold_and_warm_caches():
