@@ -12,7 +12,9 @@ process, on the first ``main`` call, and serves every later call.
     0   every requested section ends with "no identity exists"
     1   a section failed (a decided-false certificate or a survivor); one
         stderr line per failed section names the first of them
-    2   some decision stayed inconclusive at the precision ceiling
+    2   some decision stayed inconclusive at the precision ceiling; one
+        stderr line per inconclusive section names the first such
+        record and why it is undecided
     3   a reproduced table disagrees with the golden baseline
     4   the fixtures are unreadable, whatever the sections, or a required
         fact is missing or malformed
@@ -215,13 +217,16 @@ def _emit(report: VerificationReport, cfg: RunConfig) -> None:
 
 
 def _first_failure(report: VerificationReport) -> str:
-    # what a failed section's verdict rests on: its first record that is
-    # not CertifiedTrue, or else its first survivor
+    # what an inconclusive or failed section's verdict rests on: its first
+    # Inconclusive record and why it is undecided, else its first
+    # CertifiedFalse record, else its first survivor
     from .interval import Outcome
 
-    for rec in report.constants:
-        if rec.decision.outcome is not Outcome.CERTIFIED_TRUE:
-            return f"record {rec.name} is {rec.decision.outcome.value}"
+    for outcome in (Outcome.INCONCLUSIVE, Outcome.CERTIFIED_FALSE):
+        for rec in report.constants:
+            if rec.decision.outcome is outcome:
+                why = f": {rec.decision.note}" if outcome is Outcome.INCONCLUSIVE else ""
+                return f"record {rec.name} is {outcome.value}{why}"
     c = report.survivors[0]
     where = c.label or f"D={c.d} k1={c.k1} k2={c.k2}"
     return f"survivor {where}: {c.detail}"
@@ -265,7 +270,7 @@ def cmd_verify(section: str, cfg: RunConfig) -> int:
     for line in mismatches:
         print(f"golden mismatch: {line}", file=sys.stderr)
     for rep, verdict in zip(reports, verdicts):
-        if verdict == VERDICT_FAILED:
+        if verdict in (VERDICT_FAILED, VERDICT_INCONCLUSIVE):
             print(f"section {rep.section}: {_first_failure(rep)}", file=sys.stderr)
     if mismatches:
         return EXIT_TABLE_MISMATCH

@@ -15,15 +15,17 @@ rational primes below an ideal (``hmf_coeffs.factor_ideal``); one sieve,
 ``_primes_up_to``, gives the primes up to a limit (``narrow_one_fields``).
 
 The negative zeta values of many fields come from one kernel,
-``_fill_power_sum_rows``: it builds the centered power-sum rows of many
-characters in one pass over a shared table of odd offset powers, each
+``_fill_power_sum_rows``: it returns the centered power-sum rows of many
+characters from one pass over a shared table of odd offset powers, each
 character reading only its prefix sum, its zeros and its non-residues
-(``S_j = A_j - Z_j - 2 N_j``).  With a prime modulus the same kernel
-builds the rows' residues, and ``zeta_residues`` turns them into
-zeta_F(1-k) mod ``ZETA_MODULUS``, memoised per discriminant.
-``exact_identity_scan`` and the equal-weight section call it once for all
-their fields: nonvanishing of a residual is proven modulo that prime, and
-vanishing exactly, on the ``Fraction`` values, only where a residue
+(``S_j = A_j - Z_j - 2 N_j``), and keeps none of them.  With a prime
+modulus the same kernel gives the rows' residues, and ``zeta_residues``
+turns them into zeta_F(1-k) mod ``ZETA_MODULUS``.  The memos on this
+route hold values only: ``dedekind_zeta_neg`` per (D, k), and the
+residue rows of ``zeta_residues`` per discriminant.
+``exact_identity_scan`` and the equal-weight section ask for the residues
+once for all their fields: nonvanishing of a residual is proven modulo
+that prime, and the exact ``Fraction`` values only confirm a residue that
 vanishes.
 
 Conventions:
@@ -185,13 +187,6 @@ def _primes_up_to(n: int) -> bytearray:
     return sieve
 
 
-# KroneckerCharacter.power_sums rows by discriminant
-_power_sum_rows: dict[int, tuple[int, ...]] = {}
-
-# the same rows reduced modulo a prime, by modulus, then by discriminant
-_power_sum_residues: dict[int, dict[int, tuple[int, ...]]] = {}
-
-
 class _KroneckerFields(NamedTuple):
     discriminant: int
     period: int
@@ -249,21 +244,18 @@ class KroneckerCharacter(_KroneckerFields):
         return tuple(table)
 
     def power_sums(self, i: int) -> tuple[int, ...]:
-        """T_p, T_{p+2}, ... through at least T_i, where p = 0 for even chi
+        """T_p, T_{p+2}, ... through T_i, where p = 0 for even chi
         and p = 1 for odd chi; T_j = sum_{a=1}^{period} chi(a) (2a - period)^j.
 
         The reflection a -> period - a fixes T_j up to the sign
         chi(-1) (-1)^j, so T_j = 0 unless (-1)^j = chi(-1), and the row
-        holds only the other parity.  The row is memoised per
-        discriminant and built by ``_fill_power_sum_rows``, the kernel
-        that builds the rows of many characters in one pass; a call with
-        one discriminant builds this row alone, and only when it is
-        shorter than asked for.
+        holds only the other parity.  It is the row that
+        ``_fill_power_sum_rows``, the kernel that builds the rows of many
+        characters in one pass, returns for this one character.  Nothing
+        is kept: the values built from it are memoised instead
+        (``dedekind_zeta_neg``).
         """
-        _fill_power_sum_rows({self.discriminant: i})
-        return _power_sum_rows.get(self.discriminant, ())
-
-    power_sums.cache_clear = _power_sum_rows.clear
+        return _fill_power_sum_rows({self.discriminant: i})[self.discriminant]
 
 
 class _PendingRow(NamedTuple):
@@ -288,9 +280,11 @@ _TWO_PART_TABLES = {
 }
 
 
-def _fill_power_sum_rows(targets: dict[int, int], modulus: int = 0) -> None:
-    """Memoise the power-sum row of each discriminant through its target
-    index, for all of them in one pass.
+def _fill_power_sum_rows(
+    targets: dict[int, int], modulus: int = 0
+) -> dict[int, tuple[int, ...]]:
+    """The power-sum row of each discriminant through its target index,
+    for all of them in one pass; nothing is stored.
 
     For (-1)^j = chi(-1), T_j = 2 chi(-1) S_j with
     S_j = sum_{0 < a < f/2} chi(a) (f - 2a)^j over half the period f.
@@ -310,20 +304,18 @@ def _fill_power_sum_rows(targets: dict[int, int], modulus: int = 0) -> None:
     parity of j advances for all fields at once, by one multiplication
     with o^2 per step, so no field multiplies anything of its own.
 
-    The default modulus 0 gives the exact rows (``_power_sum_rows``).  A
-    prime modulus gives their residues, kept in that modulus's own store
-    (``_power_sum_residues[modulus]``): the same loop holds the table
-    reduced, o^j mod the prime, so every entry stays one small integer.
-
-    A row already as long as its target is left alone; a shorter one is
-    rebuilt from T_p in the same pass and written once, as a new tuple.
+    The default modulus 0 gives the exact rows.  A prime modulus gives
+    their residues: the same loop holds the table reduced, o^j mod the
+    prime, so every entry stays one small integer.  A target below the
+    row's first index gives the empty row.
     """
-    rows = _power_sum_residues.setdefault(modulus, {}) if modulus else _power_sum_rows
+    rows: dict[int, tuple[int, ...]] = {}
     pending: tuple[list, list] = ([], [])  # by the parity p of the indices
     for delta, i in targets.items():
         p = 1 if delta < 0 else 0  # chi(-1) = -1 exactly for delta < 0
         length = (i - p) // 2 + 1  # T_p, T_{p+2}, ..., T_i
-        if len(rows.get(delta, ())) >= length:
+        if length <= 0:
+            rows[delta] = ()
             continue
         f = abs(delta)
         table = KroneckerCharacter(delta).value_table()
@@ -366,7 +358,6 @@ def _fill_power_sum_rows(targets: dict[int, int], modulus: int = 0) -> None:
                 field.sums.append(s % modulus if modulus else s)
             while fields and len(fields[-1].sums) == fields[-1].length:
                 field = fields.pop()
-                # rebound, never mutated, like _bernoulli_numbers
                 rows[field.discriminant] = tuple(field.sums)
             if not fields:
                 break
@@ -377,6 +368,7 @@ def _fill_power_sum_rows(targets: dict[int, int], modulus: int = 0) -> None:
             else:
                 powers = list(map(operator.mul, powers, squares))
             j += 2
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +398,13 @@ def generalized_bernoulli(k: int, chi: KroneckerCharacter) -> Fraction:
 
     with the centered integer power sums T_i = sum_{a=1}^{f} chi(a) (2a - f)^i.
     T_i vanishes unless (-1)^i = chi(-1), so B_{k, chi} = 0 without a
-    row when chi(-1) != (-1)^k.  Otherwise every T_{k-j} comes from one
-    read of the character's memoised row (``KroneckerCharacter.power_sums``,
-    built by the shared-table kernel ``_fill_power_sum_rows`` when it is
-    too short), and the weights C(k, j) B_j (2 - 2^j) over the common
-    denominator of the B_j are memoised per k.  The terms are summed as
-    integers, by Horner's rule in f^2, over that denominator times f 2^k,
-    and reduced once, into the returned ``Fraction``.
+    row when chi(-1) != (-1)^k.  Otherwise every T_{k-j} comes from the
+    character's row through T_k (``KroneckerCharacter.power_sums``, one
+    pass of the shared-table kernel, kept nowhere), and the weights
+    C(k, j) B_j (2 - 2^j) over the common denominator of the B_j are
+    memoised per k.  The terms are summed as integers, by Horner's rule
+    in f^2, over that denominator times f 2^k, and reduced once, into the
+    returned ``Fraction``.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
@@ -485,8 +477,8 @@ def zeta_residues(targets: dict[int, int]) -> dict[int, tuple[int, ...]]:
     over even j.  Written as f^(k-1) sum_j w_j V_{k-j} / (den 2^k) with
     V_i = T_i / f^i, each weight costs one dot product of its weights
     (``_weight_residues``) with the field's V, all mod the prime; the T_i
-    are the power-sum rows mod the prime, from one pass of
-    ``_fill_power_sum_rows`` for every row that is too short.
+    are the power-sum rows mod the prime, from one kernel pass
+    (``_fill_power_sum_rows``) for every row that is too short.
 
     Every denominator on the route divides f, 2^k, k^2 or the denominator
     of some B_j with j <= k, so its primes are at most max(D, k + 1); a
@@ -494,20 +486,19 @@ def zeta_residues(targets: dict[int, int]) -> dict[int, tuple[int, ...]]:
     wherever it cannot.  A nonzero residue therefore proves a nonzero
     rational; a zero residue proves nothing.  Rows are memoised per
     discriminant and rebuilt only when asked for a heavier weight;
-    ``zeta_residues.cache_clear`` drops them and the power-sum residues.
+    ``zeta_residues.cache_clear`` drops them.
     """
     P = ZETA_MODULUS
     memo = _zeta_residue_rows
     short = {D: k for D, k in targets.items() if len(memo.get(D, ())) < k // 2}
-    if short:
-        for D in short:
-            _require_real_fundamental(D)
-        _fill_power_sum_rows(short, P)
+    for D in short:
+        _require_real_fundamental(D)
+    rows = _fill_power_sum_rows(short, P) if short else {}
     for D, k in short.items():
         f2 = D * D % P
         f2_inv = pow(f2, -1, P)
         v, f_inv = [], 1  # V_i = T_i / f^i, f_inv = 1 / f^i
-        for t in _power_sum_residues[P][D]:
+        for t in rows[D]:
             v.append(t * f_inv % P)
             f_inv = f_inv * f2_inv % P
         row, power = [], D  # f^(k-1) at k = 2
@@ -519,12 +510,7 @@ def zeta_residues(targets: dict[int, int]) -> dict[int, tuple[int, ...]]:
     return {D: memo[D] for D in targets}
 
 
-def _clear_zeta_residues() -> None:
-    _zeta_residue_rows.clear()
-    _power_sum_residues.clear()
-
-
-zeta_residues.cache_clear = _clear_zeta_residues
+zeta_residues.cache_clear = _zeta_residue_rows.clear
 
 
 def _prime_power_divisor_sum(q: int, e: int) -> int:

@@ -355,47 +355,42 @@ def cusp_dim_lower_bound(D: int, k: int) -> Fraction:
 # Constant-term residuals and the exact residual scan
 
 
-def _inert_cross(k: int, a: tuple, c: tuple) -> tuple[int, int]:
-    # (numerator, denominator) of (4^(2k-1) - 4^(k-1)) a^2 - 4 c, unreduced
-    (ap, aq), (cp, cq) = a, c
-    m = 4 ** (2 * k - 1) - 4 ** (k - 1)
-    return m * ap * ap * cq - 4 * cp * aq * aq, aq * aq * cq
+def _unequal_residual(a, b, c):
+    # (A + B) C - A B, A, B, C the zeta values at 1 - k1, 1 - k2 and
+    # 1 - k1 - k2: zero exactly when E_k1 E_k2 is a multiple of E_{k1+k2}
+    # in the constant term.  On exact values it is a Fraction; on residues
+    # mod ZETA_MODULUS, an integer whose residue is the residual's
+    return (a + b) * c - a * b
 
 
 @lru_cache(maxsize=None)
 def _inert_multiplier(k: int) -> int:
-    return (4 ** (2 * k - 1) - 4 ** (k - 1)) % ZETA_MODULUS
+    return 4 ** (2 * k - 1) - 4 ** (k - 1)
 
 
-def _inert_residue(k: int, a: int, c: int) -> int:
-    # the same numerator mod ZETA_MODULUS, from the residues a and c of
-    # zeta_F(1-k) and zeta_F(1-2k): zero when the residual vanishes
-    return (_inert_multiplier(k) * a * a - 4 * c) % ZETA_MODULUS
+def _inert_residual(k: int, a, c):
+    # m A^2 - 4 C, m = 4^(2k-1) - 4^(k-1), A and C the zeta values at
+    # 1 - k and 1 - 2k, exact or as residues, like _unequal_residual
+    return _inert_multiplier(k) * a * a - 4 * c
 
 
 def residual_inert(D: int, k: int) -> Fraction:
     """Exact constant-term residual of the equal-weight identity, 2 inert.
 
     Zero exactly when (4^(2k-1) - 4^(k-1)) zeta_F(1-k)^2 = 4 zeta_F(1-2k).
-    Built as one ``Fraction`` from integer cross-products; zeta_F(1-2k)
-    is asked for first, so a character's power-sum row that is not yet
-    there is built once, through T_2k.  The scan and the equal-weight
-    section prove the residual nonzero modulo ``ZETA_MODULUS`` first
-    (``_inert_residue``) and call this only where that residue vanishes,
-    so every vanishing they report is decided here, exactly.
+    The scan and the equal-weight section read it only through
+    ``_inert_vanishes``, where a residue mod ``ZETA_MODULUS`` has already
+    vanished, so every vanishing they report is decided here, exactly.
     """
-    c = dedekind_zeta_neg(D, 2 * k).as_integer_ratio()
-    return Fraction(*_inert_cross(k, dedekind_zeta_neg(D, k).as_integer_ratio(), c))
+    return _inert_residual(k, dedekind_zeta_neg(D, k), dedekind_zeta_neg(D, 2 * k))
 
 
-def _unequal_vanishes(D: int, k1: int, k2: int) -> bool:
-    # (A + B) C == A B exactly, A, B, C the zeta values at 1 - k1, 1 - k2,
-    # 1 - k1 - k2 as integer pairs ap / aq and so on: multiplied through by
-    # the nonzero aq bq cq, one comparison of two products
-    cp, cq = dedekind_zeta_neg(D, k1 + k2).as_integer_ratio()
-    ap, aq = dedekind_zeta_neg(D, k1).as_integer_ratio()
-    bp, bq = dedekind_zeta_neg(D, k2).as_integer_ratio()
-    return (ap * bq + bp * aq) * cp == ap * bp * cq
+def _inert_vanishes(D: int, k: int, a: int, c: int) -> bool:
+    # whether residual_inert(D, k) vanishes, given the residues a and c of
+    # zeta_F(1-k) and zeta_F(1-2k) mod ZETA_MODULUS: a nonzero residue
+    # proves the residual nonzero, and only a vanishing one is decided on
+    # the exact values
+    return _inert_residual(k, a, c) % ZETA_MODULUS == 0 and residual_inert(D, k) == 0
 
 
 def residual_noninert(k: int) -> int:
@@ -430,13 +425,12 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
     residual is first evaluated on the residues of ``zeta_residues``, as
     ((A + B) C - A B) mod P or (m A^2 - 4 C) mod P, and a nonzero residue
     proves a nonzero rational.  Vanishing is decided exactly: only a pair
-    whose residue vanishes is tested again on the exact values of
-    ``dedekind_zeta_neg``, by one cross-multiplied integer comparison
-    (``_unequal_vanishes``) or the inert residual's numerator.  So
-    membership in the result is a theorem, not an approximation.  The
-    residues are the images of the exact values only when P exceeds
-    every prime of their denominators, which are at most max(D, k + 1)
-    for the weights k <= 2 k_limit read here: limits with
+    whose residue vanishes is tested again, by the same residual
+    (``_unequal_residual``, ``_inert_residual``) on the exact values of
+    ``dedekind_zeta_neg``.  So membership in the result is a theorem, not
+    an approximation.  The residues are the images of the exact values
+    only when P exceeds every prime of their denominators, which are at
+    most max(D, k + 1) for the weights k <= 2 k_limit read here: limits with
     max(d_limit, 4 k_limit) >= P raise ``ValueError`` before any table
     is built.  A limit below the smallest field (D = 5) or weight (k = 2)
     is rejected, not scanned as an empty range.
@@ -470,14 +464,15 @@ def exact_identity_scan(d_limit: int, k_limit: int) -> list[tuple[int, int, int]
             k1, a = 2 * h1, z[h1]
             for h2 in range(h1 - 1, 0, -1):
                 b = z[h2]
-                if ((a + b) * z[h1 + h2] - a * b) % P == 0 and _unequal_vanishes(
-                    D, k1, 2 * h2
-                ):
-                    survivors.append((D, k1, 2 * h2))
+                # _unequal_residual on the residues, written out: a call per
+                # pair would cost a quarter of a warm scan
+                if ((a + b) * z[h1 + h2] - a * b) % P == 0:
+                    k2 = 2 * h2
+                    A, B, C = (dedekind_zeta_neg(D, k) for k in (k1, k2, k1 + k2))
+                    if _unequal_residual(A, B, C) == 0:
+                        survivors.append((D, k1, k2))
             if inert:
-                equal_vanishes = (
-                    _inert_residue(k1, a, z[k1]) == 0 and residual_inert(D, k1) == 0
-                )
+                equal_vanishes = _inert_vanishes(D, k1, a, z[k1])
             else:
                 equal_vanishes = k1 in noninert_zero
             if equal_vanishes:

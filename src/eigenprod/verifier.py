@@ -78,10 +78,9 @@ from .fixtures import (
     voight_min_disc,
 )
 from .hmf_coeffs import (
-    _inert_residue,
+    _inert_vanishes,
     cusp_dim_lower_bound,
     exact_identity_scan,
-    residual_inert,
     residual_noninert,
 )
 from .interval import (
@@ -620,17 +619,16 @@ def verify_section3_equal(
         run.note("both readings of the maximal-D column agree on every row")
 
     # the residual on every admissible pair, shown nonzero mod
-    # ZETA_MODULUS and decided exactly only where its residue vanishes;
-    # every field's zeta residues come first, through its largest 2k, in
-    # one pass of the shared-table kernel (admissible runs k upwards, so
-    # the last 2k of a field is its largest); the report sorts candidates
+    # ZETA_MODULUS and decided exactly only where its residue vanishes
+    # (_inert_vanishes); every field's zeta residues come first, through
+    # its largest 2k, in one pass of the shared-table kernel (admissible
+    # runs k upwards, so the last 2k of a field is its largest); the report
+    # sorts candidates
     residues = zeta_residues({D: 2 * k for D, k in admissible})
     zero_count = 0
     for D, k in admissible:
         z = residues[D]  # entry k / 2 - 1 is weight k
-        vanishes = (
-            _inert_residue(k, z[k // 2 - 1], z[k - 1]) == 0 and residual_inert(D, k) == 0
-        )
+        vanishes = _inert_vanishes(D, k, z[k // 2 - 1], z[k - 1])
         zero_count += vanishes
         run.candidate(
             SURVIVOR if vanishes else ELIMINATED_BY_EXACT_IDENTITY,

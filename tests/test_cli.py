@@ -342,6 +342,20 @@ def test_failed_section_names_its_first_false_record(tmp_path, capsys):
     )
 
 
+def test_inconclusive_section_names_its_first_inconclusive_record(tmp_path, capsys):
+    # at a ceiling of 8 bits section 5 cannot decide its contradiction;
+    # stdout and the exit code are as before, and stderr says which record
+    # is undecided and why
+    argv = ["verify", "s5", "--precision", "8", "--precision-ceiling", "8"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == "section s5: inconclusive\n"
+    assert captured.err == (
+        "section s5: record degree5_contradiction is Inconclusive: undecided at"
+        " ceiling 8: enclosure width 2.632e+01 still brackets the threshold\n"
+    )
+
+
 def test_each_failed_section_names_its_first_survivor(monkeypatch, capsys):
     # with no false record a section fails on its survivors: one line per
     # failed section names the first, by label or by triple; a section that

@@ -256,7 +256,6 @@ def test_character_table_matches_kronecker(sign):
 def test_power_sum_matches_full_period_definition(sign):
     # T_i = sum_{a=1}^{f} chi(a) (2a - f)^i over the whole period, through
     # kronecker, against the half-period sum with its parity zeros
-    KroneckerCharacter.power_sums.cache_clear()
     checked = 0
     for f in range(3, 601):
         delta = sign * f
@@ -273,10 +272,9 @@ def test_power_sum_matches_full_period_definition(sign):
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 @pytest.mark.parametrize("delta", [-3, -4, -8, -15, -24, 5, 8, 12, 13, 997])
 def test_power_sums_row_independent_of_request_order(delta, order):
-    # the memoised row is rebuilt from T_p whenever a later index needs it
-    # longer; whichever order the indices arrive in, and on a new character
-    # object each time, every T_i must equal the full-period definition
-    KroneckerCharacter.power_sums.cache_clear()
+    # each row is built from T_p through exactly the index asked for;
+    # whichever order the indices arrive in, and on a new character object
+    # each time, every T_i must equal the full-period definition
     f = abs(delta)
     reference = power_sums_reference(delta, 40)
     indices = list(range(41))
@@ -292,6 +290,21 @@ def test_power_sums_row_independent_of_request_order(delta, order):
     assert row == reference[p::2]
 
 
+def test_power_sums_below_the_first_index_are_empty():
+    # an odd character's row starts at T_1, an even one's at T_0; a target
+    # below the first index is the empty row, alone or beside rows that
+    # are built, and ends the pass like any other
+    assert KroneckerCharacter(-3).power_sums(0) == ()
+    rows = _fill_power_sum_rows({-3: 0, -4: -1, 5: -1, 13: 4, -7: 3})
+    assert rows == {
+        -3: (),
+        -4: (),
+        5: (),
+        13: power_sums_reference(13, 4)[0::2],
+        -7: power_sums_reference(-7, 3)[1::2],
+    }
+
+
 # odd and even parity, prime and composite, odd and even period
 _BATCH = (-3, -4, -8, -15, -24, 5, 8, 12, 13, 21, 24, 997)
 
@@ -299,45 +312,32 @@ _BATCH = (-3, -4, -8, -15, -24, 5, 8, 12, 13, 21, 24, 997)
 def test_power_sum_batch_at_mixed_targets_matches_full_period_definition():
     # one pass of the shared-table kernel over rows of different lengths:
     # each row through its own target, and no further
-    KroneckerCharacter.power_sums.cache_clear()
     targets = {delta: 3 + 4 * n for n, delta in enumerate(_BATCH)}
-    _fill_power_sum_rows(targets)
+    rows = _fill_power_sum_rows(targets)
+    assert rows.keys() == targets.keys()
     for delta, i in targets.items():
         p = 1 if delta < 0 else 0
-        assert exact._power_sum_rows[delta] == power_sums_reference(delta, i)[p::2], delta
-
-
-def test_power_sum_batch_extends_existing_rows():
-    # a later batch rebuilds the rows it needs longer and leaves the rows
-    # that already reach their targets as they are
-    KroneckerCharacter.power_sums.cache_clear()
-    _fill_power_sum_rows({delta: 9 for delta in _BATCH})
-    before = dict(exact._power_sum_rows)
-    longer = {delta: 30 + (delta % 7) for delta in _BATCH[::2]}
-    _fill_power_sum_rows({**{delta: 5 for delta in _BATCH[1::2]}, **longer})
-    for delta in _BATCH:
-        p = 1 if delta < 0 else 0
-        row = exact._power_sum_rows[delta]
-        if delta in longer:
-            assert row == power_sums_reference(delta, longer[delta])[p::2], delta
-        else:
-            assert row is before[delta], delta
-            assert row == power_sums_reference(delta, 9)[p::2], delta
+        assert rows[delta] == power_sums_reference(delta, i)[p::2], delta
 
 
 def test_power_sum_residues_are_the_exact_rows_mod_the_prime():
-    # the kernel's modular store holds the exact rows reduced, at mixed
-    # targets and both parities, and leaves the exact store alone
-    zeta_residues.cache_clear()
-    KroneckerCharacter.power_sums.cache_clear()
+    # with a prime modulus the kernel returns the exact rows reduced, at
+    # mixed targets and both parities
     targets = {delta: 3 + 4 * n for n, delta in enumerate(_BATCH)}
-    _fill_power_sum_rows(targets, ZETA_MODULUS)
-    assert exact._power_sum_rows == {}
-    residues = exact._power_sum_residues[ZETA_MODULUS]
+    residues = _fill_power_sum_rows(targets, ZETA_MODULUS)
+    assert residues.keys() == targets.keys()
     for delta, i in targets.items():
         p = 1 if delta < 0 else 0
         exact_row = power_sums_reference(delta, i)[p::2]
         assert residues[delta] == tuple(t % ZETA_MODULUS for t in exact_row), delta
+
+
+def test_zeta_residues_of_no_field_make_no_kernel_pass(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("a kernel pass")
+
+    monkeypatch.setattr(exact, "_fill_power_sum_rows", kernel)
+    assert zeta_residues({}) == {}
 
 
 def test_character_vanishes_exactly_on_common_factors():
@@ -372,8 +372,7 @@ def test_generalized_bernoulli_matches_polynomial_route(delta):
 @pytest.mark.parametrize("delta", [5, 8, 12, 21, 40, -3, -4, -15, -24])
 def test_generalized_bernoulli_high_weights_any_order(delta):
     # weights up to 40 asked for in a scrambled order on one character
-    # object, from an empty power-sum cache, so no fill order is favoured
-    KroneckerCharacter.power_sums.cache_clear()
+    # object, so no fill order is favoured
     chi = KroneckerCharacter(delta)
     weights = list(range(41))
     random.Random(delta).shuffle(weights)

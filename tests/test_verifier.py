@@ -22,7 +22,6 @@ from eigenprod import (
     PI,
     Exp,
     Fixtures,
-    KroneckerCharacter,
     MissingFixtureError,
     Outcome,
     Pow,
@@ -181,15 +180,16 @@ def test_unequal_residual_never_vanishes():
 
 
 def _fraction_residual_inert(D, k):
-    # the Fraction formula the integer cross-products replaced
+    # the Fraction formula, written apart from the package's shared residual
     a = dedekind_zeta_neg(D, k)
     return (4 ** (2 * k - 1) - 4 ** (k - 1)) * a * a - 4 * dedekind_zeta_neg(D, 2 * k)
 
 
 def test_integer_residuals_match_fraction_formulas():
-    # the inert residual is built from integer cross-products; the unequal
-    # one, residual_unequal, is itself the Fraction formula, held to the
-    # scan by the planted zeros below and to the coefficients at nu = 1
+    # the inert residual is the package's shared residual on the exact
+    # values, a reduced Fraction; the unequal one, residual_unequal, is
+    # itself the Fraction formula, held to the scan by the planted zeros
+    # below and to the coefficients at nu = 1
     checked = 0
     for f in narrow_one_fields(200):
         D = f.discriminant
@@ -1345,50 +1345,45 @@ def test_scan_memory_peak_from_cold_caches():
     assert peak < 1.5 * 2**20, peak
 
 
-class CountingRows(dict):
-    """A power-sum memo that counts the writes of each discriminant's row."""
+def _count_kernel_passes(monkeypatch):
+    # each pass of the power-sum kernel as (modulus, targets), from empty
+    # zeta memos
+    passes = []
+    kernel = exact._fill_power_sum_rows
 
-    def __init__(self):
-        super().__init__()
-        self.writes = Counter()
+    def counted(targets, modulus=0):
+        passes.append((modulus, dict(targets)))
+        return kernel(targets, modulus)
 
-    def __setitem__(self, key, row):
-        self.writes[key] += 1
-        super().__setitem__(key, row)
-
-
-def _count_row_writes(monkeypatch):
-    # counters of the writes to the residue rows and to the exact rows
-    residues, rows = CountingRows(), CountingRows()
     dedekind_zeta_neg.cache_clear()
-    KroneckerCharacter.power_sums.cache_clear()
     zeta_residues.cache_clear()
-    monkeypatch.setitem(exact._power_sum_residues, ZETA_MODULUS, residues)
-    monkeypatch.setattr(exact, "_power_sum_rows", rows)
-    return residues.writes, rows.writes
+    monkeypatch.setattr(exact, "_fill_power_sum_rows", counted)
+    return passes
 
 
 def test_equal_weight_section_writes_each_power_sum_row_once(monkeypatch):
-    # the section fills every admissible field's residue row through its
+    # the section asks for every admissible field's residue row through its
     # largest 2k in one kernel pass before the residuals read them; taking
     # the weights bottom up, one row at a time, wrote 55 rows 102 times.  No
     # residue vanishes, so no exact row is built
-    residues, rows = _count_row_writes(monkeypatch)
+    passes = _count_kernel_passes(monkeypatch)
     verify_section3_equal()
-    assert len(residues) == 55
-    assert set(residues.values()) == {1}
-    assert rows == {}
+    assert [(modulus, len(targets)) for modulus, targets in passes] == [
+        (ZETA_MODULUS, 55)
+    ]
 
 
 def test_scan_writes_each_power_sum_row_once(monkeypatch):
-    # the scan fills every field's residue row through its heaviest weight
-    # in one kernel pass; the residues then only read the rows.  The one
-    # exact row is that of D = 5, whose residual (5, 2, 2) does vanish
-    residues, rows = _count_row_writes(monkeypatch)
+    # the scan asks for every field's residue row through its heaviest
+    # weight in one kernel pass; the residues then only read the rows.  The
+    # one exact row is that of D = 5, whose residual (5, 2, 2) does vanish
+    passes = _count_kernel_passes(monkeypatch)
     assert exact_identity_scan(1000, 20) == [(5, 2, 2)]
-    assert len(residues) == 75
-    assert set(residues.values()) == {1}
-    assert rows == {5: 1}
+    assert [(modulus, len(targets)) for modulus, targets in passes] == [
+        (ZETA_MODULUS, 75),
+        (0, 1),
+    ]
+    assert passes[1][1].keys() == {5}
 
 
 def test_warm_scan_builds_no_residue(monkeypatch):
@@ -1423,7 +1418,6 @@ def test_results_equal_from_cold_and_warm_caches():
     names = {c.__qualname__ for c in caches}
     assert {
         "factor_ideal",
-        "KroneckerCharacter.power_sums",
         "dedekind_zeta_neg",
         "is_fundamental_discriminant",
         "_enclose_memo",
